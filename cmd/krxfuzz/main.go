@@ -4,39 +4,27 @@
 // reproducer minimization. The same -seed always yields a byte-identical
 // report.
 //
-// Two schedulers are available. The default runs the in-process fuzz.Fuzzer.
-// -serve runs the same campaign through the fault-tolerant fuzzd service: a
-// manager granting lease-based iteration batches to a worker fleet, with
-// heartbeat renewal, expiry reclamation, bounded retries, dead-letter
-// quarantine, and worker respawn — all invisible in the report, which stays
-// byte-identical to the in-process run. -chaos injects a replayable fault
-// schedule into the fleet to demonstrate exactly that.
-//
-// SIGINT/SIGTERM cancel the campaign gracefully under either scheduler: the
-// in-flight batch drains and the report of every completed iteration is
-// emitted with "partial": true.
+// The campaign runs on fuzz.Fuzzer's batch scheduler; -workers spreads each
+// batch over in-process workers without changing the report. SIGINT/SIGTERM
+// cancel it gracefully: the in-flight batch drains and the report of every
+// completed iteration is emitted with "partial": true. -corpus-dir
+// checkpoints at batch boundaries so a cancelled campaign can resume.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/diversify"
 	"repro/internal/fuzz"
-	"repro/internal/fuzzd"
-	"repro/internal/fuzzd/chaos"
 	"repro/internal/inject"
 	"repro/internal/kernel"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sfi"
 	"repro/internal/store"
@@ -63,12 +51,7 @@ func run() error {
 	blocks := flag.Bool("blocks", true, "dispatch through the superblock engine (bit-identical either way; -blocks=false forces per-instruction stepping)")
 	compile := flag.Bool("compile", true, "compile hot superblocks into per-opcode thunks (bit-identical either way; -compile=false keeps the interpreted block dispatcher)")
 	hot := flag.Int("hot", 0, "block-formation hotness threshold: form a superblock after this many dispatches of an entry point (0 = engine default)")
-	serve := flag.Bool("serve", false, "run through the fault-tolerant fuzzd manager/worker service instead of the in-process scheduler")
-	leaseTimeout := flag.Duration("lease-timeout", time.Second, "serve: lease deadline; a lease unrenewed for this long is reclaimed and reassigned")
-	leaseIters := flag.Int("lease-iters", 16, "serve: iterations per lease grant")
-	retries := flag.Int("retries", 3, "serve: regrants of a lost lease before its range is quarantined to the manager")
-	chaosSpec := flag.String("chaos", "", "serve: worker fault schedule (kill-one, expire-third, stall-recover, seeded:<seed>); the report must not change")
-	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: kernel images (and block heat profiles) are reused across invocations; a warm run performs zero link builds")
+	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: kernel images are reused across invocations; a warm run performs zero link builds")
 	cacheQuota := flag.String("cache-quota", "1G", "artifact store byte quota, LRU-evicted (accepts K/M/G suffixes; 0 = unlimited)")
 	corpusDir := flag.String("corpus-dir", "", "campaign checkpoint store directory: the corpus, coverage, and crash ledger persist at batch boundaries and the campaign resumes from its last checkpoint (incompatible with -trace)")
 	cpuProf := flag.String("cpuprofile", "", "write a host pprof CPU profile of the campaign to this file")
@@ -106,13 +89,11 @@ func run() error {
 		opts.Plan = &plan
 	}
 
-	// Persistent artifact store: every Boot(WithCache) in this process —
-	// in-process workers and serve-mode fleets alike — builds through it, so
-	// a populated store serves the image with zero link builds.
-	var artifacts store.Store
+	// Persistent artifact store: every Boot(WithCache) in this process
+	// builds through it, so a populated store serves the image with zero
+	// link builds.
 	if *cacheDir != "" {
-		var err error
-		artifacts, err = store.Open(*cacheDir, *cacheQuota)
+		artifacts, err := store.Open(*cacheDir, *cacheQuota)
 		if err != nil {
 			return err
 		}
@@ -128,21 +109,6 @@ func run() error {
 		opts.Checkpoint = cs
 	}
 
-	if *serve {
-		return runServe(ctx, opts, serveFlags{
-			leaseTimeout: *leaseTimeout,
-			leaseIters:   *leaseIters,
-			retries:      *retries,
-			chaosSpec:    *chaosSpec,
-			blocks:       *blocks,
-			compile:      *compile,
-			hot:          *hot,
-			jsonOut:      *jsonOut,
-			traceOut:     *traceOut,
-			stats:        *stats,
-		})
-	}
-
 	f, err := fuzz.New(opts)
 	if err != nil {
 		return err
@@ -151,38 +117,23 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// The heat-profile key: one profile per (corpus, build) pair, like the
-	// image itself.
-	heatKey := store.Key{ProgID: "kernel-corpus", BuildKey: cfg.BuildKey()}
-	var seedRips []uint64
-	if artifacts != nil && *blocks {
-		if data, gerr := artifacts.Get(store.KindHeat, heatKey); gerr == nil {
-			seedRips, _ = decodeHeat(data)
-		}
-	}
 	for _, k := range ks {
 		k.CPU.SetBlockEngine(*blocks)
 		k.CPU.SetBlockCompile(*compile)
 		k.CPU.SetBlockHotThreshold(*hot)
-		k.CPU.SeedHotProfile(seedRips)
 	}
 	rep, err := f.RunContext(ctx)
 	if err != nil {
 		return err
 	}
-	if artifacts != nil && *blocks {
-		// Persist the superblocks this campaign formed so the next warm run
-		// skips their hotness ramp (bit-identical either way).
-		if k, kerr := f.Kernel(); kerr == nil {
-			if rips := k.CPU.HotProfile(); len(rips) > 0 {
-				if data, eerr := encodeHeat(rips); eerr == nil {
-					_ = artifacts.Put(store.KindHeat, heatKey, data)
-				}
-			}
+	if *jsonOut {
+		b, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			return err
 		}
-	}
-	if err := emitReport(rep, *jsonOut); err != nil {
-		return err
+		fmt.Println(string(b))
+	} else {
+		fmt.Print(rep.String())
 	}
 	if *traceOut != "" {
 		b, err := obs.ChromeTrace(rep.Trace)
@@ -208,105 +159,9 @@ func run() error {
 		if opts.Fork {
 			// The first worker is the golden kernel every other worker
 			// forked from; its space carries the frame-sharing counters.
-			obs.RegisterFork(reg, "fork", kernel.Forks, func() *mem.AddressSpace { return k.CPU.AS })
+			obs.RegisterFork(reg, "fork", kernel.Forks, k.CPU.AS)
 		}
 		fmt.Print(reg.Format())
 	}
-	return nil
-}
-
-type serveFlags struct {
-	leaseTimeout time.Duration
-	leaseIters   int
-	retries      int
-	chaosSpec    string
-	blocks       bool
-	compile      bool
-	hot          int
-	jsonOut      bool
-	traceOut     string
-	stats        bool
-}
-
-// runServe runs the campaign through the fuzzd service.
-func runServe(ctx context.Context, opts fuzz.Options, sf serveFlags) error {
-	fn, err := chaos.Parse(sf.chaosSpec)
-	if err != nil {
-		return err
-	}
-	m, err := fuzzd.New(fuzzd.Options{
-		Fuzz:         opts,
-		LeaseIters:   sf.leaseIters,
-		LeaseTimeout: sf.leaseTimeout,
-		MaxRetries:   sf.retries,
-		Chaos:        fn,
-		Tune: func(k *kernel.Kernel) {
-			k.CPU.SetBlockEngine(sf.blocks)
-			k.CPU.SetBlockCompile(sf.compile)
-			k.CPU.SetBlockHotThreshold(sf.hot)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	rep, err := m.Run(ctx)
-	if err != nil {
-		return err
-	}
-	if err := emitReport(rep, sf.jsonOut); err != nil {
-		return err
-	}
-	if sf.traceOut != "" {
-		// Two tracks: the deterministic campaign stream (emulated-cycle
-		// timestamps) and the service-plane lease/death/respawn stream (host
-		// microseconds since manager start).
-		b, err := obs.ChromeTraceTracks(
-			obs.Track{Name: "campaign", Pid: 1, Events: rep.Trace},
-			obs.Track{Name: "fuzzd", Pid: 2, Events: m.Tracer().Events()},
-		)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(sf.traceOut, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "krxfuzz: wrote %d campaign + %d service trace events to %s\n",
-			len(rep.Trace), m.Tracer().Len(), sf.traceOut)
-	}
-	if sf.stats {
-		obs.RegisterStore(m.Registry(), "store", kernel.BuildCache())
-		fmt.Print(m.Registry().Format())
-	}
-	return nil
-}
-
-// encodeHeat/decodeHeat serialize a heat profile (sorted block entry RIPs)
-// for the artifact store.
-func encodeHeat(rips []uint64) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rips); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeHeat(data []byte) ([]uint64, error) {
-	var rips []uint64
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rips); err != nil {
-		return nil, err
-	}
-	return rips, nil
-}
-
-func emitReport(rep *fuzz.Report, jsonOut bool) error {
-	if jsonOut {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(b))
-		return nil
-	}
-	fmt.Print(rep.String())
 	return nil
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/diversify"
 	"repro/internal/kernel"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/pgtable"
 	"repro/internal/sfi"
@@ -132,7 +131,7 @@ func printMetrics() error {
 		obs.RegisterBlockEngine(reg, "block_engine", k.CPU)
 		obs.RegisterDataTLB(reg, "dtlb", k.CPU.AS)
 		obs.RegisterStore(reg, "store", kernel.BuildCache())
-		obs.RegisterFork(reg, "fork", kernel.Forks, func() *mem.AddressSpace { return child.Space.AS })
+		obs.RegisterFork(reg, "fork", kernel.Forks, child.Space.AS)
 		fmt.Printf("=== %s ===\n%s\n", cfg.Name(), reg.Format())
 	}
 	return nil

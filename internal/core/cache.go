@@ -51,19 +51,6 @@ func NewImageCache(backing store.Store) *ImageCache {
 	return &ImageCache{entries: make(map[store.Key]*cacheEntry), backing: backing}
 }
 
-// Cache is the deprecated name for ImageCache.
-//
-// Deprecated: use ImageCache with an explicit (possibly nil) backing
-// store. This alias exists for one PR to keep external callers compiling
-// and will be removed.
-type Cache = ImageCache
-
-// NewCache returns an empty in-memory build cache.
-//
-// Deprecated: use NewImageCache(nil), or NewImageCache(disk) to persist
-// images across processes.
-func NewCache() *Cache { return NewImageCache(nil) }
-
 // Build returns the cached BuildResult for (progID, cfg), fetching it from
 // the backing store or compiling prog on the first request. progID must
 // identify the corpus contents: callers that reuse one in-memory program

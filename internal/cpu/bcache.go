@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"sort"
-
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -324,7 +322,7 @@ func (c *CPU) blockLookup(rip uint64) (*dcPage, *dcBlock) {
 	off := int(rip & uint64(mem.PageMask))
 	bi := p.blkIdx[off]
 	if bi == 0 {
-		if c.coldGate(p, off, rip) {
+		if c.coldGate(p, off) {
 			return nil, nil
 		}
 		bi = p.formBlock(off, c)
@@ -354,7 +352,7 @@ func (c *CPU) blockStep(limit, done, startInstrs uint64) (StopReason, *Trap) {
 	off := int(c.RIP & uint64(mem.PageMask))
 	bi := p.blkIdx[off]
 	if bi == 0 {
-		if c.coldGate(p, off, c.RIP) {
+		if c.coldGate(p, off) {
 			return c.stepCached(p, off)
 		}
 		bi = p.formBlock(off, c)
@@ -680,57 +678,15 @@ func (c *CPU) BlockHotThreshold() int { return int(c.blockHot) }
 
 // coldGate applies the hotness gate to an unformed block entry offset:
 // true means the dispatch stays cold (single-step) and the offset's heat
-// counter ramps. Entry RIPs named by a seeded heat profile bypass the ramp
-// entirely — a prior campaign already proved them hot, so formation
-// happens on first dispatch, exactly as if the counters had been warmed.
-// Bit-identity is unaffected: formation timing is host-side only (the
-// invariant the hot=1 determinism gates prove).
-func (c *CPU) coldGate(p *dcPage, off int, rip uint64) bool {
+// counter ramps. Bit-identity is unaffected: formation timing is host-side
+// only (the invariant the hot=1 determinism gates prove).
+func (c *CPU) coldGate(p *dcPage, off int) bool {
 	if h := uint32(p.heat[off]); h+1 < c.blockHot {
-		if c.seedHot != nil {
-			if _, hot := c.seedHot[rip]; hot {
-				return false
-			}
-		}
 		p.heat[off]++
 		c.bstats.Cold++
 		return true
 	}
 	return false
-}
-
-// SeedHotProfile installs a heat profile — block entry RIPs a prior
-// campaign formed superblocks at (HotProfile) — exempting them from the
-// hotness ramp so warm-started runs skip the cold single-step passes.
-// nil clears the profile.
-func (c *CPU) SeedHotProfile(rips []uint64) {
-	if len(rips) == 0 {
-		c.seedHot = nil
-		return
-	}
-	c.seedHot = make(map[uint64]struct{}, len(rips))
-	for _, rip := range rips {
-		c.seedHot[rip] = struct{}{}
-	}
-}
-
-// HotProfile returns the entry RIPs of every currently formed superblock,
-// sorted — the artifact a campaign persists (store.KindHeat) for the next
-// run to SeedHotProfile with.
-func (c *CPU) HotProfile() []uint64 {
-	if c.dc == nil {
-		return nil
-	}
-	var rips []uint64
-	for base, p := range c.dc.pages {
-		for off := 0; off < mem.PageSize; off++ {
-			if p.blkIdx[off] > 0 {
-				rips = append(rips, base+uint64(off))
-			}
-		}
-	}
-	sort.Slice(rips, func(i, j int) bool { return rips[i] < rips[j] })
-	return rips
 }
 
 // BlockStats returns a snapshot of the superblock-engine counters. The

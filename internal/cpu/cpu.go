@@ -214,7 +214,6 @@ type CPU struct {
 	blocks   bool
 	compile  bool
 	blockHot uint32
-	seedHot  map[uint64]struct{} // entry RIPs exempt from the hotness ramp
 	bstats   BlockStats
 	dstats   DecodeCacheStats
 }

@@ -48,7 +48,6 @@ func (c *CPU) Fork(as *mem.AddressSpace) *CPU {
 		blocks:         c.blocks,
 		compile:        c.compile,
 		blockHot:       c.blockHot,
-		seedHot:        c.seedHot, // read-only after SeedHotProfile; aliasable
 		MSRs:           make(map[uint64]uint64, len(c.MSRs)),
 	}
 	for k, v := range c.MSRs {

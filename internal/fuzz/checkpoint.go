@@ -23,8 +23,7 @@ import (
 // iteration stream — seed, config build key, fault plan, minimization
 // budget — is in the key, so mismatched campaigns can never cross-resume.
 
-// CampaignKey returns the store key identifying this campaign's checkpoint
-// and heat-profile artifacts.
+// CampaignKey returns the store key identifying this campaign's checkpoint.
 func (o *Options) CampaignKey() store.Key {
 	plan := "none"
 	if o.Plan != nil {

@@ -28,13 +28,11 @@
 //
 // The result: krxfuzz -workers 1 and -workers 8 emit identical bytes.
 //
-// The building blocks are exported so other schedulers can reuse them
-// under the same contract: an Executor executes programs against one booted
-// kernel, and a Ledger folds ExecResults in canonical iteration order into
-// a Report. The in-process Fuzzer below and the lease-based manager/worker
-// service in internal/fuzzd are both thin schedulers over these two pieces
-// — which is why the service's crash recovery, retries, and reassignment
-// cannot change a single report byte.
+// The Fuzzer below is a thin scheduler over two exported building blocks:
+// an Executor executes programs against one booted kernel, and a Ledger
+// folds ExecResults in canonical iteration order into a Report. They stay
+// exported so an instrumented loop (the benchmark's traced campaign)
+// can time each phase under the same contract and land on the same bytes.
 package fuzz
 
 import (
@@ -151,8 +149,6 @@ func (e *NoWorkersError) Error() string {
 // is a protocol constant — NOT derived from the worker count — because the
 // corpus snapshot an iteration mutates from is "the corpus after the last
 // whole batch", and that must mean the same thing under any parallelism.
-// The fuzzd service leases sub-ranges of these same batches, so its reports
-// land on identical bytes.
 const BatchSize = 64
 
 // Crash is one deduplicated crash bucket.
@@ -240,9 +236,7 @@ func ProgSeed(seed int64, iter int) int64 {
 // PickProg draws the program for iteration iter from a corpus snapshot: a
 // fresh generation while the corpus is cold, afterwards mostly mutations of
 // corpus entries. The whole decision consumes only the iteration's own
-// derived RNG, so it is identical under any scheduling — the function every
-// scheduler (the in-process Fuzzer, the fuzzd workers, and the manager's
-// quarantine path) must agree on.
+// derived RNG, so it is identical under any scheduling and worker count.
 func PickProg(seed int64, iter int, corpus []*Prog, kaddrs []uint64) *Prog {
 	g := &generator{rng: rand.New(rand.NewSource(ProgSeed(seed, iter))), kaddrs: kaddrs}
 	r := g.rng
@@ -362,10 +356,10 @@ func NewExecutor(opts Options) (*Executor, error) {
 // this executor's machine (kernel.Fork): frames, and the warm decode cache,
 // are shared until first write, so the child costs a few map clones instead
 // of a boot plus warmup. The parent must be at its snapshot point — freshly
-// built by NewExecutor, or restored — which is where fuzz.New and the fuzzd
-// transport call it from. The child takes its own boot snapshot and behaves
-// exactly like a NewExecutor-built worker from then on: byte-identical
-// execution, reports, and traces.
+// built by NewExecutor, or restored — which is where fuzz.New calls it
+// from. The child takes its own boot snapshot and behaves exactly like a
+// NewExecutor-built worker from then on: byte-identical execution, reports,
+// and traces.
 func (w *Executor) Fork() (*Executor, error) {
 	var forkOpts []kernel.BootOption
 	var tr *obs.Tracer
@@ -421,8 +415,8 @@ func interestingKaddrs(k *kernel.Kernel) []uint64 {
 func (f *Fuzzer) injSeed(iter int) int64 { return InjSeed(f.opts.Seed, iter) }
 
 // ExecResult is one program execution's outcome, self-contained so a merge
-// step can fold it in without touching the executor again — and so the
-// fuzzd workers can ship it across the lease protocol unchanged.
+// step can fold it in without touching the executor again, in whatever
+// order the workers finish.
 type ExecResult struct {
 	Bucket   string // "" = clean run
 	CrashIdx int    // index of the crashing call

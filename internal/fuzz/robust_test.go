@@ -68,45 +68,58 @@ func TestZeroWorkerGuards(t *testing.T) {
 // cancelled after batch k emits a Partial report that is byte-identical —
 // bar the partial marker — to a full campaign requesting exactly those
 // k*BatchSize iterations. Cancellation never tears a batch: the in-flight
-// batch drains and merges before the ledger is finalized.
+// batch drains and merges before the ledger is finalized, at any worker
+// count and whether workers are booted or forked.
 func TestPartialReportPrefix(t *testing.T) {
 	const cutoff = 2 * BatchSize
 
-	opts := campaignOpts(4 * BatchSize)
-	f, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	f.batchHook = func(done int) {
-		if done >= cutoff {
-			cancel()
-		}
-	}
-	partial, err := f.RunContext(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !partial.Partial {
-		t.Fatal("cancelled campaign did not mark its report partial")
-	}
-	if partial.Iters != cutoff {
-		t.Fatalf("partial report folded %d iters, want %d (batch-aligned drain)", partial.Iters, cutoff)
-	}
-
-	fullOpts := campaignOpts(cutoff)
-	full, err := Fuzz(fullOpts)
+	full, err := Fuzz(campaignOpts(cutoff))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Partial {
 		t.Fatal("uncancelled campaign marked partial")
 	}
-	got := strings.Replace(partial.String(), " partial=true", "", 1)
-	if got != full.String() {
-		t.Errorf("partial report is not the canonical prefix:\n--- partial (marker stripped) ---\n%s--- full %d iters ---\n%s",
-			got, cutoff, full.String())
+
+	for _, tc := range []struct {
+		name    string
+		workers int
+		fork    bool
+	}{
+		{"workers=1", 1, false},
+		{"workers=2", 2, false},
+		{"workers=4/fork", 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := campaignOpts(4 * BatchSize)
+			opts.Workers, opts.Fork = tc.workers, tc.fork
+			f, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			f.batchHook = func(done int) {
+				if done >= cutoff {
+					cancel()
+				}
+			}
+			partial, err := f.RunContext(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !partial.Partial {
+				t.Fatal("cancelled campaign did not mark its report partial")
+			}
+			if partial.Iters != cutoff {
+				t.Fatalf("partial report folded %d iters, want %d (batch-aligned drain)", partial.Iters, cutoff)
+			}
+			got := strings.Replace(partial.String(), " partial=true", "", 1)
+			if got != full.String() {
+				t.Errorf("partial report is not the canonical prefix:\n--- partial (marker stripped) ---\n%s--- full %d iters ---\n%s",
+					got, cutoff, full.String())
+			}
+		})
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 )
 
 // forkCount is the process-wide fork counter behind Forks() — the obs
-// gauge's data source. Atomic because fork-per-worker campaigns fork from
-// goroutines (the fuzzd manager respawning workers mid-campaign).
+// gauge's data source. Atomic because independent kernels may fork from
+// different goroutines at once (concurrent campaigns or tests in one
+// process), and the gauge may read it from yet another.
 var forkCount atomic.Uint64
 
 // Forks returns the number of kernel forks performed process-wide.

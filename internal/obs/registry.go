@@ -186,21 +186,11 @@ func RegisterTracer(r *Registry, prefix string, t *Tracer) {
 
 // RegisterFork publishes copy-on-write fork statistics under prefix (e.g.
 // "fork"): the process-wide fork count (pass kernel.Forks — taking a func
-// keeps obs from importing kernel) and one address space's frame-sharing
-// counters. The space is a provider, not a pointer, because the space worth
-// watching may not exist yet at registration time (fuzzd boots its golden
-// kernel lazily on the first worker spawn); a nil provider result reads as
-// zeros.
-func RegisterFork(r *Registry, prefix string, forks func() uint64, as func() *mem.AddressSpace) {
+// keeps obs from importing kernel) and as's frame-sharing counters.
+func RegisterFork(r *Registry, prefix string, forks func() uint64, as *mem.AddressSpace) {
 	r.Gauge(prefix+".forks", forks)
 	stat := func(pick func(mem.CowStats) uint64) func() uint64 {
-		return func() uint64 {
-			a := as()
-			if a == nil {
-				return 0
-			}
-			return pick(a.CowStats())
-		}
+		return func() uint64 { return pick(as.CowStats()) }
 	}
 	r.Gauge(prefix+".shared_frames", stat(func(s mem.CowStats) uint64 { return s.SharedFrames }))
 	r.Gauge(prefix+".cow_breaks", stat(func(s mem.CowStats) uint64 { return s.Breaks }))

@@ -90,7 +90,7 @@ func TestRegisterFork(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRegistry()
-	RegisterFork(r, "fork", func() uint64 { return 5 }, func() *mem.AddressSpace { return as })
+	RegisterFork(r, "fork", func() uint64 { return 5 }, as)
 	got := map[string]uint64{}
 	for _, m := range r.Snapshot() {
 		got[m.Name] = m.Value

@@ -19,15 +19,6 @@ const (
 	EvSnapshot                      // kernel.Snapshot taken
 	EvRestore                       // kernel.Restore rewound the machine
 	EvFault                         // injected fault (internal/inject)
-
-	// Service-plane events emitted by the fuzzd manager. They ride a
-	// separate, host-clocked tracer — never the deterministic iteration
-	// stream — because which worker holds which lease is scheduling noise.
-	EvLease       // lease granted to a worker
-	EvLeaseExpire // lease deadline passed; batch reclaimed
-	EvWorkerDeath // worker panic contained (or executor broke)
-	EvRespawn     // replacement worker spawned
-	EvDeadLetter  // batch exhausted its retries; quarantined to the manager
 )
 
 func (k EventKind) String() string {
@@ -44,16 +35,6 @@ func (k EventKind) String() string {
 		return "restore"
 	case EvFault:
 		return "fault"
-	case EvLease:
-		return "lease"
-	case EvLeaseExpire:
-		return "lease-expire"
-	case EvWorkerDeath:
-		return "worker-death"
-	case EvRespawn:
-		return "respawn"
-	case EvDeadLetter:
-		return "dead-letter"
 	}
 	return "?"
 }
@@ -92,13 +73,6 @@ type Tracer struct {
 	n       int
 	seq     uint64
 	dropped uint64
-
-	// Now, when set on a tracer with no attached CPU, supplies the
-	// (Instrs, Cycles) stamp for each emitted event. The fuzzd manager uses
-	// it to stamp service-plane events with host microseconds — those events
-	// live on their own trace track and are not part of any deterministic
-	// stream, which is exactly why a wall clock is acceptable there.
-	Now func() (instrs, cycles uint64)
 }
 
 // NewTracer creates a tracer. capacity <= 0 uses DefaultTraceCap. Events
@@ -135,8 +109,6 @@ func (t *Tracer) Emit(kind EventKind, name string, addr, arg uint64) {
 	}
 	if t.c != nil {
 		ev.Instrs, ev.Cycles = t.c.Instrs, t.c.Cycles
-	} else if t.Now != nil {
-		ev.Instrs, ev.Cycles = t.Now()
 	}
 	t.seq++
 	if t.n < len(t.buf) {
@@ -214,13 +186,16 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-func chromeEvents(events []Event, pid int) []chromeEvent {
+// ChromeTrace renders events as Chrome trace-event JSON: syscall
+// enter/exit pairs become duration begin/end slices, everything else an
+// instant event. Load the output in about://tracing or Perfetto.
+func ChromeTrace(events []Event) ([]byte, error) {
 	out := make([]chromeEvent, 0, len(events))
 	for _, e := range events {
 		ce := chromeEvent{
 			Name: e.Name,
 			Ts:   e.Cycles,
-			Pid:  pid,
+			Pid:  1,
 			Tid:  1,
 			Args: map[string]any{"seq": e.Seq, "instrs": e.Instrs, "addr": e.Addr, "arg": e.Arg},
 		}
@@ -235,41 +210,6 @@ func chromeEvents(events []Event, pid int) []chromeEvent {
 			ce.Name = e.Kind.String() + ":" + e.Name
 		}
 		out = append(out, ce)
-	}
-	return out
-}
-
-// ChromeTrace renders events as Chrome trace-event JSON: syscall
-// enter/exit pairs become duration begin/end slices, everything else an
-// instant event. Load the output in about://tracing or Perfetto.
-func ChromeTrace(events []Event) ([]byte, error) {
-	return json.MarshalIndent(chromeEvents(events, 1), "", " ")
-}
-
-// Track is one named event stream in a multi-track Chrome export: the fuzzd
-// service renders the deterministic iteration stream and the host-clocked
-// service-plane stream (leases, expiries, deaths, respawns) as separate
-// process rows of one trace file.
-type Track struct {
-	Name   string
-	Pid    int
-	Events []Event
-}
-
-// ChromeTraceTracks renders several event streams into one Chrome
-// trace-event JSON document, one pid row per track, each labelled with a
-// process_name metadata record.
-func ChromeTraceTracks(tracks ...Track) ([]byte, error) {
-	var out []chromeEvent
-	for _, tk := range tracks {
-		out = append(out, chromeEvent{
-			Name: "process_name",
-			Ph:   "M",
-			Pid:  tk.Pid,
-			Tid:  1,
-			Args: map[string]any{"name": tk.Name},
-		})
-		out = append(out, chromeEvents(tk.Events, tk.Pid)...)
 	}
 	return json.MarshalIndent(out, "", " ")
 }

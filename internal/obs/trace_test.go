@@ -99,55 +99,3 @@ func TestChromeTraceDeterministic(t *testing.T) {
 		t.Error("ChromeTrace output is not deterministic")
 	}
 }
-
-func TestTracerNowStamp(t *testing.T) {
-	tr := NewTracer(4)
-	tr.Now = func() (uint64, uint64) { return 7, 9 }
-	tr.Emit(EvLease, "worker-0", 0x40, 3)
-	ev := tr.Events()[0]
-	if ev.Instrs != 7 || ev.Cycles != 9 {
-		t.Errorf("Now-stamped event = i=%d c=%d, want 7/9", ev.Instrs, ev.Cycles)
-	}
-}
-
-func TestServiceEventKindStrings(t *testing.T) {
-	want := map[EventKind]string{
-		EvLease:       "lease",
-		EvLeaseExpire: "lease-expire",
-		EvWorkerDeath: "worker-death",
-		EvRespawn:     "respawn",
-		EvDeadLetter:  "dead-letter",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("%d.String() = %q, want %q", k, k.String(), s)
-		}
-	}
-}
-
-func TestChromeTraceTracks(t *testing.T) {
-	b, err := ChromeTraceTracks(
-		Track{Name: "campaign", Pid: 1, Events: []Event{
-			{Kind: EvSyscallEnter, Name: "sys_open", Cycles: 10},
-		}},
-		Track{Name: "fuzzd", Pid: 2, Events: []Event{
-			{Kind: EvLease, Name: "worker-0", Cycles: 20, Arg: 1},
-		}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []map[string]any
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if len(out) != 4 {
-		t.Fatalf("len = %d, want 4 (2 metadata + 2 events)", len(out))
-	}
-	if out[0]["ph"] != "M" || out[0]["name"] != "process_name" {
-		t.Errorf("first record is not process_name metadata: %v", out[0])
-	}
-	if out[3]["name"] != "lease:worker-0" || out[3]["pid"] != float64(2) {
-		t.Errorf("service event = %v, want lease:worker-0 on pid 2", out[3])
-	}
-}

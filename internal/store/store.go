@@ -1,7 +1,7 @@
 // Package store is the content-addressed artifact store behind every cache
-// in the harness: compiled kernel images, fuzz corpora with their coverage
-// sets, and block-engine heat profiles all persist through one layered
-// Store interface instead of process-private maps.
+// in the harness: compiled kernel images and fuzz corpora with their
+// coverage sets persist through one layered Store interface instead of
+// process-private maps.
 //
 // Keys are structured (Key{ProgID, BuildKey}) and hash to content
 // addresses; values are versioned, checksummed blobs. The two concrete
@@ -37,9 +37,6 @@ const (
 	// KindCorpus holds fuzz campaign ledger checkpoints: the corpus, the
 	// coverage set, and the crash buckets at a batch boundary.
 	KindCorpus = "corpus"
-	// KindHeat holds block-engine heat profiles: the entry RIPs of the
-	// superblocks a prior campaign formed, used to skip the hotness ramp.
-	KindHeat = "heat"
 )
 
 // Key identifies one artifact: the program (corpus) identity and the
