@@ -183,6 +183,13 @@ type CPU struct {
 	probe      ExecProbe
 	trapProbes []TrapProbe
 
+	// tick is the armed instruction-count ticker (probe.go); nil when off.
+	// tickLeft is how many more instructions retire before it fires. It
+	// counts what an exec probe would see — instructions that reached
+	// Instrs++ — and survives RestoreState like the ticker itself.
+	tick     Ticker
+	tickLeft uint64
+
 	// cov is the installed coverage sink (coverage.go); nil when off.
 	cov *Coverage
 	// observed is probe != nil || cov != nil: the single-step paths' one
@@ -373,7 +380,10 @@ func (c *CPU) deliverTrap(t *Trap) *Trap {
 // entry point is still cold under the hotness gate, no block starts at RIP,
 // or the remaining limit budget is smaller than the block. A coverage sink
 // (SetCoverage) does not disarm blocks: they mark coverage a block at a
-// time.
+// time. Neither does a ticker (SetTick): its deadline caps the budget blocks
+// may use exactly as the limit does, and the instruction that reaches it is
+// single-stepped so the tick fires after that instruction's exec and before
+// its trap (if any) is delivered.
 func (c *CPU) Run(limit uint64) *RunResult {
 	res := &RunResult{}
 	startInstrs, startCycles := c.Instrs, c.Cycles
@@ -395,15 +405,35 @@ func (c *CPU) Run(limit uint64) *RunResult {
 		}
 		var stop StopReason
 		var trap *Trap
-		if c.blocks && c.dc != nil && c.probe == nil &&
-			!(c.Mode == User && c.RIP >= UpperHalf) &&
-			!(c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf) {
-			// Fetch privilege holds for the whole block: the mode cannot
-			// change mid-block (mode switches are terminators) and the
-			// block never leaves its page.
-			stop, trap = c.blockStep(limit, done, startInstrs)
-		} else {
+		before := c.Instrs
+		if c.tick != nil && c.tickLeft == 1 {
+			rip := c.RIP
 			stop, trap = c.Step()
+			if c.Instrs != before {
+				if c.tickLeft = c.tick.Tick(rip); c.tickLeft == 0 {
+					panic("cpu: Ticker.Tick returned a zero stride")
+				}
+			}
+		} else {
+			if c.blocks && c.dc != nil && c.probe == nil &&
+				!(c.Mode == User && c.RIP >= UpperHalf) &&
+				!(c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf) {
+				// Fetch privilege holds for the whole block: the mode cannot
+				// change mid-block (mode switches are terminators) and the
+				// block never leaves its page.
+				lim := limit
+				if c.tick != nil && (limit == 0 || limit-done >= c.tickLeft) {
+					// Rebase the deadline into the limit's terms: blocks may
+					// retire at most tickLeft-1 instructions.
+					lim = done + c.tickLeft - 1
+				}
+				stop, trap = c.blockStep(lim, done, startInstrs)
+			} else {
+				stop, trap = c.Step()
+			}
+			if c.tick != nil {
+				c.tickLeft -= c.Instrs - before
+			}
 		}
 		if trap != nil {
 			if t := c.deliverTrap(trap); t != nil {
@@ -489,9 +519,10 @@ func (c *CPU) stepSlow() (StopReason, *Trap) {
 
 // State is a complete architectural snapshot of the CPU: everything Restore
 // needs to resume as if the intervening execution never happened. The
-// address space, the installed probes, and the coverage sink are
-// deliberately excluded — memory has its own checkpoint machinery
-// (mem.Checkpoint/Rollback) and observers belong to whoever installed them.
+// address space, the installed probes, the ticker and its countdown, and
+// the coverage sink are deliberately excluded — memory has its own
+// checkpoint machinery (mem.Checkpoint/Rollback) and observers belong to
+// whoever installed them.
 type State struct {
 	Regs          [isa.NumGPR]uint64
 	RIP           uint64

@@ -18,8 +18,8 @@ import "repro/internal/mem"
 // slices are deep-copied because chain links are re-pointed in place as
 // they sever and re-form.
 //
-// Probes, trap probes, and the coverage sink are deliberately not carried
-// over, mirroring State/RestoreState: observers are per-worker wiring, not
+// Probes, trap probes, the ticker, and the coverage sink are deliberately
+// not carried over, mirroring State/RestoreState: observers are per-worker wiring, not
 // machine state. Blocks' precomputed coverage words are shared like their
 // thunks.
 // Cumulative decode/block statistics restart at zero in the child.

@@ -1,18 +1,19 @@
 package cpu
 
-// The composable execution-probe API.
+// The composable execution-probe API, and the instruction-count ticker.
 //
-// The CPU used to expose a single OnExec func field, and every observer —
-// the fuzzer's coverage bitmap, the fault injector, the cycle profiler —
-// fought over it by chaining closures. Probes replace that: any number of
-// observers install independently via AddProbe/RemoveProbe, dispatch order
-// is installation order, and the common cases stay cheap — zero probes is
-// one predictable nil check per instruction, one probe is a single indirect
-// call (no fan-out loop). An installed exec probe also disarms the Run
-// loop's superblock fast path (bcache.go), which otherwise skips the
-// per-instruction dispatch the callbacks ride on. Coverage, the observer
-// every fuzz campaign needs, is therefore not a probe but a CPU sink
-// (coverage.go) that blocks mark a block at a time.
+// Probes are per-instruction observers: any number install independently
+// via AddProbe/RemoveProbe, dispatch order is installation order, and the
+// common cases stay cheap — zero probes is one predictable nil check per
+// instruction, one probe is a single indirect call (no fan-out loop). An
+// installed exec probe disarms the Run loop's superblock fast path
+// (bcache.go), which otherwise skips the per-instruction dispatch the
+// callbacks ride on; only the cycle profilers still need that stream. Coverage, the observer every fuzz campaign needs, is a CPU
+// sink (coverage.go) that blocks mark a block at a time. An observer that
+// only needs to act every N instructions — the fault injector — is a Ticker
+// (SetTick): Run treats its deadline like an instruction limit, so blocks
+// keep running up to it and only the instruction that reaches it is
+// single-stepped.
 
 import "repro/internal/isa"
 
@@ -142,4 +143,33 @@ func (c *CPU) notifyTrap(t *Trap, cycles uint64) {
 	for _, p := range c.trapProbes {
 		p.OnTrap(t, cycles)
 	}
+}
+
+// Ticker is an instruction-count deadline observer. Tick fires once every
+// stride retired instructions (counted exactly as an exec probe's callbacks
+// are: an instruction that executes, trapping or not, counts; a fetch fault
+// or a #UD does not) with the address of the instruction that reached the
+// deadline, after that instruction executed and before a trap it raised is
+// delivered — the same point an exec probe's OnExec would see it. Tick
+// returns the stride to the next deadline, which must be at least 1.
+type Ticker interface {
+	Tick(rip uint64) (next uint64)
+}
+
+// SetTick arms t to tick after the next stride instructions that Run
+// retires; a nil t disarms. The CPU has one ticker slot: arming a second
+// while one is armed panics. The countdown is not machine state — it
+// survives RestoreState, and CPU.Fork does not carry the ticker over.
+func (c *CPU) SetTick(t Ticker, stride uint64) {
+	if t == nil {
+		c.tick, c.tickLeft = nil, 0
+		return
+	}
+	if c.tick != nil {
+		panic("cpu: SetTick while another ticker is armed")
+	}
+	if stride == 0 {
+		panic("cpu: SetTick with a zero stride")
+	}
+	c.tick, c.tickLeft = t, stride
 }

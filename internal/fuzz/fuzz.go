@@ -280,6 +280,9 @@ type Executor struct {
 	tracer *obs.Tracer // non-nil when Options.Trace
 	funcs  []funcSpan  // image functions sorted by address, for bucketing
 	kaddrs []uint64
+	// targets is the kernel's injection surface (kernel.FaultTargets). It
+	// depends only on the booted image, so it is computed once, not per Exec.
+	targets inject.Targets
 	// cov is the CPU's coverage sink: a bitmap over the kernel text plus a
 	// set for RIPs outside it (user stubs, modules). The CPU marks it a
 	// block at a time, so coverage keeps the block engine armed.
@@ -343,6 +346,7 @@ func NewExecutor(opts Options) (*Executor, error) {
 	}
 	sort.Slice(w.funcs, func(i, j int) bool { return w.funcs[i].start < w.funcs[j].start })
 	w.kaddrs = interestingKaddrs(k)
+	w.targets = k.FaultTargets()
 
 	// Coverage sink, installed once at boot; Snapshot/Restore leave it
 	// alone, and Exec empties it per iteration.
@@ -372,12 +376,13 @@ func (w *Executor) Fork() (*Executor, error) {
 		return nil, fmt.Errorf("fuzz: fork: %w", err)
 	}
 	nw := &Executor{
-		opts:   w.opts,
-		k:      k,
-		tracer: tr,
-		funcs:  w.funcs, // sorted once, never mutated — shareable
-		kaddrs: w.kaddrs,
-		cov:    cpu.NewCoverage(k.Sym("_text"), uint64(len(k.Img.Text))),
+		opts:    w.opts,
+		k:       k,
+		tracer:  tr,
+		funcs:   w.funcs, // sorted once, never mutated — shareable
+		kaddrs:  w.kaddrs,
+		targets: w.targets,
+		cov:     cpu.NewCoverage(k.Sym("_text"), uint64(len(k.Img.Text))),
 	}
 	k.CPU.SetCoverage(nw.cov)
 	nw.snap = k.Snapshot()
@@ -453,7 +458,7 @@ func (w *Executor) Exec(prog *Prog, injSeed int64) (ExecResult, error) {
 				w.tracer.Emit(obs.EvFault, e.Kind, e.Addr, 0)
 			}
 		}
-		inj.Attach(w.k.CPU, w.k.Space.AS, w.k.FaultTargets())
+		inj.Attach(w.k.CPU, w.k.Space.AS, w.targets)
 	}
 
 	res.CrashIdx = -1

@@ -3,10 +3,12 @@
 // replayable points: flipping bytes in mapped data pages, revoking or
 // altering page permissions mid-run, corrupting MPX bound registers,
 // clobbering xkey slots, and forcing spurious traps. Every decision flows
-// from a single seeded PRNG sampled at fixed instruction strides, so a given
-// (seed, workload) pair always produces the same fault sequence — the
-// property that makes fuzzer crashes reproducible and lets the robustness
-// harness assert that the same seed yields the same crash bucket.
+// from a single seeded PRNG sampled at fixed instruction strides — the
+// injector is a cpu.Ticker, so those strides are instruction-count
+// deadlines that compiled blocks run up to, not a per-instruction probe —
+// and a given (seed, workload) pair always produces the same fault sequence:
+// the property that makes fuzzer crashes reproducible and lets the
+// robustness harness assert that the same seed yields the same crash bucket.
 package inject
 
 import (
@@ -91,11 +93,11 @@ func (e Event) String() string {
 	return fmt.Sprintf("@%d %s addr=%#x %s", e.Instr, e.Kind, e.Addr, e.Note)
 }
 
-// Injector drives one campaign over one CPU. It is a cpu.ExecProbe:
-// attaching installs it on the CPU's probe list, so injection points are
-// tied to the instruction stream — not wall-clock or scheduling noise —
-// and it composes with any other installed observer (coverage bitmaps,
-// profilers, tracers) without hook chaining.
+// Injector drives one campaign over one CPU. It is a cpu.Ticker: attaching
+// arms it in the CPU's ticker slot with a stride of Plan.Every, so injection
+// points are tied to the instruction stream — not wall-clock or scheduling
+// noise — while blocks keep running between them, and it composes with any
+// installed observer (the coverage sink, profilers, tracers).
 type Injector struct {
 	plan    Plan
 	rng     *rand.Rand
@@ -109,8 +111,6 @@ type Injector struct {
 	// Sink, when set, receives each injected fault as it is logged — the
 	// bridge into the observability tracer (obs.EvFault events).
 	Sink func(e Event)
-
-	since uint64 // instructions since the last opportunity
 }
 
 // New creates an injector for the plan. Zero-valued stride and cap take
@@ -125,30 +125,25 @@ func New(plan Plan) *Injector {
 	return &Injector{plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
 }
 
-// Attach installs the injector as an execution probe on the CPU. Probes
-// dispatch in installation order, so observers installed earlier (e.g. the
-// fuzzer's coverage bitmap) still see each instruction before the injection
-// logic runs — the same ordering the old OnExec chaining provided.
+// Attach arms the injector as the CPU's ticker: the first opportunity
+// comes Plan.Every instructions after attachment, and one follows every
+// Plan.Every instructions after that. It panics if another ticker (another
+// injector) is armed on the CPU.
 func (inj *Injector) Attach(c *cpu.CPU, as *mem.AddressSpace, t Targets) {
 	inj.c, inj.as, inj.targets = c, as, t
-	c.AddProbe(inj)
+	c.SetTick(inj, inj.plan.Every)
 }
 
-// OnExec implements cpu.ExecProbe: every Plan.Every instructions, one
-// injection opportunity.
-func (inj *Injector) OnExec(rip uint64, in *isa.Instr, cycles uint64) {
-	inj.since++
-	if inj.since < inj.plan.Every {
-		return
-	}
-	inj.since = 0
+// Tick implements cpu.Ticker: one injection opportunity per deadline.
+func (inj *Injector) Tick(rip uint64) uint64 {
 	inj.opportunity(rip)
+	return inj.plan.Every
 }
 
-// Detach uninstalls the injector's probe.
+// Detach disarms the injector's ticker.
 func (inj *Injector) Detach() {
 	if inj.c != nil {
-		inj.c.RemoveProbe(inj)
+		inj.c.SetTick(nil, 0)
 	}
 	inj.c = nil
 }

@@ -107,7 +107,8 @@ type Kernel struct {
 
 	// Inj is the armed fault injector when Cfg.FaultPlan was set at boot
 	// (nil otherwise). Harnesses that manage their own per-iteration
-	// injectors leave Cfg.FaultPlan nil and attach directly.
+	// injectors leave Cfg.FaultPlan nil and attach directly: the CPU has
+	// one ticker slot, so a second injector cannot be armed beside it.
 	Inj *inject.Injector
 
 	// Trace, when non-nil, receives syscall enter/exit and

@@ -111,7 +111,7 @@ func TestModuleReloadOnWarmCache(t *testing.T) {
 	loader := module.NewLoader(k)
 
 	mk := func(name string, ret int64) *module.Object {
-		f, err := ir.NewBuilder(name + "_fn").
+		f, err := ir.NewBuilder(name+"_fn").
 			I(
 				isa.MovRI(isa.RAX, ret),
 				isa.Ret(),
@@ -203,7 +203,7 @@ func TestSelfModBlockEngineParity(t *testing.T) {
 		// Module reload over the warm region: mod2's code must execute, not
 		// mod1's cached blocks (or a stale chain link into them).
 		mkMod := func(name string, ret int64) *module.Object {
-			f, err := ir.NewBuilder(name + "_fn").
+			f, err := ir.NewBuilder(name+"_fn").
 				I(isa.MovRI(isa.RAX, ret), isa.Ret()).Func()
 			if err != nil {
 				t.Fatal(err)

@@ -337,8 +337,8 @@ func TestRollbackGenerations(t *testing.T) {
 	}
 }
 
-// TestRangesCache: Ranges is cached keyed on MapGen — repeated calls return
-// the same contents, and every structural mutation refreshes it.
+// TestRangesCache: repeated Ranges calls return the same contents, and
+// every structural mutation updates the maintained list.
 func TestRangesCache(t *testing.T) {
 	as := layout(t)
 	r1 := as.Ranges()

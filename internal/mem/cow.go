@@ -125,6 +125,7 @@ func (as *AddressSpace) Fork() (*AddressSpace, error) {
 		pages:        maps.Clone(as.pages),
 		EPT:          as.EPT,
 		shadow:       maps.Clone(as.shadow),
+		ranges:       as.ranges,
 		mapGen:       as.mapGen,
 		aliases:      maps.Clone(as.aliases),
 		frozenFrames: as.frozenFrames,

@@ -48,14 +48,14 @@ func TestWordReadEquivalence(t *testing.T) {
 	}{
 		{0x1000, 8}, {0x1000, 4}, {0x1000, 2}, {0x1000, 1},
 		{0x1003, 8}, {0x1001, 2}, {0x1005, 4}, // unaligned in-page
-		{0x1ffc, 8}, {0x1fff, 2},              // page-crossing, both mapped
-		{0x3ffc, 8},                           // crosses into the hole at 0x4000
-		{0x3fff, 1},                           // last mapped byte
-		{0x4000, 8}, {0x4000, 1},              // starts in the hole
-		{0x5000, 8},                           // read-only page reads fine
-		{0x6000, 8}, {0x6004, 2},              // execute-only: unreadable under EPT
-		{0x5ffc, 8},                           // readable page crossing into unreadable
-		{0x1002, 3}, {0x1007, 5},              // odd sizes take the generic path
+		{0x1ffc, 8}, {0x1fff, 2}, // page-crossing, both mapped
+		{0x3ffc, 8},              // crosses into the hole at 0x4000
+		{0x3fff, 1},              // last mapped byte
+		{0x4000, 8}, {0x4000, 1}, // starts in the hole
+		{0x5000, 8},              // read-only page reads fine
+		{0x6000, 8}, {0x6004, 2}, // execute-only: unreadable under EPT
+		{0x5ffc, 8},              // readable page crossing into unreadable
+		{0x1002, 3}, {0x1007, 5}, // odd sizes take the generic path
 	}
 	for _, c := range cases {
 		want, wf := readRef(as, c.va, c.size)

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
-	"sort"
 	"sync/atomic"
 )
 
@@ -244,6 +243,7 @@ type AddressSpace struct {
 	// subsequent iterations).
 	snapPages  map[uint64]*page
 	snapShadow map[uint64]*Frame
+	snapRanges []MappedRange
 	undo       map[*Frame]*[PageSize]byte
 	// undoEpoch identifies the current undo-log cycle (checkpoint to
 	// rollback). Epochs are drawn from a process-global counter so no two
@@ -274,12 +274,11 @@ type AddressSpace struct {
 	cowBreaks    uint64
 	frozenClean  bool
 
-	// Cached Ranges() result, valid while rangesGen matches mapGen (the
-	// audit walks the ranges several times per invocation; the layout only
-	// changes when mapGen does).
-	ranges    []MappedRange
-	rangesGen uint64
-	rangesOK  bool
+	// ranges is the layout Ranges() reports: the maximal runs of the page
+	// table, kept sorted by MapFrames, Unmap and Protect through setRange.
+	// A new slice replaces it on every change and it is never written in
+	// place, so checkpoints and forks share it as they share page structs.
+	ranges []MappedRange
 
 	// The data-side TLB (see the dtlbEntry comment). Entries self-
 	// invalidate through the mapGen compare; the stats are cumulative.
@@ -366,6 +365,7 @@ func (as *AddressSpace) MapFrames(va uint64, frames []*Frame, perm Perm) error {
 	if frozen {
 		as.registerFrozenAliases(frames)
 	}
+	as.ranges = setRange(as.ranges, base, len(frames), perm, true)
 	as.mapGen++
 	return nil
 }
@@ -384,25 +384,30 @@ func (as *AddressSpace) Unmap(va uint64, n int) error {
 	for i := 0; i < n; i++ {
 		delete(as.pages, base+uint64(i))
 	}
+	as.ranges = setRange(as.ranges, base, n, 0, false)
 	as.mapGen++
 	return nil
 }
 
-// Protect changes the permissions of n pages starting at va.
+// Protect changes the permissions of n pages starting at va. A span that
+// crosses an unmapped page is an error and changes nothing.
 func (as *AddressSpace) Protect(va uint64, n int, perm Perm) error {
 	if !PageAligned(va) {
 		return fmt.Errorf("mem: protect at unaligned address 0x%x", va)
 	}
 	base := vpn(va)
 	for i := 0; i < n; i++ {
-		pg, ok := as.pages[base+uint64(i)]
-		if !ok {
+		if _, ok := as.pages[base+uint64(i)]; !ok {
 			return fmt.Errorf("mem: protect of unmapped page 0x%x", (base+uint64(i))<<PageShift)
 		}
+	}
+	for i := 0; i < n; i++ {
 		// Replace, never mutate: the struct may be shared with a checkpoint
 		// or a fork (see the page type comment).
+		pg := as.pages[base+uint64(i)]
 		as.pages[base+uint64(i)] = &page{frame: pg.frame, perm: perm}
 	}
+	as.ranges = setRange(as.ranges, base, n, perm, true)
 	as.mapGen++
 	return nil
 }
@@ -595,6 +600,7 @@ func (as *AddressSpace) Checkpoint() {
 	// nil, which is exactly the no-shadow representation).
 	as.snapPages = maps.Clone(as.pages)
 	as.snapShadow = maps.Clone(as.shadow)
+	as.snapRanges = as.ranges
 	as.undo = make(map[*Frame]*[PageSize]byte)
 	as.undoEpoch = nextUndoEpoch()
 	as.snapMapGen = as.mapGen
@@ -626,6 +632,7 @@ func (as *AddressSpace) Rollback() error {
 	if as.mapGen != as.snapMapGen {
 		as.pages = maps.Clone(as.snapPages)
 		as.shadow = maps.Clone(as.snapShadow)
+		as.ranges = as.snapRanges
 		// The rebuild can remap frames that were unmapped when Freeze last
 		// scanned; be conservative and let the next Fork re-scan.
 		as.frozenClean = false
@@ -882,33 +889,56 @@ type MappedRange struct {
 	Perm  Perm
 }
 
-// Ranges returns the mapped ranges of the address space in ascending order.
-// The result is cached until the next structural mutation (mapGen change);
-// callers must treat the returned slice as read-only.
-func (as *AddressSpace) Ranges() []MappedRange {
-	if len(as.pages) == 0 {
+// Ranges returns the mapped ranges of the address space in ascending order,
+// or nil for an empty space. It is a field read: the list is maintained by
+// every page-table mutation. Callers must treat the slice as read-only.
+func (as *AddressSpace) Ranges() []MappedRange { return as.ranges }
+
+// span returns r's page-number interval [s, e). The length comes from
+// End-Start, which stays right for a run ending at the top of the address
+// space (whose End wraps to 0).
+func (r MappedRange) span() (s, e uint64) {
+	s = r.Start >> PageShift
+	return s, s + (r.End-r.Start)>>PageShift
+}
+
+// setRange returns rs with the n pages from page number base set to perm
+// (mapped) or removed (!mapped), merging neighbours of equal permissions so
+// every run stays maximal. rs itself is never written: the result is a new
+// slice, nil when nothing is mapped.
+func setRange(rs []MappedRange, base uint64, n int, perm Perm, mapped bool) []MappedRange {
+	if n <= 0 {
+		return rs
+	}
+	lo, hi := base, base+uint64(n)
+	out := make([]MappedRange, 0, len(rs)+2)
+	add := func(s, e uint64, p Perm) {
+		if s >= e {
+			return
+		}
+		if k := len(out) - 1; k >= 0 {
+			if _, ke := out[k].span(); ke == s && out[k].Perm == p {
+				out[k].End = e << PageShift
+				return
+			}
+		}
+		out = append(out, MappedRange{Start: s << PageShift, End: e << PageShift, Perm: p})
+	}
+	for _, r := range rs {
+		if s, e := r.span(); s < lo {
+			add(s, min(e, lo), r.Perm)
+		}
+	}
+	if mapped {
+		add(lo, hi, perm)
+	}
+	for _, r := range rs {
+		if s, e := r.span(); e > hi {
+			add(max(s, hi), e, r.Perm)
+		}
+	}
+	if len(out) == 0 {
 		return nil
 	}
-	if as.rangesOK && as.rangesGen == as.mapGen {
-		return as.ranges
-	}
-	vpns := make([]uint64, 0, len(as.pages))
-	for k := range as.pages {
-		vpns = append(vpns, k)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	var out []MappedRange
-	cur := MappedRange{Start: vpns[0] << PageShift, End: (vpns[0] + 1) << PageShift, Perm: as.pages[vpns[0]].perm}
-	for _, v := range vpns[1:] {
-		p := as.pages[v].perm
-		if v<<PageShift == cur.End && p == cur.Perm {
-			cur.End += PageSize
-			continue
-		}
-		out = append(out, cur)
-		cur = MappedRange{Start: v << PageShift, End: (v + 1) << PageShift, Perm: p}
-	}
-	out = append(out, cur)
-	as.ranges, as.rangesGen, as.rangesOK = out, as.mapGen, true
 	return out
 }

@@ -299,7 +299,7 @@ type SyscallProfile struct {
 type ProfileReport struct {
 	TotalCycles uint64 // CPU cycle delta over the attachment window
 	TotalInstrs uint64
-	Attributed  uint64 // attributed cycles (== TotalCycles when conserved)
+	Attributed  uint64           // attributed cycles (== TotalCycles when conserved)
 	Funcs       []FuncProfile    // sorted by exclusive cycles desc, then name
 	BySyscall   []SyscallProfile // sorted by syscall number
 }
