@@ -193,6 +193,7 @@ func runObserved(traceOut string, funcs, stats, blocks, compile bool, hot int) e
 		obs.RegisterDecodeCache(reg, "decode_cache", k.CPU)
 		obs.RegisterBlockEngine(reg, "block_engine", k.CPU)
 		obs.RegisterDataTLB(reg, "dtlb", k.CPU.AS)
+		obs.RegisterRollback(reg, "rollback", k.CPU.AS)
 		obs.RegisterStore(reg, "store", kernel.BuildCache())
 		obs.RegisterTracer(reg, "trace", tr)
 		fmt.Print(reg.Format())

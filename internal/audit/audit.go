@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/kas"
 	"repro/internal/kernel"
@@ -201,10 +202,18 @@ func auditKeys(k *kernel.Kernel, r *Report) {
 // auditEntryPhantoms: every diversified function begins with a lone jmp
 // (the entry phantom block), so leaked function pointers reveal no gadgets.
 func auditEntryPhantoms(k *kernel.Kernel, r *Report) {
+	// One name index instead of a Program.Func scan per image function.
+	// Like Program.Func, the first function of a name wins.
+	funcs := make(map[string]*ir.Function, len(k.Build.Prog.Funcs))
+	for _, fn := range k.Build.Prog.Funcs {
+		if _, dup := funcs[fn.Name]; !dup {
+			funcs[fn.Name] = fn
+		}
+	}
 	bad := 0
 	textStart := k.Sym("_text")
 	for _, fs := range k.Img.Funcs {
-		fn := k.Build.Prog.Func(fs.Name)
+		fn := funcs[fs.Name]
 		if fn == nil || fn.NoDiversify {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diversify"
+	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/sfi"
@@ -105,6 +106,40 @@ func TestAuditDetectsZeroedKeys(t *testing.T) {
 	rep := Audit(k)
 	if rep.OK() {
 		t.Fatal("audit must flag the unreplenished key")
+	}
+}
+
+// TestAuditDetectsMissingEntryPhantom: a diversified function whose first
+// instruction is not the entry phantom's jmp fails the check, and it is the
+// only function counted.
+func TestAuditDetectsMissingEntryPhantom(t *testing.T) {
+	// An uncached boot: the image is this kernel's own, so the sabotage
+	// cannot reach any other kernel.
+	k := boot(t, core.Config{XOM: core.XOMSFI, SFILevel: sfi.O3, Diversify: true, RAProt: diversify.RADecoy, Seed: 83})
+	phantoms := func() Finding {
+		t.Helper()
+		for _, f := range Audit(k).Findings {
+			if f.Check == "entry phantoms" {
+				return f
+			}
+		}
+		t.Fatal("no entry phantoms finding")
+		return Finding{}
+	}
+	if f := phantoms(); !f.OK {
+		t.Fatalf("healthy kernel: %s", f)
+	}
+	// Sabotage: the first diversified function starts with a hlt.
+	textStart := k.Sym("_text")
+	for _, fs := range k.Img.Funcs {
+		if fn := k.Build.Prog.Func(fs.Name); fn != nil && !fn.NoDiversify {
+			k.Img.Text[fs.Addr-textStart] = byte(isa.HLT)
+			break
+		}
+	}
+	f := phantoms()
+	if f.OK || f.Detail != "1 diversified functions lacking the entry jmp" {
+		t.Fatalf("want exactly one function flagged, got %s", f)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 //     Rollback). A change forces re-resolution of the page's frame and
 //     permissions through ExecFrame; a frame swap or lost PermX is observed
 //     here. Cached *page pointers are never held across lookups — Rollback
-//     rebuilds the page table wholesale, so only the frame pointer (which
-//     the undo log preserves) is cached.
+//     puts checkpointed page structs back in place of the live ones, so
+//     only the frame pointer (which the undo log preserves) is cached.
 //
 //   - mem.Frame.Gen() changes whenever the frame's bytes change (StoreByte,
 //     StoreBytes, Write, Poke, Zap, Rollback pre-image restore). Content

@@ -14,7 +14,10 @@
 //     never drawn from a shared generator: program generation/mutation uses
 //     ProgSeed(seed, i), fault injection uses InjSeed(seed, i). What
 //     iteration i does therefore never depends on which worker ran it or
-//     what ran before it on the same kernel.
+//     what ran before it on the same kernel. Both streams come from
+//     prng.New, which is stream-identical to math/rand's NewSource but
+//     seeds in constant time: an iteration draws far fewer values than a
+//     full math/rand seeding computes.
 //  2. The iteration space is executed in fixed-size batches (BatchSize,
 //     independent of the worker count). Within a batch, workers execute
 //     disjoint iteration shards against their own booted kernels; mutation
@@ -38,7 +41,6 @@ package fuzz
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -48,6 +50,7 @@ import (
 	"repro/internal/inject"
 	"repro/internal/kernel"
 	"repro/internal/obs"
+	"repro/internal/prng"
 	"repro/internal/store"
 )
 
@@ -238,7 +241,7 @@ func ProgSeed(seed int64, iter int) int64 {
 // corpus entries. The whole decision consumes only the iteration's own
 // derived RNG, so it is identical under any scheduling and worker count.
 func PickProg(seed int64, iter int, corpus []*Prog, kaddrs []uint64) *Prog {
-	g := &generator{rng: rand.New(rand.NewSource(ProgSeed(seed, iter))), kaddrs: kaddrs}
+	g := &generator{rng: prng.New(ProgSeed(seed, iter)), kaddrs: kaddrs}
 	r := g.rng
 	if len(corpus) == 0 || r.Intn(4) == 0 {
 		return g.Generate(1 + r.Intn(5))

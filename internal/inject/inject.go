@@ -18,6 +18,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/prng"
 )
 
 // Plan configures an injection campaign. Probabilities are evaluated once
@@ -114,7 +115,9 @@ type Injector struct {
 }
 
 // New creates an injector for the plan. Zero-valued stride and cap take
-// their defaults.
+// their defaults. The fuzzer builds one per iteration, so its stream comes
+// from prng.New: the values math/rand's NewSource(plan.Seed) gives, without
+// paying for the whole seeded vector up front.
 func New(plan Plan) *Injector {
 	if plan.Every == 0 {
 		plan.Every = 512
@@ -122,7 +125,7 @@ func New(plan Plan) *Injector {
 	if plan.MaxFaults == 0 {
 		plan.MaxFaults = 16
 	}
-	return &Injector{plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+	return &Injector{plan: plan, rng: prng.New(plan.Seed)}
 }
 
 // Attach arms the injector as the CPU's ticker: the first opportunity

@@ -175,8 +175,11 @@ func (as *AddressSpace) breakCoW(v uint64) *Frame {
 			}
 		}
 		// Rewrite the checkpoint even where the current table no longer maps
-		// f (or never did): a structural Rollback rebuilds from snapPages,
-		// and checkpoint-time synonyms must come back aliasing ONE frame.
+		// f (or never did): a structural Rollback puts journaled entries
+		// back from snapPages, and checkpoint-time synonyms must come back
+		// aliasing ONE frame. Neither rewrite needs a journal entry: where
+		// both entries held f they both move to pf, and where only one did
+		// the entries already differed, so the vpn is journaled already.
 		if s, ok := as.snapPages[av]; ok && s.frame == f {
 			as.snapPages[av] = &page{frame: pf, perm: s.perm}
 		}

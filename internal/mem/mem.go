@@ -159,8 +159,9 @@ func (f *Fault) Error() string {
 
 // page is one page-table entry. Once inserted a page struct is never
 // mutated — Protect and CoW breaks replace the struct — so the pages map can
-// be cloned structurally (maps.Clone) into a checkpoint (snapPages) or a
-// fork, with both sides sharing the immutable entry structs.
+// be cloned structurally into a checkpoint (snapPages) or a fork, with both
+// sides sharing the immutable entry structs, and a structural Rollback can
+// put a checkpointed entry back by pointer.
 type page struct {
 	frame *Frame
 	perm  Perm
@@ -244,7 +245,14 @@ type AddressSpace struct {
 	snapPages  map[uint64]*page
 	snapShadow map[uint64]*Frame
 	snapRanges []MappedRange
-	undo       map[*Frame]*[PageSize]byte
+	// journal lists the vpns whose pages or shadow entry changed since the
+	// last Checkpoint/Rollback sync point (duplicates allowed), so a
+	// structural Rollback puts back just those entries instead of cloning
+	// the whole checkpointed table. Every vpn where pages or shadow differs
+	// from snapPages or snapShadow is on it. It grows only while a
+	// checkpoint is armed; see journalSpan.
+	journal []uint64
+	undo    map[*Frame]*[PageSize]byte
 	// undoEpoch identifies the current undo-log cycle (checkpoint to
 	// rollback). Epochs are drawn from a process-global counter so no two
 	// spaces — and no two cycles of the same space — ever share one, which
@@ -254,12 +262,14 @@ type AddressSpace struct {
 	undoEpoch uint64
 	// snapMapGen is mapGen as of the last Checkpoint/Rollback sync point;
 	// when it still matches at Rollback time, no structural mutation
-	// happened and the page-table rebuild is skipped entirely.
+	// happened, the journal is empty, and the structural step is skipped
+	// entirely.
 	snapMapGen uint64
 	// undoPool recycles pre-image buffers across Rollback cycles so the
 	// per-iteration restore loop (the fuzzer's hottest mem path) does not
 	// re-allocate a 4KB copy per dirtied frame every iteration.
-	undoPool []*[PageSize]byte
+	undoPool      []*[PageSize]byte
+	rollbackStats RollbackStats
 
 	// Copy-on-write fork state (see cow.go). aliases maps a frozen frame to
 	// every virtual page number it is (or, at freeze time, was in the armed
@@ -351,6 +361,7 @@ func (as *AddressSpace) MapFrames(va uint64, frames []*Frame, perm Perm) error {
 			return fmt.Errorf("mem: page 0x%x already mapped", (base+uint64(i))<<PageShift)
 		}
 	}
+	as.journalSpan(base, len(frames))
 	frozen := false
 	for i, f := range frames {
 		as.pages[base+uint64(i)] = &page{frame: f, perm: perm}
@@ -381,6 +392,7 @@ func (as *AddressSpace) Unmap(va uint64, n int) error {
 			return fmt.Errorf("mem: unmap of unmapped page 0x%x", (base+uint64(i))<<PageShift)
 		}
 	}
+	as.journalSpan(base, n)
 	for i := 0; i < n; i++ {
 		delete(as.pages, base+uint64(i))
 	}
@@ -401,6 +413,7 @@ func (as *AddressSpace) Protect(va uint64, n int, perm Perm) error {
 			return fmt.Errorf("mem: protect of unmapped page 0x%x", (base+uint64(i))<<PageShift)
 		}
 	}
+	as.journalSpan(base, n)
 	for i := 0; i < n; i++ {
 		// Replace, never mutate: the struct may be shared with a checkpoint
 		// or a fork (see the page type comment).
@@ -513,6 +526,7 @@ func (as *AddressSpace) ShadowData(va uint64, n int, frames []*Frame) error {
 	if as.shadow == nil {
 		as.shadow = make(map[uint64]*Frame)
 	}
+	as.journalSpan(base, n)
 	for i := 0; i < n; i++ {
 		var f *Frame
 		if frames != nil {
@@ -532,6 +546,7 @@ func (as *AddressSpace) ShadowData(va uint64, n int, frames []*Frame) error {
 // Unshadow removes the data shadows of n pages at va.
 func (as *AddressSpace) Unshadow(va uint64, n int) {
 	base := vpn(va)
+	as.journalSpan(base, n)
 	for i := 0; i < n; i++ {
 		delete(as.shadow, base+uint64(i))
 	}
@@ -601,16 +616,17 @@ func (as *AddressSpace) Checkpoint() {
 	as.snapPages = maps.Clone(as.pages)
 	as.snapShadow = maps.Clone(as.shadow)
 	as.snapRanges = as.ranges
+	as.journal = as.journal[:0]
 	as.undo = make(map[*Frame]*[PageSize]byte)
 	as.undoEpoch = nextUndoEpoch()
 	as.snapMapGen = as.mapGen
 }
 
 // Rollback restores the space to the state captured by the last Checkpoint:
-// every modified frame gets its pre-image back, and the page-table structure
-// (mappings added/removed/re-protected since) is rebuilt. The checkpoint
-// stays armed, so Rollback can be called repeatedly — the fuzzing loop
-// restores once per iteration.
+// every modified frame gets its pre-image back, and every page-table entry
+// mapped, unmapped, re-protected or (un)shadowed since is put back. The
+// checkpoint stays armed, so Rollback can be called repeatedly — the fuzzing
+// loop restores once per iteration.
 func (as *AddressSpace) Rollback() error {
 	if as.snapPages == nil {
 		return fmt.Errorf("mem: rollback without a checkpoint")
@@ -626,21 +642,64 @@ func (as *AddressSpace) Rollback() error {
 		delete(as.undo, f)
 	}
 	as.undoEpoch = nextUndoEpoch()
-	// Structure: the page table is rebuilt only if a structural mutation
-	// (Map/Unmap/Protect/Shadow) actually happened since the checkpoint —
-	// mapGen tracks exactly that; plain stores leave it alone.
+	// Structure: only if a structural mutation (Map/Unmap/Protect/Shadow,
+	// or a CoW break of an executable page) happened since the last sync
+	// point — mapGen tracks exactly that; plain stores leave it alone. The
+	// journal names every entry that can differ from the checkpoint, so the
+	// work is proportional to what the cycle changed, not to the table.
 	if as.mapGen != as.snapMapGen {
-		as.pages = maps.Clone(as.snapPages)
-		as.shadow = maps.Clone(as.snapShadow)
+		for _, v := range as.journal {
+			if pg, ok := as.snapPages[v]; ok {
+				as.pages[v] = pg
+			} else {
+				delete(as.pages, v)
+			}
+			if sh, ok := as.snapShadow[v]; ok {
+				as.shadow[v] = sh
+			} else {
+				delete(as.shadow, v)
+			}
+		}
+		as.rollbackStats.Structural++
+		as.rollbackStats.Journaled += uint64(len(as.journal))
+		as.journal = as.journal[:0]
 		as.ranges = as.snapRanges
-		// The rebuild can remap frames that were unmapped when Freeze last
+		// The replay can remap frames that were unmapped when Freeze last
 		// scanned; be conservative and let the next Fork re-scan.
 		as.frozenClean = false
 		as.mapGen++
 		as.snapMapGen = as.mapGen
 	}
+	as.rollbackStats.Rollbacks++
 	return nil
 }
+
+// journalSpan records that the pages or shadow entries of the n pages from
+// page number base are about to change, so a structural Rollback can put
+// them back. Without an armed checkpoint there is nothing to roll back to
+// and nothing is recorded: boot's mappings never grow the journal.
+func (as *AddressSpace) journalSpan(base uint64, n int) {
+	if as.snapPages == nil {
+		return
+	}
+	for i := 0; i < n; i++ {
+		as.journal = append(as.journal, base+uint64(i))
+	}
+}
+
+// RollbackStats counts one address space's Rollbacks.
+type RollbackStats struct {
+	// Rollbacks counts every successful Rollback.
+	Rollbacks uint64
+	// Structural counts the Rollbacks that found the page-table structure
+	// changed since the last sync point and put entries back.
+	Structural uint64
+	// Journaled is the total of journal entries those Rollbacks replayed.
+	Journaled uint64
+}
+
+// RollbackStats returns a snapshot of the rollback counters.
+func (as *AddressSpace) RollbackStats() RollbackStats { return as.rollbackStats }
 
 // Read performs a little-endian data load of size bytes (1, 2, 4, or 8).
 // Accesses contained in one page resolve that page once through the data

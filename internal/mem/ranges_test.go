@@ -75,27 +75,56 @@ func TestProtectAcrossHole(t *testing.T) {
 }
 
 // rangeModel is one live address space in the oracle test and the page
-// table it is expected to hold.
+// table and data shadows it is expected to hold.
 type rangeModel struct {
-	as    *AddressSpace
-	perms map[uint64]Perm // expected vpn -> perm
-	snap  map[uint64]Perm // expected page table at the last Checkpoint; nil before
+	as     *AddressSpace
+	pages  map[uint64]page   // expected vpn -> frame and perm
+	shadow map[uint64]*Frame // expected vpn -> data shadow
+	// The expected state at the last Checkpoint; snap is nil before one.
+	snap       map[uint64]page
+	snapShadow map[uint64]*Frame
+}
+
+// modelPerms is pagePerms for a model's page table.
+func modelPerms(pages map[uint64]page) map[uint64]Perm {
+	out := make(map[uint64]Perm, len(pages))
+	for v, pg := range pages {
+		out[v] = pg.perm
+	}
+	return out
+}
+
+// pageValues copies a page table's entries by value: a CoW break gives
+// pages and snapPages separate but equal structs for the same vpn.
+func pageValues(pages map[uint64]*page) map[uint64]page {
+	out := make(map[uint64]page, len(pages))
+	for v, pg := range pages {
+		out[v] = *pg
+	}
+	return out
 }
 
 // topVPN is one past the highest page number: a range ending there has an
 // End that wraps to 0.
 const topVPN = 1 << (64 - PageShift)
 
-// TestRangesOracle runs random Map/Unmap/Protect sequences — spans across
-// holes and at the top of the address space included — mixed with Poke
-// (CoW breaks), Checkpoint/Rollback, and Fork over up to four live spaces.
-// After every operation each space's page table must equal its model, and
-// Ranges() must equal the sort-based reference over that model.
+// TestRangesOracle runs random Map/Unmap/Protect/ShadowData/Unshadow
+// sequences — spans across holes and at the top of the address space
+// included — mixed with Poke (CoW breaks once a space has forked, which
+// bump MapGen when the page is executable), Checkpoint/Rollback, and Fork
+// over up to four live spaces. After every operation each space's page
+// table and shadows must equal its model frame for frame, Ranges() must
+// equal the sort-based reference over the model, and the rollback journal
+// must be empty while no checkpoint is armed. After every Rollback the live
+// table and shadows must equal the checkpointed ones entry for entry, with
+// the journal empty.
 func TestRangesOracle(t *testing.T) {
 	perms := []Perm{0, PermR, PermRW, PermRX, PermRWX}
+	execBreaks := 0
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		spaces := []*rangeModel{{as: NewAddressSpace(), perms: map[uint64]Perm{}}}
+		spaces := []*rangeModel{{as: NewAddressSpace(), pages: map[uint64]page{}, shadow: map[uint64]*Frame{}}}
+		frozen := map[*Frame]bool{} // frames some Fork froze
 		for step := 0; step < 400; step++ {
 			m := spaces[rng.Intn(len(spaces))]
 			// Spans come from a low window or the top of the space.
@@ -107,7 +136,7 @@ func TestRangesOracle(t *testing.T) {
 			va := base << PageShift
 			span := func(mapped bool) bool { // every page of the span is (un)mapped
 				for i := uint64(0); i < uint64(n); i++ {
-					if _, ok := m.perms[base+i]; ok != mapped {
+					if _, ok := m.pages[base+i]; ok != mapped {
 						return false
 					}
 				}
@@ -118,46 +147,98 @@ func TestRangesOracle(t *testing.T) {
 			var want bool // the op must succeed
 			op := rng.Intn(100)
 			switch {
-			case op < 30:
+			case op < 26:
 				p := perms[rng.Intn(len(perms))]
-				_, err = m.as.Map(va, n, p)
-				if want = span(false); want {
+				var frames []*Frame
+				frames, err = m.as.Map(va, n, p)
+				if want = span(false); want && err == nil {
 					for i := uint64(0); i < uint64(n); i++ {
-						m.perms[base+i] = p
+						m.pages[base+i] = page{frame: frames[i], perm: p}
 					}
 				}
-			case op < 50:
+			case op < 42:
 				err = m.as.Unmap(va, n)
 				if want = span(true); want {
 					for i := uint64(0); i < uint64(n); i++ {
-						delete(m.perms, base+i)
+						delete(m.pages, base+i)
 					}
 				}
-			case op < 75:
+			case op < 62:
 				p := perms[rng.Intn(len(perms))]
 				err = m.as.Protect(va, n, p)
 				if want = span(true); want {
 					for i := uint64(0); i < uint64(n); i++ {
-						m.perms[base+i] = p
+						m.pages[base+i] = page{frame: m.pages[base+i].frame, perm: p}
 					}
 				}
-			case op < 82:
+			case op < 67:
+				frames := make([]*Frame, n)
+				for i := range frames {
+					frames[i] = new(Frame)
+				}
+				err = m.as.ShadowData(va, n, frames)
+				if want = span(true); want {
+					for i := uint64(0); i < uint64(n); i++ {
+						m.shadow[base+i] = frames[i]
+					}
+				}
+			case op < 71:
+				m.as.Unshadow(va, n)
+				for i := uint64(0); i < uint64(n); i++ {
+					delete(m.shadow, base+i)
+				}
+				want = true
+			case op < 80:
 				err = m.as.Poke(va, []byte{byte(step)})
-				_, want = m.perms[base]
-			case op < 88:
+				var old page
+				old, want = m.pages[base]
+				if want && frozen[old.frame] {
+					// A CoW break: this space, checkpoint included, now
+					// maps a private copy; every other space keeps old.
+					pf := m.as.pages[base].frame
+					if pf == old.frame {
+						t.Fatalf("seed %d step %d: Poke of a frozen frame did not privatize it", seed, step)
+					}
+					m.pages[base] = page{frame: pf, perm: old.perm}
+					if s, ok := m.snap[base]; ok && s.frame == old.frame {
+						m.snap[base] = page{frame: pf, perm: s.perm}
+					}
+					if old.perm&PermX != 0 {
+						execBreaks++
+					}
+				}
+			case op < 87:
 				m.as.Checkpoint()
-				m.snap = maps.Clone(m.perms)
+				m.snap, m.snapShadow = maps.Clone(m.pages), maps.Clone(m.shadow)
 				want = true
 			case op < 94:
 				err = m.as.Rollback()
 				if want = m.snap != nil; want {
-					m.perms = maps.Clone(m.snap)
+					m.pages, m.shadow = maps.Clone(m.snap), maps.Clone(m.snapShadow)
+				}
+				if err == nil {
+					if !maps.Equal(pageValues(m.as.pages), pageValues(m.as.snapPages)) || !maps.Equal(m.as.shadow, m.as.snapShadow) {
+						t.Fatalf("seed %d step %d: Rollback left pages or shadow unequal to the checkpoint", seed, step)
+					}
+					if len(m.as.journal) != 0 {
+						t.Fatalf("seed %d step %d: %d journal entries survive Rollback", seed, step, len(m.as.journal))
+					}
 				}
 			case op < 98:
 				if len(spaces) < 4 {
 					child, ferr := m.as.Fork()
 					if ferr == nil {
-						spaces = append(spaces, &rangeModel{as: child, perms: maps.Clone(m.perms)})
+						for _, pgs := range []map[uint64]page{m.pages, m.snap} {
+							for _, pg := range pgs {
+								frozen[pg.frame] = true
+							}
+						}
+						for _, shs := range []map[uint64]*Frame{m.shadow, m.snapShadow} {
+							for _, f := range shs {
+								frozen[f] = true
+							}
+						}
+						spaces = append(spaces, &rangeModel{as: child, pages: maps.Clone(m.pages), shadow: maps.Clone(m.shadow)})
 					}
 				}
 				continue
@@ -175,13 +256,22 @@ func TestRangesOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d: a failed op moved MapGen", seed, step)
 			}
 			for si, s := range spaces {
-				if got := pagePerms(s.as); !maps.Equal(got, s.perms) {
-					t.Fatalf("seed %d step %d space %d: page table %v, want %v", seed, step, si, got, s.perms)
+				if !maps.Equal(pageValues(s.as.pages), s.pages) {
+					t.Fatalf("seed %d step %d space %d: page table %v, want %v", seed, step, si, pagePerms(s.as), modelPerms(s.pages))
 				}
-				if got, want := s.as.Ranges(), refRanges(s.perms); !slices.Equal(got, want) {
+				if !maps.Equal(s.as.shadow, s.shadow) {
+					t.Fatalf("seed %d step %d space %d: %d shadows, want %d", seed, step, si, len(s.as.shadow), len(s.shadow))
+				}
+				if got, want := s.as.Ranges(), refRanges(modelPerms(s.pages)); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d space %d: Ranges %v, want %v", seed, step, si, got, want)
+				}
+				if s.as.snapPages == nil && len(s.as.journal) != 0 {
+					t.Fatalf("seed %d step %d space %d: %d journal entries without a checkpoint", seed, step, si, len(s.as.journal))
 				}
 			}
 		}
+	}
+	if execBreaks == 0 {
+		t.Fatal("no Poke broke CoW on an executable page: the MapGen-bumping break path went unexercised")
 	}
 }

@@ -152,6 +152,18 @@ func RegisterDataTLB(r *Registry, prefix string, as *mem.AddressSpace) {
 	r.Gauge(prefix+".misses", func() uint64 { return as.DataTLBStats().Misses })
 }
 
+// RegisterRollback publishes an address space's rollback counters under
+// prefix (e.g. "rollback"): how many snapshot restores ran, and how many
+// of them had page-table structure to put back.
+func RegisterRollback(r *Registry, prefix string, as *mem.AddressSpace) {
+	stat := func(pick func(mem.RollbackStats) uint64) func() uint64 {
+		return func() uint64 { return pick(as.RollbackStats()) }
+	}
+	r.Gauge(prefix+".rollbacks", stat(func(s mem.RollbackStats) uint64 { return s.Rollbacks }))
+	r.Gauge(prefix+".structural", stat(func(s mem.RollbackStats) uint64 { return s.Structural }))
+	r.Gauge(prefix+".journaled", stat(func(s mem.RollbackStats) uint64 { return s.Journaled }))
+}
+
 // RegisterStore publishes an artifact store's (or build cache's) counters
 // under prefix (e.g. "store"). Anything implementing store.StatsSource
 // registers the same way — a single layer, a layered composition, or the

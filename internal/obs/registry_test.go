@@ -111,3 +111,35 @@ func TestRegisterFork(t *testing.T) {
 		t.Fatalf("cow breaks after write = %d, want 1", v)
 	}
 }
+
+func TestRegisterRollback(t *testing.T) {
+	as := mem.NewAddressSpace()
+	if _, err := as.Map(0x1000, 1, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	as.Checkpoint()
+	// One structural cycle touching three entries, then a content-only one.
+	if _, err := as.Map(0x2000, 2, mem.PermR); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Protect(0x1000, 1, mem.PermR); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := as.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewRegistry()
+	RegisterRollback(r, "rollback", as)
+	got := map[string]uint64{}
+	for _, m := range r.Snapshot() {
+		got[m.Name] = m.Value
+	}
+	want := map[string]uint64{"rollback.rollbacks": 2, "rollback.structural": 1, "rollback.journaled": 3}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %d, want %d", k, got[k], v)
+		}
+	}
+}
