@@ -194,6 +194,7 @@ func runObserved(traceOut string, funcs, stats, blocks, compile bool, hot int) e
 		obs.RegisterBlockEngine(reg, "block_engine", k.CPU)
 		obs.RegisterDataTLB(reg, "dtlb", k.CPU.AS)
 		obs.RegisterRollback(reg, "rollback", k.CPU.AS)
+		obs.RegisterPhysmap(reg, "physmap", k.CPU.AS)
 		obs.RegisterStore(reg, "store", kernel.BuildCache())
 		obs.RegisterTracer(reg, "trace", tr)
 		fmt.Print(reg.Format())

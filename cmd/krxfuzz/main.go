@@ -156,6 +156,7 @@ func run() error {
 		obs.RegisterBlockEngine(reg, "block_engine", k.CPU)
 		obs.RegisterDataTLB(reg, "dtlb", k.CPU.AS)
 		obs.RegisterRollback(reg, "rollback", k.CPU.AS)
+		obs.RegisterPhysmap(reg, "physmap", k.CPU.AS)
 		obs.RegisterStore(reg, "store", kernel.BuildCache())
 		if opts.Fork {
 			// The first worker is the golden kernel every other worker

@@ -130,6 +130,7 @@ func printMetrics() error {
 		obs.RegisterDecodeCache(reg, "decode_cache", k.CPU)
 		obs.RegisterBlockEngine(reg, "block_engine", k.CPU)
 		obs.RegisterDataTLB(reg, "dtlb", k.CPU.AS)
+		obs.RegisterPhysmap(reg, "physmap", k.CPU.AS)
 		obs.RegisterStore(reg, "store", kernel.BuildCache())
 		obs.RegisterFork(reg, "fork", kernel.Forks, child.Space.AS)
 		fmt.Printf("=== %s ===\n%s\n", cfg.Name(), reg.Format())

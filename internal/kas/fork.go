@@ -2,15 +2,13 @@ package kas
 
 import "fmt"
 
-// Fork returns a pool sharing this pool's frames but with an independent
-// allocation watermark. The frames slice is never mutated after NewPhysPool,
-// so sharing it is safe; allocations in the fork hand out the same *frames*
-// a sibling's allocations would, which is exactly the copy-on-write model —
-// a forked kernel that maps and writes a pool frame breaks CoW on it like
-// any other shared frame (and frames past the golden parent's watermark were
-// never frozen, so post-fork allocations are private until a future fork).
+// Fork returns a pool with an independent copy of this pool's watermark.
+// The pool holds no frames — they live in the address space's physmap — so
+// a fork's allocations materialize frames in the forked space only, while
+// frames allocated before the fork are shared copy-on-write like any other
+// frozen frame.
 func (p *PhysPool) Fork() *PhysPool {
-	return &PhysPool{frames: p.frames, next: p.next}
+	return &PhysPool{pages: p.pages, next: p.next}
 }
 
 // Fork returns a copy-on-write child of the installed space: the address
@@ -22,9 +20,5 @@ func (s *Space) Fork() (*Space, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kas: fork: %w", err)
 	}
-	pfn := make(map[string]int, len(s.regionPFN))
-	for name, p := range s.regionPFN {
-		pfn[name] = p
-	}
-	return &Space{Layout: s.Layout, AS: as, Pool: s.Pool.Fork(), regionPFN: pfn}, nil
+	return &Space{Layout: s.Layout, AS: as, Pool: s.Pool.Fork(), regionPFN: s.regionPFN}, nil
 }

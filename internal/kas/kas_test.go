@@ -208,13 +208,13 @@ func TestAllocMapped(t *testing.T) {
 
 func TestPoolExhaustion(t *testing.T) {
 	pool := NewPhysPool(2 * mem.PageSize)
-	if _, _, err := pool.Alloc(3); err == nil {
+	if _, err := pool.Alloc(3); err == nil {
 		t.Error("over-allocation must fail")
 	}
-	if _, _, err := pool.Alloc(2); err != nil {
+	if _, err := pool.Alloc(2); err != nil {
 		t.Error(err)
 	}
-	if _, _, err := pool.Alloc(1); err == nil {
+	if _, err := pool.Alloc(1); err == nil {
 		t.Error("pool must be exhausted")
 	}
 }
@@ -231,5 +231,40 @@ func TestDescribeFigure1(t *testing.T) {
 	}
 	if !strings.Contains(ks, ".krx_phantom") {
 		t.Error("kR^X description must show the guard section")
+	}
+}
+
+// TestAllocAfterPhysmapStore: a frame written through the physmap before
+// it is allocated is the frame Alloc hands out — the same *Frame at both
+// addresses, which is what makes §5.1.1's aliasing hazard real — and
+// untouched physmap frames read zero without being allocated.
+func TestAllocAfterPhysmapStore(t *testing.T) {
+	pool := NewPhysPool(4 << 20)
+	sp, err := Install(PlanKRX(sizes(), 0), pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := PhysmapAddr(pool.Mark())
+	if v, f := sp.AS.Read(PhysmapAddr(pool.pages-1), 8); f != nil || v != 0 {
+		t.Fatalf("last physmap frame reads %#x, %v", v, f)
+	}
+	if f := sp.AS.Write(next+8, 0x5eed, 8); f != nil {
+		t.Fatal(f)
+	}
+	pfn, frames, err := sp.Alloc(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if PhysmapAddr(pfn) != next {
+		t.Fatalf("Alloc returned pfn %d, want the watermark", pfn)
+	}
+	if got, _ := sp.AS.FramesAt(next, 1); got[0] != frames[0] {
+		t.Fatal("Alloc returned a frame the physmap does not map")
+	}
+	if frames[0].Data[8] != 0xed {
+		t.Fatal("Alloc lost the store made through the physmap")
+	}
+	if got := sp.AS.PhysStats(); got.Pages != uint64(pool.pages) || got.Materialized+got.Holes != uint64(pool.Mark()) {
+		t.Fatalf("PhysStats %+v with watermark %d", got, pool.Mark())
 	}
 }

@@ -6,44 +6,35 @@ import (
 	"repro/internal/mem"
 )
 
-// PhysPool models the machine's physical memory: a linear array of page
-// frames. The entire pool is direct-mapped at PhysmapBase (the physmap), so
-// any frame handed out for kernel image text, module text, kernel stacks, or
-// heap objects is also — unless explicitly unmapped — readable and writable
-// through its physmap synonym. That aliasing is precisely the hazard §5.1.1
-// describes, and what UnmapSynonyms exists to close.
+// PhysPool models the machine's physical memory: the frame numbers
+// [0, size) and an allocation watermark. The frames themselves live in the
+// installed address space, whose physmap at PhysmapBase is a demand-zero
+// window over the whole pool (see Install): a frame exists once it is
+// allocated or first stored to through the physmap, and any frame handed out
+// for kernel image text, module text, kernel stacks, or heap objects is also
+// — unless explicitly unmapped — readable and writable through its physmap
+// synonym. That aliasing is precisely the hazard §5.1.1 describes, and what
+// UnmapSynonyms exists to close.
 type PhysPool struct {
-	frames []*mem.Frame
-	next   int
+	pages int // pool size in frames
+	next  int // allocation watermark
 }
 
 // NewPhysPool creates a pool of the given size in bytes (page-rounded).
 func NewPhysPool(size uint64) *PhysPool {
-	n := mem.PagesFor(size)
-	frames := make([]*mem.Frame, n)
-	for i := range frames {
-		frames[i] = new(mem.Frame)
-	}
-	return &PhysPool{frames: frames}
+	return &PhysPool{pages: mem.PagesFor(size)}
 }
 
-// NumPages returns the total number of frames in the pool.
-func (p *PhysPool) NumPages() int { return len(p.frames) }
-
-// Frames returns all frames (for installing the physmap).
-func (p *PhysPool) Frames() []*mem.Frame { return p.frames }
-
-// Alloc hands out n contiguous frames, returning the first frame's physical
-// frame number.
-func (p *PhysPool) Alloc(n int) (pfn int, frames []*mem.Frame, err error) {
-	if p.next+n > len(p.frames) {
-		return 0, nil, fmt.Errorf("kas: out of physical memory (%d pages requested, %d free)",
-			n, len(p.frames)-p.next)
+// Alloc reserves n contiguous frame numbers, returning the first. The
+// frames behind them come from Space.Alloc.
+func (p *PhysPool) Alloc(n int) (pfn int, err error) {
+	if p.next+n > p.pages {
+		return 0, fmt.Errorf("kas: out of physical memory (%d pages requested, %d free)",
+			n, p.pages-p.next)
 	}
 	pfn = p.next
-	frames = p.frames[p.next : p.next+n]
 	p.next += n
-	return pfn, frames, nil
+	return pfn, nil
 }
 
 // Mark returns the pool's current allocation watermark, for later Reset.
@@ -73,22 +64,24 @@ type Space struct {
 	regionPFN map[string]int
 }
 
-// Install maps the physmap and all of the layout's kernel-image regions into
-// a fresh address space. Region frames come from the pool, so each region
-// initially has a live physmap synonym (like a freshly booted kernel, before
-// kR^X's synonym unmapping runs).
+// Install declares the physmap and maps all of the layout's kernel-image
+// regions into a fresh address space. The physmap is the space's demand-zero
+// window over the whole pool, so it costs no frames until they are touched.
+// Region frames come from the pool, so each region initially has a live
+// physmap synonym (like a freshly booted kernel, before kR^X's synonym
+// unmapping runs).
 func Install(layout *Layout, pool *PhysPool) (*Space, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
 	as := mem.NewAddressSpace()
-	if err := as.MapFrames(PhysmapBase, pool.Frames(), mem.PermRW); err != nil {
+	if err := as.MapDemandZero(PhysmapBase, pool.pages); err != nil {
 		return nil, fmt.Errorf("kas: mapping physmap: %w", err)
 	}
 	sp := &Space{Layout: layout, AS: as, Pool: pool, regionPFN: make(map[string]int)}
 	for _, r := range layout.Regions {
 		n := mem.PagesFor(r.Size)
-		pfn, frames, err := pool.Alloc(n)
+		pfn, frames, err := sp.Alloc(n)
 		if err != nil {
 			return nil, err
 		}
@@ -139,12 +132,29 @@ func (s *Space) UnmapCodeSynonyms() (int, error) {
 	return total, nil
 }
 
+// Alloc allocates n contiguous frames from the pool, returning the first
+// frame number and the frames, materialized at their physmap addresses. A
+// frame already stored to through the physmap before its allocation is
+// returned as is — the same *Frame at both addresses, as §5.1.1's aliasing
+// hazard requires.
+func (s *Space) Alloc(n int) (pfn int, frames []*mem.Frame, err error) {
+	pfn, err = s.Pool.Alloc(n)
+	if err != nil {
+		return 0, nil, err
+	}
+	frames, err = s.AS.FramesAt(PhysmapAddr(pfn), n)
+	if err != nil {
+		return 0, nil, fmt.Errorf("kas: allocating frames: %w", err)
+	}
+	return pfn, frames, nil
+}
+
 // AllocMapped allocates n pages from the pool and returns their physmap
 // virtual address (how the simulation models kmalloc-style allocations:
 // kernel stacks and heap objects live in the readable physmap region, which
 // is why return addresses on kernel stacks are harvestable — §5.2.2).
 func (s *Space) AllocMapped(n int) (uint64, error) {
-	pfn, _, err := s.Pool.Alloc(n)
+	pfn, _, err := s.Alloc(n)
 	if err != nil {
 		return 0, err
 	}
@@ -157,7 +167,7 @@ func (s *Space) AllocMapped(n int) (uint64, error) {
 // unloading.
 func (s *Space) MapModuleText(va uint64, code []byte) ([]*mem.Frame, int, error) {
 	n := mem.PagesFor(uint64(len(code)))
-	pfn, frames, err := s.Pool.Alloc(n)
+	pfn, frames, err := s.Alloc(n)
 	if err != nil {
 		return nil, 0, err
 	}

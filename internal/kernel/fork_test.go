@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kas"
+	"repro/internal/mem"
 )
 
 // warmup drives a short, deterministic syscall mix — enough to touch the
@@ -201,5 +203,78 @@ func TestForkPhysmapAliasWrite(t *testing.T) {
 	}
 	if st := child.Space.AS.CowStats(); st.Breaks == 0 || st.PrivateFrames == 0 {
 		t.Errorf("child CowStats after aliased write = %+v, want a recorded break", st)
+	}
+}
+
+// checkPhysmap asserts the demand-zero physmap's boot invariant: the frames
+// with page-table entries in the physmap window are exactly the allocated
+// ones (materialized, or tombstoned where kR^X closed a code synonym), and
+// every code-synonym address faults not-mapped — the property the audit's
+// synonym check reads.
+func checkPhysmap(t *testing.T, k *Kernel, when string) {
+	t.Helper()
+	st, mark := k.Space.AS.PhysStats(), k.Space.Pool.Mark()
+	if st.Pages != PhysMemBytes>>mem.PageShift {
+		t.Errorf("%s %s: physmap window of %d pages, want %d", k.Cfg.Name(), when, st.Pages, PhysMemBytes>>mem.PageShift)
+	}
+	if st.Materialized+st.Holes != uint64(mark) {
+		t.Errorf("%s %s: %d materialized + %d holes, want the %d allocated frames",
+			k.Cfg.Name(), when, st.Materialized, st.Holes, mark)
+	}
+	var codePages uint64
+	for _, r := range k.Img.Layout.Regions {
+		if !r.Code || r.Size == 0 || k.Img.Layout.Kind != kas.KRX {
+			continue
+		}
+		for va := r.Start; va < r.End(); va += mem.PageSize {
+			codePages++
+			syn, _ := k.Space.SynonymAddr(va)
+			if _, f := k.Space.AS.LoadByte(syn); f == nil || f.Kind != mem.FaultNotMapped {
+				t.Fatalf("%s %s: code synonym %#x of %#x: fault %v, want not-mapped", k.Cfg.Name(), when, syn, va, f)
+			}
+		}
+	}
+	if st.Holes != codePages {
+		t.Errorf("%s %s: %d physmap holes, want the %d code-synonym pages", k.Cfg.Name(), when, st.Holes, codePages)
+	}
+}
+
+// TestBootPhysmapDemandZero boots every preset and checks that boot
+// materializes exactly what it allocates, and that the code synonyms stay
+// closed in a fork and across a Snapshot/Restore that allocated and stored
+// into untouched physmap frames in between.
+func TestBootPhysmapDemandZero(t *testing.T) {
+	for _, cfg := range core.Presets() {
+		k, err := Boot(cfg, WithCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPhysmap(t, k, "after boot")
+		child, err := k.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPhysmap(t, child, "after fork")
+
+		s := k.Snapshot()
+		before := k.Space.AS.PhysStats()
+		if _, err := k.Space.AllocMapped(2); err != nil {
+			t.Fatal(err)
+		}
+		far := kas.PhysmapAddr(int(before.Pages) - 1)
+		if f := k.Space.AS.Write(far, 1, 8); f != nil {
+			t.Fatal(f)
+		}
+		if got := k.Space.AS.PhysStats().Materialized; got != before.Materialized+3 {
+			t.Fatalf("%s: %d materialized after 2 allocations and a store, want %d", cfg.Name(), got, before.Materialized+3)
+		}
+		if err := k.Restore(s); err != nil {
+			t.Fatal(err)
+		}
+		checkPhysmap(t, k, "after restore")
+		if v, f := k.Space.AS.Read(far, 8); f != nil || v != 0 {
+			t.Fatalf("%s: restored physmap page reads %#x, %v; want demand-zero", cfg.Name(), v, f)
+		}
+		checkPhysmap(t, child, "after the parent's restore")
 	}
 }

@@ -274,8 +274,7 @@ func SetBuildCache(c *core.ImageCache) *core.ImageCache {
 // holds is only read — section bytes are poked into the new space, xkeys
 // are replenished in the space, never in the image.
 func bootImage(res *core.BuildResult, cfg core.Config) (*Kernel, error) {
-	pool := kas.NewPhysPool(PhysMemBytes)
-	sp, err := kas.Install(res.Image.Layout, pool)
+	sp, err := kas.Install(res.Image.Layout, kas.NewPhysPool(PhysMemBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -335,11 +334,10 @@ func bootImage(res *core.BuildResult, cfg core.Config) (*Kernel, error) {
 	}
 
 	// Kernel stack.
-	stackPFN, _, err := pool.Alloc(KernelStackPages)
+	k.KernelStackBase, err = sp.AllocMapped(KernelStackPages)
 	if err != nil {
 		return nil, err
 	}
-	k.KernelStackBase = kas.PhysmapAddr(stackPFN)
 
 	// User process: code page, data buffer, stack.
 	if _, err := sp.AS.Map(UserCode&^uint64(mem.PageMask), 1, mem.PermRX); err != nil {

@@ -2,7 +2,7 @@
 //
 // Freeze marks every frame reachable from the page table, the shadow map,
 // and the armed checkpoint as frozen — immutable forever. Fork then clones
-// the page table itself (one maps.Clone) into a child space that shares
+// the page table itself (one slice copy) into a child space that shares
 // every frozen frame with its parent. Any write, in parent or child, breaks
 // the sharing for that frame first: breakCoW copies the frame, repoints
 // every synonym mapping of the *writing* space at the copy, and leaves the
@@ -64,21 +64,26 @@ func (as *AddressSpace) Freeze() error {
 		return fmt.Errorf("mem: freeze with %d dirty frames in the undo log (rollback first)", len(as.undo))
 	}
 	collect := make(map[*Frame][]uint64, len(as.pages))
-	for v, pg := range as.pages {
-		collect[pg.frame] = append(collect[pg.frame], v)
+	for _, e := range as.pages {
+		if f := e.pg.frame; f != nil { // tombstones hold no frame
+			collect[f] = append(collect[f], e.vpn)
+		}
 	}
 	as.frozenFrames = uint64(len(collect))
 	// Checkpoint-time mappings matter too: a structural Rollback can remap a
 	// frame at synonyms the current page table no longer shows, and a break
 	// after that must know to repoint them as well.
-	for v, pg := range as.snapPages {
-		if cur, ok := as.pages[v]; !ok || cur.frame != pg.frame {
-			collect[pg.frame] = append(collect[pg.frame], v)
+	for _, e := range as.snapPages {
+		f := e.pg.frame
+		if f == nil {
+			continue
+		}
+		if cur, ok := as.pages.get(e.vpn); !ok || cur.frame != f {
+			collect[f] = append(collect[f], e.vpn)
 		}
 	}
-	if as.aliases == nil {
-		as.aliases = make(map[*Frame][]uint64)
-	}
+	// A fresh map, never an edit of the old one: forks share alias maps.
+	aliases := make(map[*Frame][]uint64)
 	for f, vs := range collect {
 		// Write the frozen bit only when it flips: re-freezing a family's
 		// long-shared frames must not issue writes that would race with
@@ -88,9 +93,10 @@ func (as *AddressSpace) Freeze() error {
 		}
 		if len(vs) > 1 {
 			sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-			as.aliases[f] = vs
+			aliases[f] = vs
 		}
 	}
+	as.aliases = aliases
 	for _, sh := range as.shadow {
 		if !sh.frozen {
 			sh.frozen = true
@@ -122,12 +128,14 @@ func (as *AddressSpace) Fork() (*AddressSpace, error) {
 		}
 	}
 	return &AddressSpace{
-		pages:        maps.Clone(as.pages),
+		pages:        as.pages.clone(),
+		winBase:      as.winBase,
+		winPages:     as.winPages,
 		EPT:          as.EPT,
 		shadow:       maps.Clone(as.shadow),
 		ranges:       as.ranges,
 		mapGen:       as.mapGen,
-		aliases:      maps.Clone(as.aliases),
+		aliases:      as.aliases,
 		frozenFrames: as.frozenFrames,
 		frozenClean:  true,
 	}, nil
@@ -149,9 +157,16 @@ func (as *AddressSpace) Fork() (*AddressSpace, error) {
 // the private copy's pre-image from the undo log exactly as if the space
 // had never been forked.
 //
+// The shared zero frame of an untouched demand-zero page has no synonyms
+// and no checkpoint entry to rewrite: its break is a materialization.
+//
 // Returns the private frame, now mapped at v.
 func (as *AddressSpace) breakCoW(v uint64) *Frame {
-	f := as.pages[v].frame
+	pg, _ := as.lookup(v)
+	if pg == zeroPage {
+		return as.materialize(v, PermRW)
+	}
+	f := pg.frame
 	pf := new(Frame)
 	pf.Data = f.Data
 	pf.gen = f.gen + 1
@@ -163,8 +178,8 @@ func (as *AddressSpace) breakCoW(v uint64) *Frame {
 	}
 	bumpMap := false
 	for _, av := range vs {
-		if apg, ok := as.pages[av]; ok && apg.frame == f {
-			as.pages[av] = &page{frame: pf, perm: apg.perm}
+		if apg, ok := as.pages.get(av); ok && apg.frame == f {
+			as.pages.set(av, &page{frame: pf, perm: apg.perm})
 			if apg.perm&PermX != 0 {
 				bumpMap = true
 			}
@@ -180,8 +195,8 @@ func (as *AddressSpace) breakCoW(v uint64) *Frame {
 		// aliasing ONE frame. Neither rewrite needs a journal entry: where
 		// both entries held f they both move to pf, and where only one did
 		// the entries already differed, so the vpn is journaled already.
-		if s, ok := as.snapPages[av]; ok && s.frame == f {
-			as.snapPages[av] = &page{frame: pf, perm: s.perm}
+		if s, ok := as.snapPages.get(av); ok && s.frame == f {
+			as.snapPages.set(av, &page{frame: pf, perm: s.perm})
 		}
 	}
 	if bumpMap {
@@ -196,11 +211,12 @@ func (as *AddressSpace) breakCoW(v uint64) *Frame {
 // (re)mapped by MapFrames: a frozen frame gaining a new synonym (text_poke
 // scratch mappings, the module loader re-aliasing pool frames) must have its
 // full mapping set on record, or a later CoW break would repoint only part
-// of it. Lists are rebuilt into fresh slices — never extended in place,
-// because forks share the backing arrays of cloned alias maps.
+// of it. The space gets an edited copy of its alias map, never an edit in
+// place, because forks share alias maps.
 func (as *AddressSpace) registerFrozenAliases(frames []*Frame) {
-	if as.aliases == nil {
-		as.aliases = make(map[*Frame][]uint64)
+	aliases := maps.Clone(as.aliases)
+	if aliases == nil {
+		aliases = make(map[*Frame][]uint64)
 	}
 	set := make(map[*Frame]map[uint64]bool, len(frames))
 	for _, f := range frames {
@@ -213,11 +229,10 @@ func (as *AddressSpace) registerFrozenAliases(frames []*Frame) {
 			m[v] = true
 		}
 	}
-	for v, pg := range as.pages {
-		add(pg.frame, v)
-	}
-	for v, pg := range as.snapPages {
-		add(pg.frame, v)
+	for _, t := range []pageTable{as.pages, as.snapPages} {
+		for _, e := range t {
+			add(e.pg.frame, e.vpn)
+		}
 	}
 	for f, m := range set {
 		for _, v := range as.aliases[f] {
@@ -228,6 +243,7 @@ func (as *AddressSpace) registerFrozenAliases(frames []*Frame) {
 			vs = append(vs, v)
 		}
 		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		as.aliases[f] = vs
+		aliases[f] = vs
 	}
+	as.aliases = aliases
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -357,4 +358,122 @@ func TestForkChildMapGenMatchesParent(t *testing.T) {
 	if parent.MapGen() != child.MapGen() {
 		t.Fatalf("mapGen diverged at fork: parent %d child %d", parent.MapGen(), child.MapGen())
 	}
+}
+
+// TestForkDemandZero: forks share the demand-zero window like any other
+// mapping. A child's first store to an untouched page materializes a frame
+// in the child alone; sibling forks may materialize the same page at once
+// (the shared zero frame is only ever read — run under -race); and a CoW
+// break of a region frame through its kernel address repoints the frame's
+// physmap entry in the writing space only.
+func TestForkDemandZero(t *testing.T) {
+	const win, region = 0x100000, 0x9000
+	newParent := func(t *testing.T) *AddressSpace {
+		t.Helper()
+		as := NewAddressSpace()
+		if err := as.MapDemandZero(win, 16); err != nil {
+			t.Fatal(err)
+		}
+		return as
+	}
+	t.Run("child store", func(t *testing.T) {
+		parent := newParent(t)
+		child, err := parent.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := child.Write(win+PageSize, 0xabcd, 8); f != nil {
+			t.Fatal(f)
+		}
+		if v, f := parent.Read(win+PageSize, 8); f != nil || v != 0 {
+			t.Fatalf("parent sees the child's store: %#x, %v", v, f)
+		}
+		if v, _ := child.Read(win+PageSize, 8); v != 0xabcd {
+			t.Fatalf("child store lost: %#x", v)
+		}
+		if got := parent.PhysStats().Materialized; got != 0 {
+			t.Fatalf("parent materialized %d pages", got)
+		}
+		if got := child.PhysStats().Materialized; got != 1 {
+			t.Fatalf("child materialized %d pages, want 1", got)
+		}
+	})
+	t.Run("concurrent siblings", func(t *testing.T) {
+		parent := newParent(t)
+		kids := make([]*AddressSpace, 4)
+		for i := range kids {
+			c, err := parent.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			kids[i] = c
+		}
+		var wg sync.WaitGroup
+		for i, c := range kids {
+			wg.Add(1)
+			go func(i int, c *AddressSpace) {
+				defer wg.Done()
+				c.Checkpoint()
+				for round := 0; round < 3; round++ {
+					for p := uint64(0); p < 16; p++ {
+						if b, f := c.LoadByte(win + p*PageSize); f != nil || b != 0 {
+							t.Errorf("sibling %d: untouched page %d reads %#x, %v", i, p, b, f)
+						}
+						if f := c.StoreByte(win+p*PageSize, byte(i+1)); f != nil {
+							t.Error(f)
+						}
+					}
+					if err := c.Rollback(); err != nil {
+						t.Error(err)
+					}
+				}
+				if f := c.StoreByte(win, byte(i+1)); f != nil {
+					t.Error(f)
+				}
+			}(i, c)
+		}
+		wg.Wait()
+		for i, c := range kids {
+			if b, _ := c.LoadByte(win); b != byte(i+1) {
+				t.Errorf("sibling %d reads %d, want its own store", i, b)
+			}
+		}
+		if b, _ := parent.LoadByte(win); b != 0 {
+			t.Fatalf("parent disturbed: %d", b)
+		}
+	})
+	t.Run("region break repoints physmap", func(t *testing.T) {
+		parent := newParent(t)
+		frames, err := parent.FramesAt(win+3*PageSize, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := parent.MapFrames(region, frames, PermRW); err != nil {
+			t.Fatal(err)
+		}
+		if err := parent.Poke(region, []byte("data")); err != nil {
+			t.Fatal(err)
+		}
+		child, err := parent.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := child.StoreByte(region, 'D'); f != nil {
+			t.Fatal(f)
+		}
+		if got := peek(t, child, win+3*PageSize, 4); !bytes.Equal(got, []byte("Data")) {
+			t.Fatalf("child physmap synonym not repointed: %q", got)
+		}
+		cr, _ := child.FramesAt(region, 1)
+		cp, _ := child.FramesAt(win+3*PageSize, 1)
+		if cr[0] != cp[0] || cr[0] == frames[0] {
+			t.Fatal("child synonyms must share one private frame")
+		}
+		if got := peek(t, parent, win+3*PageSize, 4); !bytes.Equal(got, []byte("data")) {
+			t.Fatalf("parent physmap entry disturbed: %q", got)
+		}
+		if pp, _ := parent.FramesAt(win+3*PageSize, 1); pp[0] != frames[0] {
+			t.Fatal("parent physmap entry repointed by the child's break")
+		}
+	})
 }

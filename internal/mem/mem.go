@@ -10,6 +10,17 @@
 // KHide), where R and X are independent bits. This is the hierarchically-
 // privileged baseline kR^X explicitly avoids; it exists here for ablation
 // benchmarks.
+//
+// A space may also declare one demand-zero window: a linear run of RW pages
+// that reads as zeros without any page-table entries behind it, which is how
+// the kernel's physmap — a direct mapping of all of physical memory — costs
+// only the frames a machine actually touches. An untouched window page is
+// served by a shared, frozen zero frame; the first store to it (or a Protect,
+// or a request for its frame by FramesAt) materializes a private frame as an
+// ordinary page-table entry, and unmapping a window page leaves a tombstone
+// entry the window rule does not see through. Everything that walks or clones
+// the page table (Checkpoint, Rollback, Freeze, Fork) therefore handles only
+// the touched part of the window, with no code path of its own.
 package mem
 
 import (
@@ -158,14 +169,30 @@ func (f *Fault) Error() string {
 }
 
 // page is one page-table entry. Once inserted a page struct is never
-// mutated — Protect and CoW breaks replace the struct — so the pages map can
+// mutated — Protect and CoW breaks replace the struct — so the page table can
 // be cloned structurally into a checkpoint (snapPages) or a fork, with both
 // sides sharing the immutable entry structs, and a structural Rollback can
-// put a checkpointed entry back by pointer.
+// put a checkpointed entry back by pointer. An entry with a nil frame is a
+// tombstone: an unmapped page inside the demand-zero window, which the
+// window rule would otherwise report as mapped.
 type page struct {
 	frame *Frame
 	perm  Perm
 }
+
+// zeroFrame backs every untouched page of a demand-zero window, in every
+// address space at once. It is frozen from the start, so every store path
+// breaks copy-on-write before reaching it, and for this frame the break
+// materializes a private page instead of copying (see breakCoW). Nothing
+// ever writes it: concurrently running forks may all read it.
+var zeroFrame = &Frame{frozen: true}
+
+// zeroPage is the entry lookup reports for an untouched window page, and
+// hole the tombstone Unmap leaves inside the window.
+var (
+	zeroPage = &page{frame: zeroFrame, perm: PermRW}
+	hole     = &page{}
+)
 
 // The data-side TLB.
 //
@@ -213,7 +240,13 @@ type DataTLBStats struct {
 
 // AddressSpace is a sparse paged virtual address space.
 type AddressSpace struct {
-	pages map[uint64]*page // keyed by virtual page number
+	pages pageTable
+
+	// The demand-zero window: page numbers [winBase, winBase+winPages) with
+	// no pages entry read as zeros with permission RW (see lookup). Entries
+	// inside the window override the rule — materialized frames, remapped
+	// frames, and tombstones alike.
+	winBase, winPages uint64
 
 	// EPT selects hypervisor-style nested-paging semantics where the read
 	// and execute bits are independent, enabling native execute-only
@@ -242,7 +275,7 @@ type AddressSpace struct {
 	// return the space to exactly the checkpointed state (the substrate of
 	// Kernel.Snapshot/Restore — crashed fuzzing runs must not poison
 	// subsequent iterations).
-	snapPages  map[uint64]*page
+	snapPages  pageTable
 	snapShadow map[uint64]*Frame
 	snapRanges []MappedRange
 	// journal lists the vpns whose pages or shadow entry changed since the
@@ -274,7 +307,9 @@ type AddressSpace struct {
 	// Copy-on-write fork state (see cow.go). aliases maps a frozen frame to
 	// every virtual page number it is (or, at freeze time, was in the armed
 	// checkpoint) mapped at, so a CoW break can repoint all synonym mappings
-	// at the private copy in one step. frozenFrames and cowBreaks feed
+	// at the private copy in one step; Freeze and registerFrozenAliases
+	// replace the map rather than edit it, so Fork shares it with the child
+	// the way ranges are shared. frozenFrames and cowBreaks feed
 	// CowStats; frozenClean records that every frame reachable from the page
 	// table was frozen by Freeze and nothing unfrozen has been mapped or
 	// created since — the invariant Fork needs, letting consecutive forks
@@ -305,10 +340,92 @@ func nextUndoEpoch() uint64 { return undoEpochCounter.Add(1) }
 
 // NewAddressSpace returns an empty address space with x86 semantics.
 func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{pages: make(map[uint64]*page)}
+	return &AddressSpace{}
 }
 
 func vpn(va uint64) uint64 { return va >> PageShift }
+
+// inWindow reports whether page number v lies in the demand-zero window.
+func (as *AddressSpace) inWindow(v uint64) bool { return v-as.winBase < as.winPages }
+
+// lookup resolves page number v to its page-table entry: an explicit entry
+// if there is one (a tombstone reports unmapped), else the shared zero page
+// inside the demand-zero window. Every page-table read goes through here.
+func (as *AddressSpace) lookup(v uint64) (*page, bool) {
+	if pg, ok := as.pages.get(v); ok {
+		return pg, pg.frame != nil
+	}
+	if as.inWindow(v) {
+		return zeroPage, true
+	}
+	return nil, false
+}
+
+// MapDemandZero declares the space's demand-zero window: n RW pages at va
+// that read as zeros and get a private frame on first store. A space has at
+// most one window, declared before any checkpoint is armed, over pages not
+// yet mapped; it is never rolled back or removed, only punched by Unmap.
+func (as *AddressSpace) MapDemandZero(va uint64, n int) error {
+	if !PageAligned(va) {
+		return fmt.Errorf("mem: demand-zero window at unaligned address 0x%x", va)
+	}
+	if as.winPages != 0 {
+		return fmt.Errorf("mem: demand-zero window already declared at 0x%x", as.winBase<<PageShift)
+	}
+	if as.snapPages != nil {
+		return fmt.Errorf("mem: demand-zero window declared under an armed checkpoint")
+	}
+	base := vpn(va)
+	for i := 0; i < n; i++ {
+		if _, ok := as.pages.get(base + uint64(i)); ok {
+			return fmt.Errorf("mem: page 0x%x already mapped", (base+uint64(i))<<PageShift)
+		}
+	}
+	as.winBase, as.winPages = base, uint64(n)
+	as.ranges = setRange(as.ranges, base, n, PermRW, true)
+	as.mapGen++
+	return nil
+}
+
+// materialize gives the untouched window page v a private zero-filled frame
+// as an ordinary page-table entry. It is journaled like any mapping, so a
+// Rollback returns the page to demand-zero, and it bumps mapGen: the data
+// TLB slot that cached the zero frame for v self-invalidates.
+func (as *AddressSpace) materialize(v uint64, perm Perm) *Frame {
+	f := new(Frame)
+	as.journalSpan(v, 1)
+	as.pages.set(v, &page{frame: f, perm: perm})
+	as.frozenClean = false
+	as.mapGen++
+	return f
+}
+
+// PhysStats reports how much of the demand-zero window has page-table
+// entries behind it.
+type PhysStats struct {
+	// Pages is the window's size.
+	Pages uint64
+	// Materialized counts window pages backed by a frame of their own.
+	Materialized uint64
+	// Holes counts window pages unmapped by a tombstone.
+	Holes uint64
+}
+
+// PhysStats counts the window's entries in the page table; nothing on a
+// hot path keeps the counters.
+func (as *AddressSpace) PhysStats() PhysStats {
+	s := PhysStats{Pages: as.winPages}
+	lo, _ := as.pages.find(as.winBase)
+	hi, _ := as.pages.find(as.winBase + as.winPages)
+	for _, e := range as.pages[lo:hi] {
+		if e.pg.frame == nil {
+			s.Holes++
+		} else {
+			s.Materialized++
+		}
+	}
+	return s
+}
 
 // MapGen returns the page-table structure generation. It changes whenever
 // a translation cached outside the address space could have gone stale for
@@ -320,7 +437,7 @@ func (as *AddressSpace) MapGen() uint64 { return as.mapGen }
 // must be mapped with the execute permission. Fetches always see the real
 // frame — HideM data shadows desynchronize only the data view.
 func (as *AddressSpace) ExecFrame(va uint64) (*Frame, bool) {
-	pg, ok := as.pages[vpn(va)]
+	pg, ok := as.lookup(vpn(va))
 	if !ok || pg.perm&PermX == 0 {
 		return nil, false
 	}
@@ -350,21 +467,22 @@ func (as *AddressSpace) Map(va uint64, n int, perm Perm) ([]*Frame, error) {
 }
 
 // MapFrames maps existing frames at va (creating synonyms if the frames are
-// already mapped elsewhere).
+// already mapped elsewhere). Inside the demand-zero window only tombstones
+// count as unmapped.
 func (as *AddressSpace) MapFrames(va uint64, frames []*Frame, perm Perm) error {
 	if !PageAligned(va) {
 		return fmt.Errorf("mem: map at unaligned address 0x%x", va)
 	}
 	base := vpn(va)
 	for i := range frames {
-		if _, exists := as.pages[base+uint64(i)]; exists {
+		if _, exists := as.lookup(base + uint64(i)); exists {
 			return fmt.Errorf("mem: page 0x%x already mapped", (base+uint64(i))<<PageShift)
 		}
 	}
 	as.journalSpan(base, len(frames))
 	frozen := false
 	for i, f := range frames {
-		as.pages[base+uint64(i)] = &page{frame: f, perm: perm}
+		as.pages.set(base+uint64(i), &page{frame: f, perm: perm})
 		if f.frozen {
 			frozen = true
 		} else {
@@ -381,20 +499,25 @@ func (as *AddressSpace) MapFrames(va uint64, frames []*Frame, perm Perm) error {
 	return nil
 }
 
-// Unmap removes n pages starting at va. Unmapping a hole is an error.
+// Unmap removes n pages starting at va; inside the demand-zero window each
+// becomes a tombstone. Unmapping a hole is an error.
 func (as *AddressSpace) Unmap(va uint64, n int) error {
 	if !PageAligned(va) {
 		return fmt.Errorf("mem: unmap at unaligned address 0x%x", va)
 	}
 	base := vpn(va)
 	for i := 0; i < n; i++ {
-		if _, ok := as.pages[base+uint64(i)]; !ok {
+		if _, ok := as.lookup(base + uint64(i)); !ok {
 			return fmt.Errorf("mem: unmap of unmapped page 0x%x", (base+uint64(i))<<PageShift)
 		}
 	}
 	as.journalSpan(base, n)
 	for i := 0; i < n; i++ {
-		delete(as.pages, base+uint64(i))
+		if v := base + uint64(i); as.inWindow(v) {
+			as.pages.set(v, hole)
+		} else {
+			as.pages.del(v)
+		}
 	}
 	as.ranges = setRange(as.ranges, base, n, 0, false)
 	as.mapGen++
@@ -402,23 +525,29 @@ func (as *AddressSpace) Unmap(va uint64, n int) error {
 }
 
 // Protect changes the permissions of n pages starting at va. A span that
-// crosses an unmapped page is an error and changes nothing.
+// crosses an unmapped page is an error and changes nothing. An untouched
+// demand-zero page gets a private frame of its own, like a first store.
 func (as *AddressSpace) Protect(va uint64, n int, perm Perm) error {
 	if !PageAligned(va) {
 		return fmt.Errorf("mem: protect at unaligned address 0x%x", va)
 	}
 	base := vpn(va)
 	for i := 0; i < n; i++ {
-		if _, ok := as.pages[base+uint64(i)]; !ok {
+		if _, ok := as.lookup(base + uint64(i)); !ok {
 			return fmt.Errorf("mem: protect of unmapped page 0x%x", (base+uint64(i))<<PageShift)
 		}
 	}
 	as.journalSpan(base, n)
 	for i := 0; i < n; i++ {
+		v := base + uint64(i)
+		pg, _ := as.lookup(v)
+		if pg == zeroPage {
+			as.materialize(v, perm)
+			continue
+		}
 		// Replace, never mutate: the struct may be shared with a checkpoint
 		// or a fork (see the page type comment).
-		pg := as.pages[base+uint64(i)]
-		as.pages[base+uint64(i)] = &page{frame: pg.frame, perm: perm}
+		as.pages.set(v, &page{frame: pg.frame, perm: perm})
 	}
 	as.ranges = setRange(as.ranges, base, n, perm, true)
 	as.mapGen++
@@ -427,32 +556,42 @@ func (as *AddressSpace) Protect(va uint64, n int, perm Perm) error {
 
 // Mapped reports whether va falls on a mapped page.
 func (as *AddressSpace) Mapped(va uint64) bool {
-	_, ok := as.pages[vpn(va)]
+	_, ok := as.lookup(vpn(va))
 	return ok
 }
 
 // PermAt returns the permissions of the page containing va.
 func (as *AddressSpace) PermAt(va uint64) (Perm, bool) {
-	pg, ok := as.pages[vpn(va)]
+	pg, ok := as.lookup(vpn(va))
 	if !ok {
 		return 0, false
 	}
 	return pg.perm, true
 }
 
-// FramesAt returns the n frames mapped starting at page-aligned va.
+// FramesAt returns the n frames mapped starting at page-aligned va. An
+// untouched demand-zero page is materialized first, so the frame handed out
+// is the one every later access through va sees — mapping it elsewhere
+// creates a true synonym.
 func (as *AddressSpace) FramesAt(va uint64, n int) ([]*Frame, error) {
 	if !PageAligned(va) {
 		return nil, fmt.Errorf("mem: FramesAt unaligned address 0x%x", va)
 	}
 	base := vpn(va)
-	out := make([]*Frame, n)
 	for i := 0; i < n; i++ {
-		pg, ok := as.pages[base+uint64(i)]
-		if !ok {
+		if _, ok := as.lookup(base + uint64(i)); !ok {
 			return nil, fmt.Errorf("mem: FramesAt unmapped page 0x%x", (base+uint64(i))<<PageShift)
 		}
-		out[i] = pg.frame
+	}
+	out := make([]*Frame, n)
+	for i := range out {
+		v := base + uint64(i)
+		pg, _ := as.lookup(v)
+		if pg == zeroPage {
+			out[i] = as.materialize(v, PermRW)
+		} else {
+			out[i] = pg.frame
+		}
 	}
 	return out, nil
 }
@@ -477,7 +616,7 @@ func (as *AddressSpace) dataPage(v uint64) *dtlbEntry {
 		as.dtlbStats.Hits++
 		return e
 	}
-	pg, ok := as.pages[v]
+	pg, ok := as.lookup(v)
 	if !ok {
 		return nil
 	}
@@ -519,7 +658,7 @@ func (as *AddressSpace) ShadowData(va uint64, n int, frames []*Frame) error {
 	}
 	base := vpn(va)
 	for i := 0; i < n; i++ {
-		if _, ok := as.pages[base+uint64(i)]; !ok {
+		if _, ok := as.lookup(base + uint64(i)); !ok {
 			return fmt.Errorf("mem: shadow of unmapped page 0x%x", (base+uint64(i))<<PageShift)
 		}
 	}
@@ -611,9 +750,9 @@ func (as *AddressSpace) preimage(f *Frame) {
 // replaces the previous checkpoint.
 func (as *AddressSpace) Checkpoint() {
 	// Page structs are immutable once inserted, so the checkpoint is a
-	// structural clone sharing the entry structs (maps.Clone of a nil map is
-	// nil, which is exactly the no-shadow representation).
-	as.snapPages = maps.Clone(as.pages)
+	// structural clone sharing the entry structs (maps.Clone of a nil shadow
+	// map is nil, which is exactly the no-shadow representation).
+	as.snapPages = as.pages.clone()
 	as.snapShadow = maps.Clone(as.shadow)
 	as.snapRanges = as.ranges
 	as.journal = as.journal[:0]
@@ -649,10 +788,10 @@ func (as *AddressSpace) Rollback() error {
 	// work is proportional to what the cycle changed, not to the table.
 	if as.mapGen != as.snapMapGen {
 		for _, v := range as.journal {
-			if pg, ok := as.snapPages[v]; ok {
-				as.pages[v] = pg
+			if pg, ok := as.snapPages.get(v); ok {
+				as.pages.set(v, pg)
 			} else {
-				delete(as.pages, v)
+				as.pages.del(v)
 			}
 			if sh, ok := as.snapShadow[v]; ok {
 				as.shadow[v] = sh
@@ -835,7 +974,7 @@ func (as *AddressSpace) Fetch(va uint64, buf []byte) (int, *Fault) {
 	n := 0
 	for n < len(buf) {
 		a := va + uint64(n)
-		pg, ok := as.pages[vpn(a)]
+		pg, ok := as.lookup(vpn(a))
 		if !ok {
 			if n == 0 {
 				return 0, &Fault{Addr: va, Kind: FaultNotMapped, Fetch: true}
@@ -860,7 +999,7 @@ func (as *AddressSpace) LoadBytes(va uint64, n int) ([]byte, *Fault) {
 	out := make([]byte, n)
 	for i := 0; i < n; {
 		a := va + uint64(i)
-		pg, ok := as.pages[vpn(a)]
+		pg, ok := as.lookup(vpn(a))
 		if !ok {
 			return nil, &Fault{Addr: a, Kind: FaultNotMapped}
 		}
@@ -885,7 +1024,7 @@ func (as *AddressSpace) LoadBytes(va uint64, n int) ([]byte, *Fault) {
 func (as *AddressSpace) StoreBytes(va uint64, b []byte) *Fault {
 	for i := 0; i < len(b); {
 		a := va + uint64(i)
-		pg, ok := as.pages[vpn(a)]
+		pg, ok := as.lookup(vpn(a))
 		if !ok {
 			return &Fault{Addr: a, Kind: FaultNotMapped, Write: true}
 		}
@@ -910,7 +1049,7 @@ func (as *AddressSpace) StoreBytes(va uint64, b []byte) *Fault {
 func (as *AddressSpace) Poke(va uint64, b []byte) error {
 	for i := 0; i < len(b); {
 		a := va + uint64(i)
-		pg, ok := as.pages[vpn(a)]
+		pg, ok := as.lookup(vpn(a))
 		if !ok {
 			return fmt.Errorf("mem: poke of unmapped page 0x%x", a)
 		}
@@ -931,7 +1070,7 @@ func (as *AddressSpace) Peek(va uint64, n int) ([]byte, error) {
 	out := make([]byte, n)
 	for i := 0; i < n; {
 		a := va + uint64(i)
-		pg, ok := as.pages[vpn(a)]
+		pg, ok := as.lookup(vpn(a))
 		if !ok {
 			return nil, fmt.Errorf("mem: peek of unmapped page 0x%x", a)
 		}

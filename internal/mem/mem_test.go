@@ -287,3 +287,134 @@ func TestShadowDataSplitTLB(t *testing.T) {
 		t.Error("shadow of unmapped page must fail")
 	}
 }
+
+// windowSpace returns a space with a demand-zero window of n pages at va.
+func windowSpace(t *testing.T, va uint64, n int) *AddressSpace {
+	t.Helper()
+	as := NewAddressSpace()
+	if err := as.MapDemandZero(va, n); err != nil {
+		t.Fatal(err)
+	}
+	return as
+}
+
+// TestDemandZeroWindow: untouched window pages read zero, and each of the
+// ways a page gets a frame of its own — a store, then a FramesAt that hands
+// the frame out for aliasing; a Protect; an Unmap and MapFrames back over
+// the tombstone — keeps one frame identity behind every mapping.
+func TestDemandZeroWindow(t *testing.T) {
+	const win = 0x100000
+	t.Run("store then alias", func(t *testing.T) {
+		as := windowSpace(t, win, 8)
+		if v, f := as.Read(win+0x1008, 8); f != nil || v != 0 {
+			t.Fatalf("untouched page read %#x, %v", v, f)
+		}
+		if got := as.PhysStats(); got != (PhysStats{Pages: 8}) {
+			t.Fatalf("a read materialized: %+v", got)
+		}
+		if f := as.Write(win+0x1008, 0xfeed, 8); f != nil {
+			t.Fatal(f)
+		}
+		frames, err := as.FramesAt(win+0x1000, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg1, _ := as.pages.get(vpn(win + 0x1000))
+		pg2, _ := as.pages.get(vpn(win + 0x2000))
+		if frames[0] != pg1.frame || frames[1] != pg2.frame {
+			t.Fatal("FramesAt handed out a frame the window does not map")
+		}
+		if got := as.PhysStats(); got.Materialized != 2 {
+			t.Fatalf("PhysStats %+v, want 2 materialized", got)
+		}
+		if err := as.MapFrames(0x9000, frames, PermR); err != nil {
+			t.Fatal(err)
+		}
+		if v, f := as.Read(0x9008, 8); f != nil || v != 0xfeed {
+			t.Fatalf("alias does not see the window store: %#x, %v", v, f)
+		}
+		if f := as.Write(win+0x2000, 7, 1); f != nil {
+			t.Fatal(f)
+		}
+		if b, _ := as.LoadByte(0xa000); b != 7 {
+			t.Fatalf("alias of a FramesAt-materialized page does not see later stores: %d", b)
+		}
+	})
+	t.Run("protect untouched", func(t *testing.T) {
+		as := windowSpace(t, win, 4)
+		if err := as.Protect(win+PageSize, 1, PermR); err != nil {
+			t.Fatal(err)
+		}
+		pg, _ := as.pages.get(vpn(win + PageSize))
+		if pg == nil || pg.frame == zeroFrame || pg.perm != PermR {
+			t.Fatalf("Protect left %+v, want a private read-only frame", pg)
+		}
+		if f := as.Write(win+PageSize, 1, 1); f == nil || f.Kind != FaultNoWrite {
+			t.Fatalf("write to the protected page: %v", f)
+		}
+		if f := as.Write(win, 1, 1); f != nil {
+			t.Fatalf("neighbouring window page must stay writable: %v", f)
+		}
+	})
+	t.Run("tombstone and back", func(t *testing.T) {
+		as := windowSpace(t, win, 4)
+		if f := as.Write(win, 0x55, 1); f != nil {
+			t.Fatal(f)
+		}
+		frames, err := as.FramesAt(win, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Unmap(win, 2); err != nil {
+			t.Fatal(err)
+		}
+		if as.Mapped(win) || as.Mapped(win+PageSize) {
+			t.Fatal("tombstoned pages still mapped")
+		}
+		if _, f := as.LoadByte(win); f == nil || f.Kind != FaultNotMapped {
+			t.Fatalf("read through a tombstone: %v", f)
+		}
+		if got := as.PhysStats(); got != (PhysStats{Pages: 4, Holes: 2}) {
+			t.Fatalf("PhysStats %+v, want 2 holes", got)
+		}
+		if err := as.Unmap(win, 1); err == nil {
+			t.Fatal("unmapping a tombstone must fail")
+		}
+		if err := as.MapFrames(win+2*PageSize, frames[:1], PermRW); err == nil {
+			t.Fatal("mapping over an untouched window page must fail")
+		}
+		if err := as.MapFrames(win, frames, PermRW); err != nil {
+			t.Fatalf("mapping back over tombstones: %v", err)
+		}
+		if b, f := as.LoadByte(win); f != nil || b != 0x55 {
+			t.Fatalf("remapped frame lost its bytes: %#x, %v", b, f)
+		}
+		if got := as.Ranges(); len(got) != 1 || got[0] != (MappedRange{Start: win, End: win + 4*PageSize, Perm: PermRW}) {
+			t.Fatalf("Ranges %v, want the whole window back", got)
+		}
+	})
+	t.Run("rollback to demand-zero", func(t *testing.T) {
+		as := windowSpace(t, win, 4)
+		as.Checkpoint()
+		if f := as.Write(win, 9, 1); f != nil {
+			t.Fatal(f)
+		}
+		if err := as.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := as.pages.get(vpn(win)); ok {
+			t.Fatal("rollback kept the materialized page")
+		}
+		if b, f := as.LoadByte(win); f != nil || b != 0 {
+			t.Fatalf("rolled-back page reads %#x, %v", b, f)
+		}
+	})
+	t.Run("zero frame is frozen", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Zap of the zero frame must panic")
+			}
+		}()
+		zeroFrame.Zap()
+	})
+}

@@ -38,8 +38,8 @@ func refRanges(perms map[uint64]Perm) []MappedRange {
 // pagePerms reads the permissions out of the live page table.
 func pagePerms(as *AddressSpace) map[uint64]Perm {
 	out := make(map[uint64]Perm, len(as.pages))
-	for v, pg := range as.pages {
-		out[v] = pg.perm
+	for _, e := range as.pages {
+		out[e.vpn] = e.pg.perm
 	}
 	return out
 }
@@ -94,14 +94,77 @@ func modelPerms(pages map[uint64]page) map[uint64]Perm {
 	return out
 }
 
-// pageValues copies a page table's entries by value: a CoW break gives
-// pages and snapPages separate but equal structs for the same vpn.
-func pageValues(pages map[uint64]*page) map[uint64]page {
-	out := make(map[uint64]page, len(pages))
+// Some oracle seeds give their spaces a demand-zero window over these page
+// numbers, straddled by the op spans from both sides.
+const oracleWinBase, oracleWinPages = 32, 16
+
+func oracleInWindow(v uint64) bool { return v-oracleWinBase < oracleWinPages }
+
+// modelMapped reports whether the model maps page v: an entry that is not
+// a tombstone, or an untouched page of the window.
+func modelMapped(pages map[uint64]page, win bool, v uint64) bool {
+	if pg, ok := pages[v]; ok {
+		return pg.frame != nil
+	}
+	return win && oracleInWindow(v)
+}
+
+// effectivePerms is what the model maps: the window's RW pages overridden
+// by explicit entries, tombstones removed.
+func effectivePerms(pages map[uint64]page, win bool) map[uint64]Perm {
+	out := make(map[uint64]Perm, len(pages)+oracleWinPages)
+	if win {
+		for v := uint64(oracleWinBase); v < oracleWinBase+oracleWinPages; v++ {
+			out[v] = PermRW
+		}
+	}
 	for v, pg := range pages {
-		out[v] = *pg
+		if pg.frame == nil {
+			delete(out, v)
+		} else {
+			out[v] = pg.perm
+		}
 	}
 	return out
+}
+
+// modelPhys is PhysStats for a model.
+func modelPhys(pages map[uint64]page, win bool) PhysStats {
+	if !win {
+		return PhysStats{}
+	}
+	s := PhysStats{Pages: oracleWinPages}
+	for v, pg := range pages {
+		switch {
+		case !oracleInWindow(v):
+		case pg.frame == nil:
+			s.Holes++
+		default:
+			s.Materialized++
+		}
+	}
+	return s
+}
+
+// pageValues copies a page table's entries by value: a CoW break gives
+// pages and snapPages separate but equal structs for the same vpn.
+func pageValues(t pageTable) map[uint64]page {
+	out := make(map[uint64]page, len(t))
+	for _, e := range t {
+		out[e.vpn] = *e.pg
+	}
+	return out
+}
+
+// sortedTable reports whether a page table's vpns strictly increase: a
+// duplicate or misplaced entry would hide from lookups.
+func sortedTable(t pageTable) bool {
+	for i := 1; i < len(t); i++ {
+		if t[i-1].vpn >= t[i].vpn {
+			return false
+		}
+	}
+	return true
 }
 
 // topVPN is one past the highest page number: a range ending there has an
@@ -112,18 +175,29 @@ const topVPN = 1 << (64 - PageShift)
 // sequences — spans across holes and at the top of the address space
 // included — mixed with Poke (CoW breaks once a space has forked, which
 // bump MapGen when the page is executable), Checkpoint/Rollback, and Fork
-// over up to four live spaces. After every operation each space's page
-// table and shadows must equal its model frame for frame, Ranges() must
-// equal the sort-based reference over the model, and the rollback journal
-// must be empty while no checkpoint is armed. After every Rollback the live
-// table and shadows must equal the checkpointed ones entry for entry, with
-// the journal empty.
+// over up to four live spaces. Odd seeds start with a demand-zero window:
+// untouched window pages must read zero, and a store, Poke or Protect gives
+// one a private frame as an explicit entry; Unmap leaves tombstones, which
+// Map covers again. After every operation each space's page table
+// (tombstones included) and shadows must equal its model frame for frame,
+// Ranges() must equal the sort-based reference over the model's effective
+// mappings, PhysStats must count the model's window entries, and the
+// rollback journal must be empty while no checkpoint is armed. After every
+// Rollback the live table and shadows must equal the checkpointed ones
+// entry for entry, with the journal empty.
 func TestRangesOracle(t *testing.T) {
 	perms := []Perm{0, PermR, PermRW, PermRX, PermRWX}
-	execBreaks := 0
+	execBreaks, zeroStores := 0, 0
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		spaces := []*rangeModel{{as: NewAddressSpace(), pages: map[uint64]page{}, shadow: map[uint64]*Frame{}}}
+		win := seed%2 == 1
+		root := NewAddressSpace()
+		if win {
+			if err := root.MapDemandZero(oracleWinBase<<PageShift, oracleWinPages); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spaces := []*rangeModel{{as: root, pages: map[uint64]page{}, shadow: map[uint64]*Frame{}}}
 		frozen := map[*Frame]bool{} // frames some Fork froze
 		for step := 0; step < 400; step++ {
 			m := spaces[rng.Intn(len(spaces))]
@@ -136,11 +210,25 @@ func TestRangesOracle(t *testing.T) {
 			va := base << PageShift
 			span := func(mapped bool) bool { // every page of the span is (un)mapped
 				for i := uint64(0); i < uint64(n); i++ {
-					if _, ok := m.pages[base+i]; ok != mapped {
+					if modelMapped(m.pages, win, base+i) != mapped {
 						return false
 					}
 				}
 				return true
+			}
+			// untouched reports whether page v reads through to the zero frame.
+			untouched := func(v uint64) bool {
+				_, ok := m.pages[v]
+				return win && !ok && oracleInWindow(v)
+			}
+			// materialized checks that a window page the op just touched got a
+			// fresh private frame, and records it in the model.
+			materialized := func(v uint64, p Perm) {
+				pg, ok := m.as.pages.get(v)
+				if !ok || pg.frame == nil || pg.frame == zeroFrame || frozen[pg.frame] {
+					t.Fatalf("seed %d step %d: page %#x was not materialized: %+v", seed, step, v, pg)
+				}
+				m.pages[v] = page{frame: pg.frame, perm: p}
 			}
 			gen := m.as.MapGen()
 			var err error
@@ -160,15 +248,27 @@ func TestRangesOracle(t *testing.T) {
 				err = m.as.Unmap(va, n)
 				if want = span(true); want {
 					for i := uint64(0); i < uint64(n); i++ {
-						delete(m.pages, base+i)
+						if win && oracleInWindow(base+i) {
+							m.pages[base+i] = page{} // tombstone
+						} else {
+							delete(m.pages, base+i)
+						}
 					}
 				}
 			case op < 62:
 				p := perms[rng.Intn(len(perms))]
+				fresh := make([]bool, n)
+				for i := range fresh {
+					fresh[i] = untouched(base + uint64(i))
+				}
 				err = m.as.Protect(va, n, p)
 				if want = span(true); want {
 					for i := uint64(0); i < uint64(n); i++ {
-						m.pages[base+i] = page{frame: m.pages[base+i].frame, perm: p}
+						if fresh[i] {
+							materialized(base+i, p)
+						} else {
+							m.pages[base+i] = page{frame: m.pages[base+i].frame, perm: p}
+						}
 					}
 				}
 			case op < 67:
@@ -188,14 +288,54 @@ func TestRangesOracle(t *testing.T) {
 					delete(m.shadow, base+i)
 				}
 				want = true
+			case op < 75 && win:
+				// A load and a store on a window page: untouched pages read
+				// zero, and the store materializes them.
+				v := oracleWinBase + uint64(rng.Intn(oracleWinPages))
+				wva := v<<PageShift | uint64(rng.Intn(PageSize))
+				fresh := untouched(v)
+				if fresh {
+					if b, f := m.as.LoadByte(wva); f != nil || b != 0 {
+						t.Fatalf("seed %d step %d: untouched window page read %#x, %v", seed, step, b, f)
+					}
+				}
+				pg, mapped := m.pages[v]
+				writable := fresh || (mapped && pg.frame != nil && pg.perm&PermW != 0)
+				want = true // checked here: the store may fault
+				if f := m.as.StoreByte(wva, byte(step)|1); (f == nil) != writable {
+					t.Fatalf("seed %d step %d: store to window page %#x: %v, want success=%v", seed, step, v, f, writable)
+				}
+				switch {
+				case fresh:
+					materialized(v, PermRW)
+					zeroStores++
+				case writable && frozen[pg.frame]:
+					cur, _ := m.as.pages.get(v)
+					m.pages[v] = page{frame: cur.frame, perm: pg.perm}
+					if s, ok := m.snap[v]; ok && s.frame == pg.frame {
+						m.snap[v] = page{frame: m.pages[v].frame, perm: s.perm}
+					}
+				}
+				if _, sh := m.shadow[v]; writable && !sh { // writable perms here are readable too
+					if b, f := m.as.LoadByte(wva); f != nil || b != byte(step)|1 {
+						t.Fatalf("seed %d step %d: store to window page %#x not read back: %#x, %v", seed, step, v, b, f)
+					}
+				}
 			case op < 80:
+				fresh := untouched(base)
 				err = m.as.Poke(va, []byte{byte(step)})
 				var old page
 				old, want = m.pages[base]
+				want = want && old.frame != nil
+				if fresh {
+					want = true
+					materialized(base, PermRW)
+				}
 				if want && frozen[old.frame] {
 					// A CoW break: this space, checkpoint included, now
 					// maps a private copy; every other space keeps old.
-					pf := m.as.pages[base].frame
+					cur, _ := m.as.pages.get(base)
+					pf := cur.frame
 					if pf == old.frame {
 						t.Fatalf("seed %d step %d: Poke of a frozen frame did not privatize it", seed, step)
 					}
@@ -230,7 +370,9 @@ func TestRangesOracle(t *testing.T) {
 					if ferr == nil {
 						for _, pgs := range []map[uint64]page{m.pages, m.snap} {
 							for _, pg := range pgs {
-								frozen[pg.frame] = true
+								if pg.frame != nil {
+									frozen[pg.frame] = true
+								}
 							}
 						}
 						for _, shs := range []map[uint64]*Frame{m.shadow, m.snapShadow} {
@@ -256,14 +398,20 @@ func TestRangesOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d: a failed op moved MapGen", seed, step)
 			}
 			for si, s := range spaces {
+				if !sortedTable(s.as.pages) || !sortedTable(s.as.snapPages) {
+					t.Fatalf("seed %d step %d space %d: page table out of order", seed, step, si)
+				}
 				if !maps.Equal(pageValues(s.as.pages), s.pages) {
 					t.Fatalf("seed %d step %d space %d: page table %v, want %v", seed, step, si, pagePerms(s.as), modelPerms(s.pages))
 				}
 				if !maps.Equal(s.as.shadow, s.shadow) {
 					t.Fatalf("seed %d step %d space %d: %d shadows, want %d", seed, step, si, len(s.as.shadow), len(s.shadow))
 				}
-				if got, want := s.as.Ranges(), refRanges(modelPerms(s.pages)); !slices.Equal(got, want) {
+				if got, want := s.as.Ranges(), refRanges(effectivePerms(s.pages, win)); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d space %d: Ranges %v, want %v", seed, step, si, got, want)
+				}
+				if got, want := s.as.PhysStats(), modelPhys(s.pages, win); got != want {
+					t.Fatalf("seed %d step %d space %d: PhysStats %+v, want %+v", seed, step, si, got, want)
 				}
 				if s.as.snapPages == nil && len(s.as.journal) != 0 {
 					t.Fatalf("seed %d step %d space %d: %d journal entries without a checkpoint", seed, step, si, len(s.as.journal))
@@ -273,5 +421,8 @@ func TestRangesOracle(t *testing.T) {
 	}
 	if execBreaks == 0 {
 		t.Fatal("no Poke broke CoW on an executable page: the MapGen-bumping break path went unexercised")
+	}
+	if zeroStores == 0 {
+		t.Fatal("no store reached an untouched window page: materialization went unexercised")
 	}
 }

@@ -164,6 +164,19 @@ func RegisterRollback(r *Registry, prefix string, as *mem.AddressSpace) {
 	r.Gauge(prefix+".journaled", stat(func(s mem.RollbackStats) uint64 { return s.Journaled }))
 }
 
+// RegisterPhysmap publishes the demand-zero physmap's footprint under
+// prefix (e.g. "physmap"): the window's size in pages, the pages that have
+// a frame of their own, and the pages unmapped as holes. The counts are
+// computed on read by walking the page table.
+func RegisterPhysmap(r *Registry, prefix string, as *mem.AddressSpace) {
+	stat := func(pick func(mem.PhysStats) uint64) func() uint64 {
+		return func() uint64 { return pick(as.PhysStats()) }
+	}
+	r.Gauge(prefix+".pages", stat(func(s mem.PhysStats) uint64 { return s.Pages }))
+	r.Gauge(prefix+".materialized", stat(func(s mem.PhysStats) uint64 { return s.Materialized }))
+	r.Gauge(prefix+".holes", stat(func(s mem.PhysStats) uint64 { return s.Holes }))
+}
+
 // RegisterStore publishes an artifact store's (or build cache's) counters
 // under prefix (e.g. "store"). Anything implementing store.StatsSource
 // registers the same way — a single layer, a layered composition, or the

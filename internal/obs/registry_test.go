@@ -143,3 +143,33 @@ func TestRegisterRollback(t *testing.T) {
 		}
 	}
 }
+
+func TestRegisterPhysmap(t *testing.T) {
+	as := mem.NewAddressSpace()
+	if err := as.MapDemandZero(0x100000, 8); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry()
+	RegisterPhysmap(r, "physmap", as)
+	// Gauges read the live space: a store materializes one page, an unmap
+	// punches two holes, and a read touches nothing.
+	if f := as.StoreByte(0x100000, 1); f != nil {
+		t.Fatal(f)
+	}
+	if err := as.Unmap(0x102000, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, f := as.LoadByte(0x105000); f != nil {
+		t.Fatal(f)
+	}
+	got := map[string]uint64{}
+	for _, m := range r.Snapshot() {
+		got[m.Name] = m.Value
+	}
+	want := map[string]uint64{"physmap.pages": 8, "physmap.materialized": 1, "physmap.holes": 2}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %d, want %d", k, got[k], v)
+		}
+	}
+}
