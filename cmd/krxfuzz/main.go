@@ -146,24 +146,37 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "krxfuzz: wrote %d trace events to %s\n", len(rep.Trace), *traceOut)
 	}
 	if *stats {
-		k, err := f.Kernel()
+		reg, err := statsRegistry(f, opts.Fork)
 		if err != nil {
 			return err
-		}
-		reg := obs.NewRegistry()
-		obs.RegisterCPU(reg, "cpu", k.CPU)
-		obs.RegisterDecodeCache(reg, "decode_cache", k.CPU)
-		obs.RegisterBlockEngine(reg, "block_engine", k.CPU)
-		obs.RegisterDataTLB(reg, "dtlb", k.CPU.AS)
-		obs.RegisterRollback(reg, "rollback", k.CPU.AS)
-		obs.RegisterPhysmap(reg, "physmap", k.CPU.AS)
-		obs.RegisterStore(reg, "store", kernel.BuildCache())
-		if opts.Fork {
-			// The first worker is the golden kernel every other worker
-			// forked from; its space carries the frame-sharing counters.
-			obs.RegisterFork(reg, "fork", kernel.Forks, k.CPU.AS)
 		}
 		fmt.Print(reg.Format())
 	}
 	return nil
+}
+
+// statsRegistry builds the -stats registry of a finished campaign. cpu.instrs
+// and cpu.cycles are campaign-cumulative, summed over workers; the decode-
+// cache, block-engine and address-space gauges describe the first worker's
+// kernel.
+func statsRegistry(f *fuzz.Fuzzer, fork bool) (*obs.Registry, error) {
+	k, err := f.Kernel()
+	if err != nil {
+		return nil, err
+	}
+	reg := obs.NewRegistry()
+	reg.Gauge("cpu.instrs", func() uint64 { n, _ := f.Retired(); return n })
+	reg.Gauge("cpu.cycles", func() uint64 { _, n := f.Retired(); return n })
+	obs.RegisterDecodeCache(reg, "decode_cache", k.CPU)
+	obs.RegisterBlockEngine(reg, "block_engine", k.CPU)
+	obs.RegisterDataTLB(reg, "dtlb", k.CPU.AS)
+	obs.RegisterRollback(reg, "rollback", k.CPU.AS)
+	obs.RegisterPhysmap(reg, "physmap", k.CPU.AS)
+	obs.RegisterStore(reg, "store", kernel.BuildCache())
+	if fork {
+		// The first worker is the golden kernel every other worker
+		// forked from; its space carries the frame-sharing counters.
+		obs.RegisterFork(reg, "fork", kernel.Forks, k.CPU.AS)
+	}
+	return reg, nil
 }

@@ -470,8 +470,8 @@ func BlockEngineReport(k *kernel.Kernel) string {
 	}
 	s := k.CPU.BlockStats()
 	return fmt.Sprintf(
-		"block-engine: blocks=%d formed=%d compiled=%d fused=%d dispatches=%d instrs=%d aborts=%d chained=%d severed=%d cold=%d",
-		s.Blocks, s.Formed, s.Compiled, s.Fused, s.Dispatches, s.Instrs, s.Aborts, s.Chained, s.Severed, s.Cold)
+		"block-engine: blocks=%d formed=%d compiled=%d fused=%d dispatches=%d instrs=%d aborts=%d side_exits=%d loop_iters=%d chained=%d severed=%d cold=%d",
+		s.Blocks, s.Formed, s.Compiled, s.Fused, s.Dispatches, s.Instrs, s.Aborts, s.SideExits, s.LoopIters, s.Chained, s.Severed, s.Cold)
 }
 
 // DataTLBReport formats the kernel address space's data-TLB counters.

@@ -1,30 +1,64 @@
 package cpu
 
 import (
+	"slices"
+
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
-// The basic-block superblock engine.
+// The superblock engine.
 //
 // The decode cache (dcache.go) removed per-instruction decode cost, but the
 // Run loop still paid a full dispatch per instruction: a decode-cache lookup
 // (TLB slot, map-generation compare, frame-generation compare, index load),
 // the fetch privilege checks, the limit check, and the probe check. Classic
-// DBT systems (QEMU's translation-block chaining, Embra's fast paths)
-// amortize that dispatch over straight-line regions; this engine does the
-// same on top of the cached decodes.
+// DBT systems (QEMU's translation-block chaining, Embra's fast paths,
+// Dynamo's traces) amortize that dispatch over straight-line regions and the
+// paths through them; this engine does the same on top of the cached
+// decodes.
 //
-// A block is a maximal run of consecutively cached instructions on one page,
-// ending at (and including) the first terminator: any control transfer
-// (jmp/jcc/call/ret/iret/syscall/sysret), a trapping or serializing
-// instruction (hlt/int3/ud2), or a string operation (whose REP cost is
-// dynamic — the static per-block cost precomputation cannot cover it).
-// Formation also stops short of a cached deterministic-#UD slot and at the
-// page-tail boundary (offsets the decode cache leaves undecided), so every
-// entry in a block is a fully decoded instruction of this frame's bytes.
+// A block is a same-page superblock: a path of cached instructions of one
+// page, at most maxBlockEnts long, that formation (formBlock) grows from its
+// entry by these rules:
 //
-// Two layers keep the dispatch cost amortized:
+//   - An ordinary instruction continues at the next sequential address.
+//   - A direct JMP continues at its target. The JMP stays in the block (it
+//     retires and costs like any instruction); the next entry is the target.
+//   - A JCC continues at its fallthrough unless the branch has been seen
+//     taken (below). It becomes a side exit: a run whose branch goes the
+//     other way leaves the block there.
+//   - Any other terminator ends the block: indirect or far control transfer
+//     (jmp reg/mem, call, ret, iret, syscall, sysret), a trapping or
+//     serializing instruction (hlt, int3, ud2), or a string operation (whose
+//     REP cost is dynamic).
+//   - So does a continuation address that is off the page, already in the
+//     block, a cached deterministic #UD, or a page-tail offset the decode
+//     cache leaves undecided — and the entry cap.
+//
+// Every entry records its own RIP, because once jumps are followed an
+// entry's address no longer follows from the block entry plus the lengths
+// before it. Traps, coverage words, thunk successor constants and the
+// fallthrough address all read it.
+//
+// Seen-taken bits. A JCC that has ever been taken — by a single step
+// (stepCached) or as a side exit — gets its page-offset bit set in
+// dcPage.taken, and later formations stop at it instead of continuing past
+// it, so a branch that really alternates ends its block and chains through
+// two links instead of leaving through a side exit every other time. kR^X's
+// range checks (cmp $_krx_edata,%reg; ja krx_handler) are never taken on a
+// clean run and never split a block. The bits survive flushes, like heat.
+//
+// Self-loops. A loop whose back edge returns to the block entry (the IR
+// lowers loops as head: cmp; jae exit + body; jmp head, which forms one
+// block at head) completes with RIP equal to its own entry. The compiled
+// runner then runs it again inside the same dispatch while the remaining
+// budget covers a full pass, no trap is pending, the mode is unchanged, and
+// the page's frame and map generations still match. That last check is what
+// keeps a final-entry store sound: the store needs no re-check when the
+// dispatcher revalidates next, but it does when the block itself runs again.
+//
+// Three layers keep the dispatch cost amortized:
 //
 //   - Hotness-gated formation. Forming a block is not free: it decodes
 //     forward and copies a dense blkEnt slice. On short, snapshot/restore-
@@ -37,16 +71,20 @@ import (
 //     measures the workload, not the cached bytes — so hot code re-forms
 //     immediately after an invalidation.
 //
-//   - Block chaining. Each block carries two successor links (taken /
-//     fallthrough), resolved lazily the first time the block exits to that
-//     successor. While a link validates, runChain executes block-to-block
-//     in a single loop without returning to Run's dispatcher — no TLB
-//     probe, no map lookup, no blkIdx load on the hot edge. Validation is
-//     exactly what blockLookup would do (see chainNext): same frame
-//     identity, same content generation, same map generation, and the
-//     link's own resolution generation; any mismatch severs the link and
-//     falls back to the full lookup, which revalidates (flushing and
-//     re-forming as needed) before anything executes.
+//   - Block chaining. Each block carries three successor links — taken,
+//     fallthrough, and side exit — resolved lazily the first time the block
+//     leaves toward that successor. The side slot is a one-entry cache keyed
+//     by RIP, shared by all of the block's side exits. While a link
+//     validates, runChain executes block-to-block in a single loop without
+//     returning to Run's dispatcher — no TLB probe, no map lookup, no blkIdx
+//     load on the hot edge. Validation is exactly what blockLookup would do
+//     (see chainNext): same frame identity, same content generation, same
+//     map generation, and the link's own resolution generation; any mismatch
+//     severs the link and falls back to the full lookup, which revalidates
+//     (flushing and re-forming as needed) before anything executes.
+//
+//   - Self-loops, above: a loop body that is one block costs one dispatch
+//     for as many passes as the budget allows.
 //
 // Validation is hoisted to block granularity: the page's frame is resolved
 // and its MapGen/Frame.Gen generations are checked ONCE at block entry (by
@@ -55,15 +93,16 @@ import (
 // per-instruction lookups. Three things make that sound:
 //
 //   - Control flow cannot leave the block silently: every instruction that
-//     can set RIP anywhere but the next sequential address is a terminator,
-//     so entry k+1 is always the instruction at entry k's end.
+//     can set RIP anywhere but the next entry's address is either the last
+//     entry or a JCC side exit, and after a side-exit entry the runner
+//     compares RIP with the next entry's and leaves when they differ.
 //
 //   - The privilege mode cannot change mid-block: mode switches happen only
-//     in terminators (syscall/sysret/iret) or through trap delivery, which
-//     exits the block. The fetch privilege checks (user/upper-half, SMEP)
-//     done once at block entry therefore hold for every instruction in it —
-//     and runChain re-checks them before every chained block entry, because
-//     a terminator may have switched the mode.
+//     in terminators that end a block (syscall/sysret/iret) or through trap
+//     delivery, which exits the block. The fetch privilege checks (user/
+//     upper-half, SMEP) done once at block entry therefore hold for every
+//     instruction in it — and runChain re-checks them before every chained
+//     block entry, because a terminator may have switched the mode.
 //
 //   - Self-modification cannot outrun invalidation: after every instruction
 //     that can store to memory (flagged dcStore at decode time), the frame
@@ -73,10 +112,11 @@ import (
 //     mid-block check — their cached blocks revalidate at next entry, and
 //     their inbound chain links fail the generation checks and sever.
 //
-// Accounting stays per-instruction (Instrs++/Cycles+=cost before each
-// exec), not per-block: a mid-block trap must observe exactly the counter
-// state the single-step path would, or the bit-identical invariant breaks.
-// The precomputed block cost and count feed the limit guard and the stats.
+// Accounting stays per-instruction in the interpreted runner (Instrs++/
+// Cycles+=cost before each exec), so a mid-block trap observes exactly the
+// counter state the single-step path would; the compiled runner batches the
+// same totals from cumulative sums (thunk.go). The precomputed block cost
+// and count feed the limit guard and the stats.
 
 // BlockStats reports superblock-engine behaviour for one CPU. All counters
 // except Blocks are cumulative: they survive page flushes, SetBlockEngine
@@ -87,6 +127,8 @@ type BlockStats struct {
 	Dispatches uint64 // block executions entered via the Run fast path or a chain
 	Instrs     uint64 // instructions executed inside dispatched blocks
 	Aborts     uint64 // mid-block self-modification resyncs
+	SideExits  uint64 // runs that left a block early through a taken side-exit JCC
+	LoopIters  uint64 // extra passes self-loops ran inside one dispatch
 	Chained    uint64 // block-to-block transitions that bypassed the dispatcher
 	Severed    uint64 // successor links invalidated by the generation checks
 	Cold       uint64 // block dispatch attempts deferred by the hotness gate
@@ -190,13 +232,15 @@ func entryFlags(op isa.Opcode) uint8 {
 }
 
 // blkEnt is one instruction of a formed block: a dense copy of the decode
-// cache's entry, laid out contiguously so the dispatch loop walks a single
-// cache-friendly array instead of chasing indices into dcPage.entries.
-// Copies are safe because any event that could stale the decoded form
-// (frame content change, remap) flushes the page's blocks wholesale.
+// cache's entry plus its own RIP, laid out contiguously so the dispatch loop
+// walks a single cache-friendly array instead of chasing indices into
+// dcPage.entries. Copies are safe because any event that could stale the
+// decoded form (frame content change, remap) flushes the page's blocks
+// wholesale; the RIP is fixed because a dcPage belongs to one virtual page.
 type blkEnt struct {
 	in    isa.Instr
 	cost  uint64
+	rip   uint64
 	ilen  uint8
 	flags uint8
 }
@@ -222,13 +266,13 @@ type blkEnt struct {
 type blkLink struct {
 	p     *dcPage
 	frame *mem.Frame
-	bi    int32
+	bi    int16
 	rip   uint64
 	fgen  uint64
 }
 
-// dcBlock is one superblock: consecutive instructions of its page,
-// terminator (if any) last, plus its lazily resolved successor links.
+// dcBlock is one superblock: a formed path through its page (see formBlock),
+// plus its lazily resolved successor links.
 // When the block compiler is enabled, comp holds one specialized thunk per
 // entry (same indices as ents), lowered lazily once the block has proved
 // steady-state reuse (blockCompileHot dispatches); ents stays the decoded
@@ -245,11 +289,25 @@ type dcBlock struct {
 	cov   []covWord // coverage words; nil until the first covered completion
 	count uint64    // len(ents): the Run fast path's limit guard
 	cost  uint64    // cumulative static cycle cost of the block
-	blen  uint64    // byte length: entry VA + blen = fallthrough VA
 	execs uint32    // dispatches by this CPU, for the lazy-compile gate
-	taken blkLink
-	fall  blkLink
+	taken blkLink   // exit through the last entry, anywhere but the fallthrough
+	fall  blkLink   // exit to the address after the last entry
+	side  blkLink   // exit through a side-exit JCC (the most recent one)
 }
+
+// blockExit is how a block run ended, as runBlock reports it to runChain.
+type blockExit uint8
+
+const (
+	exitCut  blockExit = iota // trap, stop, or self-modification abort: no chaining
+	exitEnd                   // ran through its last entry
+	exitSide                  // left through a taken side-exit JCC
+)
+
+// maxBlockEnts caps a superblock's length: long enough that a kR^X-
+// instrumented loop body forms one block, short enough that a cold path's
+// formation cost stays bounded.
+const maxBlockEnts = 64
 
 // blockCompileHot is how many times a formed block must dispatch before it
 // is lowered to compiled thunks. Compilation allocates a closure per
@@ -262,18 +320,23 @@ type dcBlock struct {
 // loops — is lowered on its second dispatch.
 const blockCompileHot = 2
 
-// formBlock builds (and registers) the block starting at page offset off,
-// decoding forward as needed. It returns the blkIdx value for off: >0 for
-// blocks[i-1], -1 when no block can start here (a cached #UD or an
-// undecidable page-tail offset — the single-step path owns those).
-// Compilation does NOT happen here: it is deferred to runBlock's
-// lazy-compile gate, so one-shot blocks never pay it.
-func (p *dcPage) formBlock(off int, c *CPU) int32 {
+// formBlock builds (and registers) the block entered at rip, decoding
+// forward as needed, by the formation rules at the top of this file. It
+// returns the blkIdx value for rip's offset: >0 for blocks[i-1], -1 when no
+// block can start here (a cached #UD or an undecidable page-tail offset —
+// the single-step path owns those). Compilation does NOT happen here: it is
+// deferred to runBlock's lazy-compile gate, so one-shot blocks never pay it.
+func (p *dcPage) formBlock(rip uint64, c *CPU) int16 {
 	dc := c.dc
-	start := off
-	var ents []blkEnt
-	var cost, blen uint64
-	for off < mem.PageSize {
+	base := rip &^ uint64(mem.PageMask)
+	start := int(rip & uint64(mem.PageMask))
+	off := start
+	// Gather into a stack buffer, then copy out exactly: blocks are
+	// immutable once formed, so append's spare capacity would be waste.
+	var buf [maxBlockEnts]blkEnt
+	ents := buf[:0]
+	var cost uint64
+	for len(ents) < maxBlockEnts {
 		i := p.idx[off]
 		if i == 0 {
 			dc.stats.Misses++
@@ -286,24 +349,42 @@ func (p *dcPage) formBlock(off int, c *CPU) int32 {
 			break
 		}
 		e := &p.entries[i-1]
-		ents = append(ents, blkEnt{in: e.in, cost: e.cost, ilen: e.ilen, flags: e.flags})
+		va := base + uint64(off)
+		ents = append(ents, blkEnt{in: e.in, cost: e.cost, rip: va, ilen: e.ilen, flags: e.flags})
 		cost += e.cost
-		blen += uint64(e.ilen)
+		next := va + uint64(e.ilen)
 		if e.flags&dcEnd != 0 {
+			if e.in.Op == isa.JMP {
+				next += uint64(e.in.Imm)
+			} else if e.in.Op != isa.JCC || p.seenTaken(off) {
+				break
+			}
+		}
+		if next&^uint64(mem.PageMask) != base || inBlock(ents, next) {
 			break
 		}
-		off += int(e.ilen)
+		off = int(next & uint64(mem.PageMask))
 	}
 	if len(ents) == 0 {
 		p.blkIdx[start] = -1
 		return -1
 	}
-	b := dcBlock{ents: ents, count: uint64(len(ents)), cost: cost, blen: blen}
+	b := dcBlock{ents: slices.Clone(ents), count: uint64(len(ents)), cost: cost}
 	p.blocks = append(p.blocks, b)
-	bi := int32(len(p.blocks))
+	bi := int16(len(p.blocks))
 	p.blkIdx[start] = bi
 	c.bstats.Formed++
 	return bi
+}
+
+// inBlock reports whether an entry of ents starts at rip.
+func inBlock(ents []blkEnt, rip uint64) bool {
+	for i := range ents {
+		if ents[i].rip == rip {
+			return true
+		}
+	}
+	return false
 }
 
 // blockLookup resolves rip to a formed superblock, validating the page's
@@ -325,7 +406,7 @@ func (c *CPU) blockLookup(rip uint64) (*dcPage, *dcBlock) {
 		if c.coldGate(p, off) {
 			return nil, nil
 		}
-		bi = p.formBlock(off, c)
+		bi = p.formBlock(rip, c)
 	}
 	if bi < 0 {
 		return nil, nil
@@ -355,7 +436,7 @@ func (c *CPU) blockStep(limit, done, startInstrs uint64) (StopReason, *Trap) {
 		if c.coldGate(p, off) {
 			return c.stepCached(p, off)
 		}
-		bi = p.formBlock(off, c)
+		bi = p.formBlock(c.RIP, c)
 	}
 	if bi < 0 {
 		return c.stepCached(p, off)
@@ -371,7 +452,8 @@ func (c *CPU) blockStep(limit, done, startInstrs uint64) (StopReason, *Trap) {
 // — Step's decode-cache hit path minus the redundant page resolution and
 // privilege checks the blockStep caller already performed. Only reached
 // probe-free (Run's fast-path guard), so no exec notification is needed;
-// coverage is marked as Step marks it.
+// coverage is marked as Step marks it. A JCC it takes gets its seen-taken
+// bit, so the block formed here later stops at that branch.
 func (c *CPU) stepCached(p *dcPage, off int) (StopReason, *Trap) {
 	dc := c.dc
 	i := p.idx[off]
@@ -387,13 +469,16 @@ func (c *CPU) stepCached(p *dcPage, off int) (StopReason, *Trap) {
 		e := &p.entries[i-1]
 		c.Instrs++
 		c.Cycles += e.cost
-		if c.cov != nil {
-			rip := c.RIP
-			stop, trap := c.exec(&e.in, rip+uint64(e.ilen))
-			c.cov.mark(rip)
-			return stop, trap
+		rip := c.RIP
+		next := rip + uint64(e.ilen)
+		stop, trap := c.exec(&e.in, next)
+		if e.in.Op == isa.JCC && c.RIP != next {
+			p.markTaken(off)
 		}
-		return c.exec(&e.in, c.RIP+uint64(e.ilen))
+		if c.cov != nil {
+			c.cov.mark(rip)
+		}
+		return stop, trap
 	case i < 0:
 		// Cached deterministic decode failure: same #UD the slow path
 		// would raise, with no Instrs/Cycles side effects.
@@ -408,25 +493,22 @@ func (c *CPU) stepCached(p *dcPage, off int) (StopReason, *Trap) {
 // array through the shared exec() switch. Either way every instruction is
 // charged individually, so a trap anywhere in the block observes exactly
 // the Instrs/Cycles/register state the single-step path would have
-// produced. complete reports that every entry executed with no trap, stop,
-// or self-modification abort — the only state from which chaining into a
-// successor is allowed. With a coverage sink installed, the entries that
-// began executing are marked once the run ends.
-func (c *CPU) runBlock(p *dcPage, b *dcBlock) (stop StopReason, trap *Trap, complete bool) {
-	entry := c.RIP
+// produced. room is the instruction budget left (at least b.count). exit
+// reports how the run ended: exitEnd and exitSide are the only states from
+// which chaining into a successor is allowed. With a coverage sink
+// installed, the entries that began executing are marked once the run ends.
+func (c *CPU) runBlock(p *dcPage, b *dcBlock, room uint64) (stop StopReason, trap *Trap, exit blockExit) {
 	if b.comp == nil && c.compile {
 		// Lazy lowering: compile only blocks that prove steady-state reuse.
-		// Every dispatcher enters a block at its entry, so entry is the VA
-		// the compiler constant-folds successor addresses against.
 		if b.execs++; b.execs >= blockCompileHot {
 			var fused uint64
-			b.comp, fused = compileBlock(b.ents, entry)
+			b.comp, fused = compileBlock(b.ents)
 			c.bstats.Compiled++
 			c.bstats.Fused += fused
 		}
 	}
 	if b.comp != nil {
-		return c.runBlockCompiled(p, b, entry)
+		return c.runBlockCompiled(p, b, room)
 	}
 	dc := c.dc
 	fgen := p.fgen
@@ -438,7 +520,7 @@ func (c *CPU) runBlock(p *dcPage, b *dcBlock) (stop StopReason, trap *Trap, comp
 		c.Instrs++
 		c.Cycles += e.cost
 		done++
-		stop, trap = c.exec(&e.in, c.RIP+uint64(e.ilen))
+		stop, trap = c.exec(&e.in, e.rip+uint64(e.ilen))
 		if trap != nil || stop != StepContinue {
 			break
 		}
@@ -447,7 +529,7 @@ func (c *CPU) runBlock(p *dcPage, b *dcBlock) (stop StopReason, trap *Trap, comp
 			// no generation re-check — there are no stale entries left to
 			// execute, and both the dispatcher's next lookup and any chain
 			// link revalidate before anything else runs.
-			complete = true
+			exit = exitEnd
 			break
 		}
 		if e.flags&dcStore != 0 && (frame.Gen() != fgen || c.AS.MapGen() != p.mgen) {
@@ -460,6 +542,10 @@ func (c *CPU) runBlock(p *dcPage, b *dcBlock) (stop StopReason, trap *Trap, comp
 			c.bstats.Aborts++
 			break
 		}
+		if e.flags&dcEnd != 0 && c.RIP != b.ents[i+1].rip {
+			exit = c.sideExit(p, e.rip)
+			break
+		}
 	}
 	// Batched bookkeeping: each executed instruction is a decode-cache hit
 	// and a block-engine instruction. Nothing inside exec reads these, so
@@ -468,23 +554,29 @@ func (c *CPU) runBlock(p *dcPage, b *dcBlock) (stop StopReason, trap *Trap, comp
 	c.bstats.Instrs += done
 	c.bstats.Dispatches++
 	if c.cov != nil {
-		c.coverBlock(b, entry, done)
+		c.coverBlock(b, done)
 	}
-	return stop, trap, complete
+	return stop, trap, exit
 }
 
 // runBlockCompiled is runBlock over the compiled thunk array: a direct call
 // per instruction, no exec-switch dispatch, no operand re-resolution, and
-// no per-instruction accounting — the whole (possibly partial) run is
-// charged in one shot from the compiler's cumulative cycle sums. The
-// control skeleton — trap/stop break, last-entry completion, post-store
-// generation re-check — is identical to the interpreted loop, so both
-// produce the same architectural trace by construction and differ only in
-// host wall-clock. entry is the block's entry VA, for coverage.
-func (c *CPU) runBlockCompiled(p *dcPage, b *dcBlock, entry uint64) (stop StopReason, trap *Trap, complete bool) {
+// no per-instruction accounting — the whole (possibly partial, possibly
+// multi-pass) run is charged in one shot from the compiler's cumulative
+// cycle sums. The control skeleton — trap/stop break, last-entry
+// completion, post-store generation re-check, side-exit RIP check — is the
+// interpreted loop's, so both produce the same architectural trace by
+// construction and differ only in host wall-clock. A completed pass that
+// returns to the block entry runs again here (a self-loop, see the top of
+// this file) while room still covers a full pass.
+func (c *CPU) runBlockCompiled(p *dcPage, b *dcBlock, room uint64) (stop StopReason, trap *Trap, exit blockExit) {
 	fgen := p.fgen
 	frame := p.frame
-	last := len(b.comp) - 1
+	mode := c.Mode
+	entry := b.ents[0].rip
+	n := len(b.comp)
+	left := room - b.count // the caller guarantees room >= b.count
+	var passes uint64
 	i := 0
 	for {
 		ct := &b.comp[i]
@@ -497,14 +589,24 @@ func (c *CPU) runBlockCompiled(p *dcPage, b *dcBlock, entry uint64) (stop StopRe
 			// added by exec itself). c.RIP is this instruction's VA — thunks
 			// (and exec) advance RIP only on success.
 			e := &b.ents[i]
-			stop, trap = c.exec(&e.in, c.RIP+uint64(e.ilen))
+			stop, trap = c.exec(&e.in, e.rip+uint64(e.ilen))
 		}
 		if trap != nil || stop != StepContinue {
 			break
 		}
-		if i == last {
-			complete = true
-			break
+		// ni is also the index of the next entry: a fused cmp+jcc thunk
+		// retires two entries and skips the jcc's own slot.
+		next := int(ct.ni)
+		if next == n {
+			if c.RIP != entry || left < b.count || c.Pending != nil || c.Mode != mode ||
+				frame.Gen() != fgen || c.AS.MapGen() != p.mgen {
+				exit = exitEnd
+				break
+			}
+			left -= b.count
+			passes++
+			i = 0
+			continue
 		}
 		if ct.flags&dcStore != 0 && (frame.Gen() != fgen || c.AS.MapGen() != p.mgen) {
 			// Self-modification resync — see the interpreted loop. The
@@ -514,50 +616,65 @@ func (c *CPU) runBlockCompiled(p *dcPage, b *dcBlock, entry uint64) (stop StopRe
 			c.bstats.Aborts++
 			break
 		}
-		i++
+		if ct.flags&dcEnd != 0 && c.RIP != b.ents[next].rip {
+			exit = c.sideExit(p, b.ents[next-1].rip)
+			break
+		}
+		i = next
 	}
 	// Batched accounting: every entry that began executing — including one
 	// that trapped — is charged, exactly as the interpreted loop's
-	// per-instruction preamble does. The cumulative fields (not i) supply
-	// the totals because a tail-fused entry retires two instructions.
-	// Nothing reads Instrs/Cycles mid-block (limit checks and chain
-	// budgeting run between dispatches), so the deferral is unobservable.
-	done := uint64(b.comp[i].ni)
+	// per-instruction preamble does, plus every completed pass. The
+	// cumulative fields (not i) supply the totals because a fused entry
+	// retires two instructions. Nothing reads Instrs/Cycles mid-block (limit
+	// checks and chain budgeting run between dispatches), so the deferral
+	// is unobservable.
+	ran := uint64(b.comp[i].ni)
+	done := passes*b.count + ran
 	c.Instrs += done
-	c.Cycles += b.comp[i].cyc
+	c.Cycles += passes*b.cost + b.comp[i].cyc
 	c.dc.stats.Hits += done
 	c.bstats.Instrs += done
 	c.bstats.Dispatches++
+	c.bstats.LoopIters += passes
 	if c.cov != nil {
-		c.coverBlock(b, entry, done)
+		if passes > 0 {
+			ran = b.count // a full pass covered the whole block
+		}
+		c.coverBlock(b, ran)
 	}
-	return stop, trap, complete
+	return stop, trap, exit
 }
 
-// chainNext resolves the successor of a just-completed block (entered at
-// entry) to the next block to execute, or nil when the chain must break and
-// control return to Run's dispatcher. The terminator's outcome picks the
-// slot: c.RIP equal to the block's fallthrough address selects the fall
-// link (jcc not taken, or a block cut at a formation boundary); anything
-// else selects the taken link (jumps, calls, returns, mode switches). A
-// cached link is followed only if every generation it pinned still holds
-// (see blkLink); otherwise it is severed and re-resolved through the full
-// hotness-gated blockLookup — so a stale link can never execute stale
-// bytes, and a cold or invalidated successor falls back to single-step
-// exactly as if the chain had never existed.
-func (c *CPU) chainNext(b *dcBlock, entry uint64) (*dcPage, *dcBlock) {
-	l := &b.taken
-	if c.RIP == entry+b.blen {
-		l = &b.fall
-	}
-	if l.p != nil && l.rip == c.RIP {
-		p := l.p
-		if p.frame == l.frame && l.frame != nil &&
-			p.fgen == l.fgen && l.frame.Gen() == l.fgen &&
-			p.mgen == c.AS.MapGen() &&
-			l.bi > 0 && int(l.bi) <= len(p.blocks) {
+// sideExit books a run leaving its block through the taken JCC at rip, on
+// page p: the branch gets its seen-taken bit, so the next formation over it
+// stops there.
+func (c *CPU) sideExit(p *dcPage, rip uint64) blockExit {
+	p.markTaken(int(rip & uint64(mem.PageMask)))
+	c.bstats.SideExits++
+	return exitSide
+}
+
+// chainNext resolves the successor of a block that just exited (exitEnd or
+// exitSide) to the next block to execute, or nil when the chain must break
+// and control return to Run's dispatcher. The exit picks the slot: a side
+// exit selects the side link; otherwise c.RIP equal to the block's
+// fallthrough address selects the fall link (jcc not taken, or a block cut
+// at a formation boundary), and anything else the taken link (jumps, calls,
+// returns, mode switches). A cached link is followed only if every
+// generation it pinned still holds (see blkLink); otherwise it is severed
+// and re-resolved through the full hotness-gated blockLookup — so a stale
+// link can never execute stale bytes, and a cold or invalidated successor
+// falls back to single-step exactly as if the chain had never existed.
+func (c *CPU) chainNext(p *dcPage, b *dcBlock, exit blockExit) (*dcPage, *dcBlock) {
+	l := b.link(exit, c.RIP)
+	if lp := l.p; lp != nil && l.rip == c.RIP {
+		if lp.frame == l.frame && l.frame != nil &&
+			lp.fgen == l.fgen && l.frame.Gen() == l.fgen &&
+			lp.mgen == c.AS.MapGen() &&
+			l.bi > 0 && int(l.bi) <= len(lp.blocks) {
 			c.bstats.Chained++
-			return p, &p.blocks[l.bi-1]
+			return lp, &lp.blocks[l.bi-1]
 		}
 		*l = blkLink{}
 		c.bstats.Severed++
@@ -566,9 +683,30 @@ func (c *CPU) chainNext(b *dcBlock, entry uint64) (*dcPage, *dcBlock) {
 	if nb == nil {
 		return nil, nil
 	}
-	*l = blkLink{p: np, frame: np.frame, bi: np.blkIdx[int(c.RIP&uint64(mem.PageMask))], rip: c.RIP, fgen: np.fgen}
+	if np == p {
+		// Forming the successor may have grown p.blocks into a new array,
+		// or flushed it: store the link in the block's live copy, if any.
+		l = nil
+		if bi := p.blkIdx[b.ents[0].rip&uint64(mem.PageMask)]; bi > 0 {
+			l = p.blocks[bi-1].link(exit, c.RIP)
+		}
+	}
+	if l != nil {
+		*l = blkLink{p: np, frame: np.frame, bi: np.blkIdx[int(c.RIP&uint64(mem.PageMask))], rip: c.RIP, fgen: np.fgen}
+	}
 	c.bstats.Chained++
 	return np, nb
+}
+
+// link returns the successor slot for an exit to rip (see chainNext).
+func (b *dcBlock) link(exit blockExit, rip uint64) *blkLink {
+	if exit == exitSide {
+		return &b.side
+	}
+	if e := &b.ents[len(b.ents)-1]; rip == e.rip+uint64(e.ilen) {
+		return &b.fall
+	}
+	return &b.taken
 }
 
 // runChain executes a chain of superblocks starting at b, following
@@ -580,9 +718,12 @@ func (c *CPU) chainNext(b *dcBlock, entry uint64) (*dcPage, *dcBlock) {
 // redundant lookups, never its semantics.
 func (c *CPU) runChain(p *dcPage, b *dcBlock, limit, startInstrs uint64) (StopReason, *Trap) {
 	for {
-		entry := c.RIP
-		stop, trap, complete := c.runBlock(p, b)
-		if !complete || trap != nil || stop != StepContinue || c.Pending != nil {
+		room := ^uint64(0)
+		if limit > 0 {
+			room = limit - (c.Instrs - startInstrs)
+		}
+		stop, trap, exit := c.runBlock(p, b, room)
+		if exit == exitCut || c.Pending != nil {
 			return stop, trap
 		}
 		// A terminator may have switched the mode (syscall/sysret/iret):
@@ -593,7 +734,7 @@ func (c *CPU) runChain(p *dcPage, b *dcBlock, limit, startInstrs uint64) (StopRe
 		if c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf {
 			return stop, trap
 		}
-		np, nb := c.chainNext(b, entry)
+		np, nb := c.chainNext(p, b, exit)
 		if nb == nil {
 			return stop, trap
 		}
@@ -621,7 +762,7 @@ func (c *CPU) SetBlockEngine(on bool) {
 		// block lists.
 		for _, p := range c.dc.pages {
 			p.blocks = nil
-			p.blkIdx = [mem.PageSize]int32{}
+			p.blkIdx = [mem.PageSize]int16{}
 		}
 	}
 }
@@ -647,7 +788,7 @@ func (c *CPU) SetBlockCompile(on bool) {
 	if c.dc != nil {
 		for _, p := range c.dc.pages {
 			p.blocks = nil
-			p.blkIdx = [mem.PageSize]int32{}
+			p.blkIdx = [mem.PageSize]int16{}
 		}
 	}
 }

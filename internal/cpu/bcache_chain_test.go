@@ -49,49 +49,112 @@ func TestBlockHotnessGate(t *testing.T) {
 	}
 }
 
-// TestBlockChainStraightLine drives both successor slots: a taken JMP over
-// dead code (taken link), then a not-taken JCC (fallthrough link). The first
-// pass resolves the links lazily; the second follows them from the cache
-// with no severs, and every instruction still dispatches through blocks at
-// single-step-identical results.
+// TestBlockChainStraightLine pins block shapes and both successor slots. A
+// taken JMP over dead code followed by a not-taken JCC is now one superblock
+// (the JMP is followed, the JCC becomes a side exit), so that program runs in
+// one dispatch with no chaining. The link assertions move to a program whose
+// edges cannot merge — a call, a ret, cross-page jumps, and a JCC whose
+// fallthrough is on the next page: the first pass resolves the taken and
+// fallthrough links lazily, the second follows them from the cache with no
+// severs and no re-formation, and every instruction still dispatches through
+// blocks at single-step-identical results.
 func TestBlockChainStraightLine(t *testing.T) {
 	dead := isa.Nop()
-	prog := []isa.Instr{
-		// Block A: ends in a taken JMP over the dead NOP.
+	merged := []isa.Instr{
 		isa.MovRI(isa.RAX, 5),
 		jmpOver(t, dead),
 		dead,
-		// Block B: ADD leaves rax=12 (ZF clear), so the JCC falls through.
+		// ADD leaves rax=12 (ZF clear), so the JCC falls through.
 		isa.AddRI(isa.RAX, 7),
 		{Op: isa.JCC, CC: isa.CondE, Imm: 0},
-		// Block C.
 		isa.MovRI(isa.RBX, 3),
 		isa.Ret(),
 	}
+	c := rawCPU(t, mem.PermX, merged...)
+	c.SetBlockHotThreshold(1)
+	mustReturn(t, c, 100)
+	if s := c.BlockStats(); s.Formed != 1 || s.Dispatches != 1 || s.Chained != 0 || s.Instrs != c.Instrs {
+		t.Fatalf("jmp + not-taken jcc must form one block run in one dispatch: %+v", s)
+	}
 
-	ref := rawCPU(t, mem.PermX, prog...)
+	// Page 0:  A: mov rax,5; call S        (taken: call)
+	//          R: add rax,7; jmp Q          (taken: cross-page jmp)
+	//          S: mov rbx,3; ret            (taken: ret)
+	//          J: cmp rax,0; je Q           (last bytes of page 0; falls
+	//                                        through to page 1: fallthrough)
+	// Page 1:  C: mov rcx,1; ret            (the sentinel return)
+	//          Q: sub rax,2; jmp J          (taken: cross-page jmp)
+	const page1 uint64 = dcCodeVA + mem.PageSize
+	q := page1 + 0x40
+	jcc := isa.Instr{Op: isa.JCC, CC: isa.CondE}
+	jAt := page1 - uint64(len(encodeProg(t, isa.CmpRI(isa.RAX, 0), jcc)))
+	a := []isa.Instr{isa.MovRI(isa.RAX, 5), {Op: isa.CALL}, isa.AddRI(isa.RAX, 7), {Op: isa.JMP}, isa.MovRI(isa.RBX, 3), isa.Ret()}
+	rips := ripsOf(t, dcCodeVA, a...)
+	a[1] = branchTo(t, a[1], rips[1], rips[4])
+	a[3] = branchTo(t, a[3], rips[3], q)
+	j := []isa.Instr{isa.CmpRI(isa.RAX, 0), jcc}
+	j[1] = branchTo(t, jcc, ripsOf(t, jAt, j...)[1], q)
+	qp := []isa.Instr{isa.SubRI(isa.RAX, 2), {Op: isa.JMP}}
+	qp[1] = branchTo(t, qp[1], ripsOf(t, q, qp...)[1], jAt)
+	build := func() *CPU {
+		c := rawCPU(t, mem.PermX, a...)
+		pokeProg(t, c, jAt, j...)
+		pokeProg(t, c, page1, isa.MovRI(isa.RCX, 1), isa.Ret())
+		pokeProg(t, c, q, qp...)
+		return c
+	}
+
+	ref := build()
 	ref.SetBlockEngine(false)
 	refRes := mustReturn(t, ref, 100)
 
-	c := rawCPU(t, mem.PermX, prog...)
+	c = build()
 	c.SetBlockHotThreshold(1)
 	res1 := mustReturn(t, c, 100)
 	s1 := c.BlockStats()
-	if s1.Chained != 2 || s1.Severed != 0 || s1.Dispatches != 3 {
-		t.Fatalf("first pass must chain A->B (taken) and B->C (fallthrough): %+v", s1)
+	// A, S, R, Q, J, C: six blocks, five chained edges.
+	if s1.Formed != 6 || s1.Dispatches != 6 || s1.Chained != 5 || s1.Severed != 0 {
+		t.Fatalf("first pass must chain A->S->R->Q->J->C: %+v", s1)
 	}
+	blockAt := func(va uint64) *dcBlock {
+		t.Helper()
+		p := c.dc.pages[va&^uint64(mem.PageMask)]
+		bi := p.blkIdx[va&uint64(mem.PageMask)]
+		if bi <= 0 {
+			t.Fatalf("no block at %#x", va)
+		}
+		return &p.blocks[bi-1]
+	}
+	for _, e := range []struct {
+		name string
+		l    *blkLink
+		to   uint64
+	}{
+		{"A taken (call)", &blockAt(dcCodeVA).taken, rips[4]},
+		{"S taken (ret)", &blockAt(rips[4]).taken, rips[2]},
+		{"R taken (cross-page jmp)", &blockAt(rips[2]).taken, q},
+		{"Q taken (cross-page jmp)", &blockAt(q).taken, jAt},
+		{"J fallthrough (next page)", &blockAt(jAt).fall, page1},
+	} {
+		if e.l.p == nil || e.l.rip != e.to {
+			t.Errorf("%s: link %+v, want one resolved to %#x", e.name, *e.l, e.to)
+		}
+	}
+	if l := blockAt(jAt).taken; l.p != nil {
+		t.Errorf("J's taken link resolved, but its branch was never taken: %+v", l)
+	}
+
 	resetRaw(t, c)
 	res2 := mustReturn(t, c, 100)
 	s2 := c.BlockStats()
-	if s2.Chained != 4 || s2.Severed != 0 || s2.Formed != s1.Formed {
+	if s2.Chained != 10 || s2.Severed != 0 || s2.Formed != s1.Formed {
 		t.Fatalf("second pass must follow cached links without re-forming: %+v", s2)
 	}
 	if s2.Instrs != c.Instrs {
 		t.Fatalf("all %d instructions should dispatch via blocks, got %d", c.Instrs, s2.Instrs)
 	}
-	if c.Reg(isa.RAX) != ref.Reg(isa.RAX) || c.Reg(isa.RBX) != ref.Reg(isa.RBX) {
-		t.Fatalf("chained run diverged: rax=%d rbx=%d want rax=%d rbx=%d",
-			c.Reg(isa.RAX), c.Reg(isa.RBX), ref.Reg(isa.RAX), ref.Reg(isa.RBX))
+	if c.Regs != ref.Regs {
+		t.Fatalf("chained run diverged: regs %x, want %x", c.Regs, ref.Regs)
 	}
 	for _, res := range []*RunResult{res1, res2} {
 		if res.Instrs != refRes.Instrs || res.Cycles != refRes.Cycles {

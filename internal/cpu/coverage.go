@@ -10,9 +10,11 @@ import mathbits "math/bits"
 // armed. Coverage is therefore a CPU feature instead, in the style of kcov's
 // basic-block tracing. A block computes the (word, mask) pairs of its
 // instruction RIPs once, and a completed dispatch ORs them into the sink in
-// one pass. A dispatch cut short by a trap, a stop, or a self-modification
-// abort marks exactly the entries that began executing, the trapping one
-// included, so the RIP set equals the one a per-instruction probe records.
+// one pass. A dispatch cut short by a trap, a stop, a side exit, or a self-
+// modification abort marks exactly the entries that began executing, the
+// trapping one included, so the RIP set equals the one a per-instruction
+// probe records. A self-loop that ran several passes in one dispatch marks
+// the whole block once.
 // The single-step paths mark one RIP in notifyExec: after exec,
 // whether or not the instruction trapped. A cached #UD or a fetch fault
 // executes nothing and marks nothing.
@@ -119,35 +121,35 @@ func (c *CPU) SetCoverage(cv *Coverage) {
 	c.observed = c.probe != nil || c.cov != nil
 }
 
-// blockCovWords groups the RIPs of a block entered at va into words.
-func blockCovWords(ents []blkEnt, va uint64) []covWord {
+// blockCovWords groups the RIPs of a block's entries into words. A
+// followed jump can revisit a word; it then appears once per visit.
+func blockCovWords(ents []blkEnt) []covWord {
 	var ws []covWord
 	for i := range ents {
-		w, m := va>>6, uint64(1)<<(va&63)
+		rip := ents[i].rip
+		w, m := rip>>6, uint64(1)<<(rip&63)
 		if n := len(ws); n > 0 && ws[n-1].word == w {
 			ws[n-1].mask |= m
 		} else {
 			ws = append(ws, covWord{word: w, mask: m})
 		}
-		va += uint64(ents[i].ilen)
 	}
 	return ws
 }
 
-// coverBlock records the first n entries of block b, entered at entry. A
-// full run uses the block's precomputed words, computed on its first
-// covered completion; a partial one (trap, stop, or abort) marks its
-// executed prefix one RIP at a time.
-func (c *CPU) coverBlock(b *dcBlock, entry, n uint64) {
+// coverBlock records the first n entries of block b. A full run uses the
+// block's precomputed words, computed on its first covered completion; a
+// partial one (trap, stop, side exit, or abort) marks its executed prefix
+// one RIP at a time.
+func (c *CPU) coverBlock(b *dcBlock, n uint64) {
 	if n == b.count {
 		if b.cov == nil {
-			b.cov = blockCovWords(b.ents, entry)
+			b.cov = blockCovWords(b.ents)
 		}
 		c.cov.markWords(b.cov)
 		return
 	}
-	for i := uint64(0); i < n; i++ {
-		c.cov.mark(entry)
-		entry += uint64(b.ents[i].ilen)
+	for i := range b.ents[:n] {
+		c.cov.mark(b.ents[i].rip)
 	}
 }

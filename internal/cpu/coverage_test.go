@@ -40,15 +40,19 @@ var covRegions = []struct {
 	{"partial", dcCodeVA + 5, 50},
 }
 
-// covModes are the engine modes a coverage sink must agree across. The
-// probed mode keeps an exec probe armed, so Run single-steps and the sink
-// is marked by Step.
-var covModes = []struct {
+// engineMode is one engine configuration the equivalence tests compare.
+type engineMode struct {
 	name                    string
 	cache, blocks, compiled bool
 	hot                     int
 	probed                  bool
-}{
+}
+
+// covModes are the engine modes a coverage sink must agree across:
+// covModes[0] is the uncached stepper, [2:6] the block engine modes. The
+// probed mode keeps an exec probe armed, so Run single-steps and the sink
+// is marked by Step.
+var covModes = []engineMode{
 	{"uncached", false, false, false, 1, false},
 	{"cache-only", true, false, false, 1, false},
 	{"interpreted(hot=1)", true, true, false, 1, false},
@@ -130,7 +134,7 @@ func coverageCases(t *testing.T) []covCase {
 	smc[1] = isa.MovRI(isa.RSI, int64(victim))
 	selfMod := encodeProg(t, append(append(head, smc...), loopTo(t, smc...), isa.Ret())...)
 
-	// A counted loop ending in cmp+jcc, the pair the compiler tail-fuses.
+	// A counted loop ending in cmp+jcc, the pair the compiler fuses.
 	loopBody := []isa.Instr{
 		isa.AddRR(isa.RAX, isa.RCX),
 		isa.SubRI(isa.RCX, 1),
@@ -143,7 +147,39 @@ func coverageCases(t *testing.T) []covCase {
 	ud := append(encodeProg(t, append(append([]isa.Instr{isa.MovRI(isa.RCX, 10)}, loopBody...),
 		loopTo(t, loopBody...))...), undefinedOpcode(t))
 
+	// A kR^X-style range check inside a counted loop: the ja is not taken
+	// while the loop forms (the block continues past it) and taken on the
+	// eleventh iteration, leaving through the side exit to a handler. The
+	// loop's jne back edge makes the block its own successor.
+	rcBody := []isa.Instr{
+		isa.AddRI(isa.RDX, 1),
+		isa.CmpRI(isa.RDX, 10),
+		{Op: isa.JCC, CC: isa.CondA},
+		isa.SubRI(isa.RCX, 1),
+	}
+	rcHead := []isa.Instr{isa.MovRI(isa.RCX, 12), isa.MovRI(isa.RDX, 0)}
+	rcLoop := append(append(append([]isa.Instr{}, rcHead...), rcBody...), loopTo(t, rcBody...), isa.Ret())
+	handler := dcCodeVA + uint64(len(encodeProg(t, rcLoop...)))
+	rips := ripsOf(t, dcCodeVA, rcLoop...)
+	rcLoop[4] = branchTo(t, rcLoop[4], rips[4], handler)
+	rangeCheck := encodeProg(t, append(rcLoop, isa.MovRI(isa.RAX, 7), isa.Ret())...)
+
+	// The IR's loop shape: one block that runs many passes per dispatch.
+	selfLoop := encodeProg(t, irLoop(t, 40)...)
+
 	return []covCase{
+		{name: "side-exit", code: rangeCheck, passes: 6, check: func(t *testing.T, s BlockStats) {
+			if s.SideExits == 0 || s.LoopIters == 0 {
+				t.Errorf("range-check loop never left through a side exit or looped: %+v", s)
+			}
+		}},
+		{name: "self-loop", code: selfLoop, passes: 6, check: func(t *testing.T, s BlockStats) {
+			if s.LoopIters == 0 || s.SideExits == 0 {
+				t.Errorf("loop never ran several passes in one dispatch: %+v", s)
+			}
+		}},
+		// Limits that cut a multi-pass dispatch short at many positions.
+		{name: "self-loop-limits", code: selfLoop, passes: 12, limits: []uint64{9, 37, 61, 13, 100, 29}},
 		{name: "trap-mid-block", code: trap, passes: 6},
 		{name: "trap-tail-unreached", code: trapTail, passes: 6},
 		{name: "self-mod-abort", code: selfMod, passes: 6, check: func(t *testing.T, s BlockStats) {
@@ -194,9 +230,10 @@ func runCovCase(t *testing.T, cs covCase, cache, blocks, compiled bool, hot int,
 
 // TestCoverageEquivalence is the coverage differential oracle: in every
 // engine mode, the sink's RIP set equals the set an exec probe records on
-// the uncached stepper, across traps mid-block, self-modification aborts,
-// tail-fused cmp+jcc entries, limits shorter than a block, cached #UD
-// slots, and RIPs outside the bitmap.
+// the uncached stepper, across side exits, self-loops that run several
+// passes in one dispatch (and limits that cut them short), traps mid-block,
+// self-modification aborts, fused cmp+jcc entries, limits shorter than a
+// block, cached #UD slots, and RIPs outside the bitmap.
 func TestCoverageEquivalence(t *testing.T) {
 	for _, cs := range coverageCases(t) {
 		for _, r := range covRegions {

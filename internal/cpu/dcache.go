@@ -12,9 +12,9 @@ import (
 // Kernel text is immutable between rare, explicit patch events, yet the
 // baseline Step paid a byte-at-a-time page walk plus a full isa.Decode for
 // every executed instruction. The cache decodes each executable page once —
-// lazily, from the first offset actually executed — into {Instr, cost, len}
-// entries indexed by page offset, so the steady-state Step is a slice index
-// and a dispatch.
+// lazily, from the first offset actually executed up to the next block
+// terminator — into {Instr, cost, len} entries indexed by page offset, so the
+// steady-state Step is a slice index and a dispatch.
 //
 // Correctness rests on two generation counters, validated on every lookup:
 //
@@ -79,29 +79,45 @@ type dcPage struct {
 	blocks  []dcBlock
 	// idx maps page offset -> decode slot: 0 = not yet decoded,
 	// >0 = entries[idx-1], -1 = deterministic in-page decode failure (#UD).
-	idx [mem.PageSize]int32
+	// Each offset decodes at most once between flushes, so a page holds at
+	// most mem.PageSize entries and the slot fits an int16.
+	idx [mem.PageSize]int16
 	// blkIdx maps page offset -> superblock: 0 = not yet formed,
 	// >0 = blocks[blkIdx-1], -1 = no block can start here (cached #UD or
-	// an undecidable page-tail offset).
-	blkIdx [mem.PageSize]int32
+	// an undecidable page-tail offset). At most one block starts at each
+	// offset, so this fits an int16 too.
+	blkIdx [mem.PageSize]int16
 	// heat counts block-dispatch attempts per entry offset for the hotness
 	// gate (bcache.go). Saturating bytes; deliberately NOT cleared by flush —
 	// hotness measures the workload, not the cached bytes, so hot code
 	// re-forms immediately after an invalidation.
 	heat [mem.PageSize]uint8
+	// taken has one bit per page offset: set once the conditional branch
+	// at that offset has been seen taken (bcache.go). Formation does not
+	// continue past such a branch. Like heat it survives flushes.
+	taken [mem.PageSize / 64]uint64
 }
+
+// seenTaken reports whether the branch at page offset off was ever taken.
+func (p *dcPage) seenTaken(off int) bool { return p.taken[off>>6]&(1<<(off&63)) != 0 }
+
+// markTaken records that the branch at page offset off was taken.
+func (p *dcPage) markTaken(off int) { p.taken[off>>6] |= 1 << (off & 63) }
 
 // flush discards every cached decode — and every block formed over them —
 // on the page.
 func (p *dcPage) flush() {
 	p.entries = p.entries[:0]
 	p.blocks = p.blocks[:0]
-	p.idx = [mem.PageSize]int32{}
-	p.blkIdx = [mem.PageSize]int32{}
+	p.idx = [mem.PageSize]int16{}
+	p.blkIdx = [mem.PageSize]int16{}
 }
 
-// fill decodes forward from off until the page is exhausted, a previously
-// decoded offset is reached, or an uncacheable page-tail decode stops it.
+// fill decodes forward from off until it has decoded a block terminator
+// (dcEnd), the page is exhausted, a previously decoded offset is reached, or
+// an uncacheable page-tail decode stops it. Stopping at the terminator keeps
+// decoding proportional to what executes: block formation and the single-
+// step paths call fill again at any offset they reach that is not decoded.
 func (p *dcPage) fill(off int, stats *DecodeCacheStats) {
 	data := p.frame.Data[:]
 	for off < mem.PageSize && p.idx[off] == 0 {
@@ -124,9 +140,13 @@ func (p *dcPage) fill(off int, stats *DecodeCacheStats) {
 			p.idx[off] = -1
 			return
 		}
-		p.entries = append(p.entries, dcEntry{in: in, cost: in.Cost(), ilen: uint8(ilen), flags: entryFlags(in.Op)})
-		p.idx[off] = int32(len(p.entries))
+		flags := entryFlags(in.Op)
+		p.entries = append(p.entries, dcEntry{in: in, cost: in.Cost(), ilen: uint8(ilen), flags: flags})
+		p.idx[off] = int16(len(p.entries))
 		stats.Decoded++
+		if flags&dcEnd != 0 {
+			return
+		}
 		off += ilen
 	}
 }

@@ -62,7 +62,7 @@ func (c *CPU) Fork(as *mem.AddressSpace) *CPU {
 // clone copies the decode cache for a forked CPU, wiring it to the child's
 // own cumulative counters (stats; the child restarts at zero — see
 // DecodeCacheStats). Page structs are copied by value (the offset-index,
-// block-index, and heat arrays come along), entry slices are shared
+// block-index, heat, and seen-taken arrays come along), entry slices are shared
 // capacity-clamped, and block slices are deep-copied with their chain links
 // re-pointed at the cloned pages — a link into a page the clone does not
 // carry is severed, never followed into the parent's cache. The dcBlock
@@ -90,6 +90,7 @@ func (dc *decodeCache) clone(stats *DecodeCacheStats) *decodeCache {
 		for i := range np.blocks {
 			remapLink(&np.blocks[i].taken, remap)
 			remapLink(&np.blocks[i].fall, remap)
+			remapLink(&np.blocks[i].side, remap)
 		}
 	}
 	return nd

@@ -38,8 +38,8 @@ type fusionOutcome struct {
 // the given engine configuration — enough repeats to cross the default
 // hotness gate, so hot=DefaultBlockHotThreshold genuinely mixes stepped and
 // block-dispatched executions of the same bytes — and returns the outcome
-// of every repeat plus the CPU's cumulative Fused count.
-func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn, compileOn bool, hot int) ([]fusionOutcome, uint64) {
+// of every repeat plus the CPU.
+func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn, compileOn bool, hot int) ([]fusionOutcome, *CPU) {
 	t.Helper()
 	as := mem.NewAddressSpace()
 	for _, m := range []struct {
@@ -92,7 +92,23 @@ func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn, compileOn bo
 		}
 		outs = append(outs, o)
 	}
-	return outs, c.BlockStats().Fused
+	return outs, c
+}
+
+// midBlockFusions counts the compiled cmp/test+jcc thunks of c's live blocks
+// whose jcc is a side exit rather than the block's last entry.
+func midBlockFusions(c *CPU) int {
+	n := 0
+	for _, p := range c.dc.pages {
+		for _, b := range p.blocks {
+			for i, ct := range b.comp {
+				if int(ct.ni) == i+2 && i+2 < len(b.comp) {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // genFusionProgram builds one random straight-line ALU program. The bulk is
@@ -102,8 +118,10 @@ func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn, compileOn bo
 //   - pushfq+pop: spills %rflags into a register — a mid-block flag read
 //     whose value lands in compared architectural state;
 //   - jcc over an inc marker: a conditional branch whose direction (and so
-//     the marker register's final value) observes the flags at a block
-//     boundary;
+//     the marker register's final value) observes the flags. Formation
+//     continues past it until it is seen taken, so it is usually a side
+//     exit mid-block, and half the time a register compare or arithmetic
+//     op right before it fuses with it there;
 //   - jmp +0: a plain block boundary (liveness must stop at it);
 //   - a load from an unmapped address: an injected trap — flags at the trap
 //     instruction's entry become the run's final flags.
@@ -128,6 +146,11 @@ func genFusionProgram(rng *rand.Rand) []isa.Instr {
 				panic(err)
 			}
 			cc := isa.Cond(rng.Intn(isa.NumCond))
+			if rng.Intn(2) == 0 {
+				producers := []isa.Instr{isa.CmpRI(rr(), ri()), isa.CmpRR(rr(), rr()), isa.TestRR(rr(), rr()),
+					isa.AddRI(rr(), ri()), isa.SubRR(rr(), rr()), isa.Inc(rr()), isa.Dec(rr())}
+				prog = append(prog, producers[rng.Intn(len(producers))])
+			}
 			prog = append(prog, isa.Instr{Op: isa.JCC, CC: cc, Imm: int64(len(mb))}, marker)
 		case r < 11:
 			// Plain block boundary.
@@ -179,11 +202,14 @@ func genFusionProgram(rng *rand.Rand) []isa.Instr {
 
 // TestFusionFlagProperty is the fused-thunk flag-semantics property test:
 // for random straight-line ALU programs with injected flag observers, block
-// boundaries, and traps, every engine configuration — uncached interpreter,
-// cache-only, interpreted blocks, compiled blocks eager and hotness-gated —
-// must agree on ALL of CF/OF/SF/ZF/PF (the full %rflags), registers,
-// Instrs, Cycles, and the trap, at every run boundary and at every injected
-// trap. The uncached interpreter is the semantic reference.
+// boundaries, side exits, and traps, every engine configuration — uncached
+// interpreter, cache-only, interpreted blocks, compiled blocks eager and
+// hotness-gated — must agree on ALL of CF/OF/SF/ZF/PF (the full %rflags),
+// registers, Instrs, Cycles, and the trap, at every run boundary and at
+// every injected trap. The uncached interpreter is the semantic reference.
+// The corpus must reach cmp+jcc fusion mid-block and side exits taken by
+// compiled blocks (the repeats start from different registers, so a branch
+// untaken when its block formed is taken later).
 func TestFusionFlagProperty(t *testing.T) {
 	modes := []struct {
 		name                     string
@@ -195,16 +221,19 @@ func TestFusionFlagProperty(t *testing.T) {
 		{"compiled-hot1", true, true, true, 1},
 		{"compiled-gated", true, true, true, DefaultBlockHotThreshold},
 	}
-	var totalFused uint64
+	var totalFused, sideExits uint64
+	var midFused int
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		prog := genFusionProgram(rng)
 		code := encodeProg(t, prog...)
 		ref, _ := runFusionProgram(t, code, false, false, false, 1)
 		for _, m := range modes {
-			got, fused := runFusionProgram(t, code, m.cache, m.blocks, m.compileOn, m.hot)
+			got, c := runFusionProgram(t, code, m.cache, m.blocks, m.compileOn, m.hot)
 			if m.name == "compiled-hot1" {
-				totalFused += fused
+				totalFused += c.BlockStats().Fused
+				sideExits += c.BlockStats().SideExits
+				midFused += midBlockFusions(c)
 			}
 			for rep := range ref {
 				if got[rep] != ref[rep] {
@@ -216,6 +245,9 @@ func TestFusionFlagProperty(t *testing.T) {
 	}
 	if totalFused == 0 {
 		t.Fatal("property corpus never exercised a fused thunk — generator or liveness pass is broken")
+	}
+	if midFused == 0 || sideExits == 0 {
+		t.Fatalf("property corpus compiled %d mid-block cmp+jcc pairs and took %d side exits, want both", midFused, sideExits)
 	}
 }
 

@@ -49,7 +49,8 @@ import (
 //     either) — dcTrap entries;
 //   - the block EXITS (fallthrough, terminator, limit stop: the dispatcher,
 //     a chained successor, a probe-armed re-entry, or the caller may all
-//     read flags next) — liveness starts pessimistic at the block tail;
+//     read flags next) — liveness starts pessimistic at the block tail, and
+//     every side-exit JCC counts as an exit for the entries before it;
 //   - the block ABORTS after a self-modifying store (the remaining entries
 //     are stale; their liveness promises are void) — every dcStore entry is
 //     treated as a block exit for the instruction it follows.
@@ -78,12 +79,15 @@ type thunk func(c *CPU) (StopReason, *Trap)
 // cthunk is one compiled block entry: the specialized thunk, the cumulative
 // base cycle cost and instruction count of the block through this entry (so
 // the dispatch loop can account a run ending here with one addition each —
-// and so a tail-fused entry, which retires TWO instructions, charges both),
+// and so a fused cmp+jcc entry, which retires TWO instructions, charges both),
 // and the decode flags the loop needs (dcStore for the self-modification
-// abort check). Kept small so the compiled dispatch loop walks a dense
-// array. A nil fn marks an entry with no specialized form; the dispatch
-// loop interprets it from the block's entry array at the same index —
-// indices align because fusion only ever shortens the tail.
+// abort check, dcEnd for the side-exit check). Kept small so the compiled
+// dispatch loop walks a dense array. A nil fn marks an entry with no
+// specialized form; the dispatch loop interprets it from the block's entry
+// array at the same index. The array stays index-aligned with the entries:
+// ni is also the index of the next entry to run, so a fused cmp+jcc thunk
+// (ni two past its own index) skips the jcc's slot, which stays in place
+// unused.
 type cthunk struct {
 	fn    thunk
 	cyc   uint64
@@ -91,41 +95,39 @@ type cthunk struct {
 	flags uint8
 }
 
-// compileBlock lowers a formed block to compiled thunks. va is the virtual
-// address of the block's first instruction (blocks never outlive a remap of
-// their page, so it is a formation-time constant). It returns the thunk
-// array and the number of entries whose flag computation was elided by the
-// liveness pass.
+// compileBlock lowers a formed block to compiled thunks. Each entry's
+// successor address (the constant every thunk folds) is its own rip plus its
+// length. It returns the thunk array and the number of entries whose flag
+// computation was elided by the liveness pass.
 //
 // The liveness pass walks backwards. dead == true means: the arithmetic
 // flags as they stand RIGHT AFTER the current entry are provably
 // overwritten before any observable point, so the entry need not compute
 // them. See the package comment above for what counts as observable.
-func compileBlock(ents []blkEnt, va uint64) (comp []cthunk, fused uint64) {
-	// Forward pass: per-entry successor addresses and the running sum of
-	// base cycle costs — the dispatch loop charges a whole run from the
-	// last executed entry's cumulative total instead of per instruction.
+func compileBlock(ents []blkEnt) (comp []cthunk, fused uint64) {
+	// Forward pass: the running sum of base cycle costs — the dispatch loop
+	// charges a whole run from the last executed entry's cumulative total
+	// instead of per instruction.
 	comp = make([]cthunk, len(ents))
-	nexts := make([]uint64, len(ents))
 	var cyc uint64
 	for i := range ents {
-		va += uint64(ents[i].ilen)
-		nexts[i] = va
 		cyc += ents[i].cost
 		comp[i].cyc = cyc
 		comp[i].ni = uint32(i + 1)
 	}
+	last := len(ents) - 1
 	dead := false // block exit: flags live
-	for i := len(ents) - 1; i >= 0; i-- {
+	for i := last; i >= 0; i-- {
 		e := &ents[i]
 		d := dead
-		if e.flags&dcStore != 0 {
+		if e.flags&dcStore != 0 || (i < last && e.flags&dcEnd != 0) {
 			// A store can abort the block right after this entry
-			// (self-modification resync): treat the position after it as an
-			// exit, whatever the (possibly stale) rest of the block promised.
+			// (self-modification resync), and a side exit leaves it there:
+			// treat the position after it as an exit, whatever the rest of
+			// the block promised.
 			d = false
 		}
-		fn, elided := compileEnt(&e.in, nexts[i], d)
+		fn, elided := compileEnt(&e.in, e.rip+uint64(e.ilen), d)
 		comp[i].fn = fn
 		comp[i].flags = e.flags
 		if elided {
@@ -142,24 +144,29 @@ func compileBlock(ents []blkEnt, va uint64) (comp []cthunk, fused uint64) {
 			dead = true
 		}
 	}
-	// Tail fusion: a trap-free register compare/arith feeding the block's
-	// terminating JCC collapses into one thunk, so the hottest two-entry
-	// sequence in loop code (cmp/test/dec ; jcc) pays one dispatch round
-	// instead of two. The combined thunk still computes the architectural
-	// flags first and branches on them — bit-identical, just one call. The
-	// fused entry's cumulative cyc/ni are the terminator's, so accounting
-	// charges both instructions.
-	if n := len(ents); n >= 2 && ents[n-1].in.Op == isa.JCC {
-		if fn := compileCmpJcc(&ents[n-2].in, &ents[n-1].in, nexts[n-1]); fn != nil {
-			comp[n-2] = cthunk{fn: fn, cyc: comp[n-1].cyc, ni: comp[n-1].ni, flags: ents[n-2].flags}
-			comp = comp[:n-1]
+	// Branch fusion: a trap-free register compare/arith feeding a JCC —
+	// a side exit or the block's last entry — collapses into one thunk, so
+	// the hottest two-entry sequence in loop code and in kR^X range checks
+	// (cmp/test/dec ; jcc) pays one dispatch round instead of two. The
+	// combined thunk still computes the architectural flags first and
+	// branches on them — bit-identical, just one call. The fused entry takes
+	// the JCC's cumulative cyc/ni, so accounting charges both instructions
+	// and the runner continues after the JCC, and the JCC's flags, so the
+	// runner checks for a side exit after it.
+	for i := 0; i < last; i++ {
+		j := &ents[i+1]
+		if j.in.Op != isa.JCC {
+			continue
+		}
+		if fn := compileCmpJcc(&ents[i].in, &j.in, j.rip+uint64(j.ilen)); fn != nil {
+			comp[i] = cthunk{fn: fn, cyc: comp[i+1].cyc, ni: comp[i+1].ni, flags: j.flags}
 		}
 	}
 	return comp, fused
 }
 
 // compileCmpJcc fuses a trap-free register-form flag producer with the
-// block-terminating conditional branch that consumes it. jnext is the
+// conditional branch right after it that consumes it. jnext is the
 // branch's successor (fallthrough) address. Returns nil for producers that
 // can trap (memory forms) or have no fused constructor — the pair then
 // dispatches as two ordinary entries.

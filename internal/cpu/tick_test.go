@@ -95,8 +95,9 @@ func runTicked(t *testing.T, cs covCase, mode int, stride uint64, act bool) tick
 }
 
 // TestTickEquivalence is the ticker's differential oracle: over every
-// coverage-case program (traps mid-block, self-modification aborts, the
-// tail-fused cmp+jcc loop, limits shorter than a block, cached #UD) and
+// coverage-case program (side exits, self-loops, traps mid-block, self-
+// modification aborts, the fused cmp+jcc loop, limits shorter than a block,
+// cached #UD) and
 // every stride from 1 to past the programs' lengths — so the deadline lands
 // on every instruction, a block's last entry and the jcc half of a fused
 // pair included — each engine mode produces the uncached stepper's exact

@@ -290,6 +290,10 @@ type Executor struct {
 	// set for RIPs outside it (user stubs, modules). The CPU marks it a
 	// block at a time, so coverage keeps the block engine armed.
 	cov *cpu.Coverage
+	// instrs and cycles count what this executor's CPU has retired in all:
+	// its boot (a forked executor's boot is its parent's) plus every Exec.
+	// The CPU's own counters rewind at every snapshot restore.
+	instrs, cycles uint64
 }
 
 // New boots the campaign's kernels (one per worker, all sharing one cached
@@ -356,6 +360,7 @@ func NewExecutor(opts Options) (*Executor, error) {
 	w.cov = cpu.NewCoverage(k.Sym("_text"), uint64(len(k.Img.Text)))
 	k.CPU.SetCoverage(w.cov)
 	w.snap = k.Snapshot()
+	w.instrs, w.cycles = k.CPU.Instrs, k.CPU.Cycles
 	return w, nil
 }
 
@@ -450,6 +455,7 @@ func (w *Executor) Exec(prog *Prog, injSeed int64) (ExecResult, error) {
 		return res, fmt.Errorf("fuzz: restore: %w", err)
 	}
 	w.cov.Reset()
+	instrs, cycles := w.k.CPU.Instrs, w.k.CPU.Cycles
 
 	var inj *inject.Injector
 	if w.opts.Plan != nil {
@@ -478,6 +484,8 @@ func (w *Executor) Exec(prog *Prog, injSeed int64) (ExecResult, error) {
 		inj.Detach()
 		res.Faults = len(inj.Events)
 	}
+	w.instrs += w.k.CPU.Instrs - instrs
+	w.cycles += w.k.CPU.Cycles - cycles
 
 	// Invariant check: after any injected fault (or crash), the protections
 	// must either still hold or report exactly which check broke.
@@ -510,6 +518,19 @@ func (f *Fuzzer) Kernel() (*kernel.Kernel, error) {
 		return nil, &NoWorkersError{Op: "Kernel"}
 	}
 	return f.workers[0].k, nil
+}
+
+// Retired returns the instructions and cycles the campaign's CPUs have
+// retired, summed over workers: every booted worker's boot plus every
+// iteration and minimization replay. A CPU's own Instrs and Cycles rewind
+// at each snapshot restore, so they only describe the run since the last
+// one. Call it between batches or after the campaign, not while it runs.
+func (f *Fuzzer) Retired() (instrs, cycles uint64) {
+	for _, w := range f.workers {
+		instrs += w.instrs
+		cycles += w.cycles
+	}
+	return instrs, cycles
 }
 
 // Kernels returns every worker's booted kernel, in worker order — the
