@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/attack"
@@ -40,69 +41,99 @@ func main() {
 		defer artifacts.Close()
 		kernel.SetBuildCache(core.NewImageCache(artifacts))
 	}
-	if !*direct && !*jitrop && !*indirect && !*subst && !*race && !*survival && !*ret2usr {
-		*direct, *jitrop, *indirect, *subst, *race, *survival, *ret2usr = true, true, true, true, true, true, true
+	sel := scenarios{*direct, *jitrop, *indirect, *subst, *race, *ret2usr, *survival}
+	if sel == (scenarios{}) {
+		sel = allScenarios
 	}
+	if err := ladder(os.Stdout, *seed, sel); err != nil {
+		fmt.Fprintln(os.Stderr, "krxattack:", err)
+		os.Exit(1)
+	}
+}
 
+// scenarios selects which parts of the ladder run.
+type scenarios struct {
+	direct, jitrop, indirect, subst, race, ret2usr, survival bool
+}
+
+var allScenarios = scenarios{true, true, true, true, true, true, true}
+
+// bootFailure carries a boot error out of the ladder's scenario calls.
+type bootFailure struct{ err error }
+
+// ladder runs the selected scenarios against every target configuration
+// and writes the report to w. Every kernel is booted through the build
+// cache, so each configuration is built and constructed once and every
+// further boot of it is a fork of its golden kernel.
+func ladder(w io.Writer, seed int64, sel scenarios) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			bf, ok := p.(bootFailure)
+			if !ok {
+				panic(p)
+			}
+			err = bf.err
+		}
+	}()
 	targets := []core.Config{
 		core.Vanilla,
-		{Diversify: true, RAProt: diversify.RAEncrypt, Seed: *seed},
-		{XOM: core.XOMSFI, SFILevel: sfi.O3, Diversify: true, Seed: *seed},
-		{XOM: core.XOMSFI, SFILevel: sfi.O3, Diversify: true, RAProt: diversify.RAEncrypt, Seed: *seed},
-		{XOM: core.XOMSFI, SFILevel: sfi.O3, Diversify: true, RAProt: diversify.RADecoy, Seed: *seed},
-		{XOM: core.XOMMPX, Diversify: true, RAProt: diversify.RAEncrypt, Seed: *seed},
+		{Diversify: true, RAProt: diversify.RAEncrypt, Seed: seed},
+		{XOM: core.XOMSFI, SFILevel: sfi.O3, Diversify: true, Seed: seed},
+		{XOM: core.XOMSFI, SFILevel: sfi.O3, Diversify: true, RAProt: diversify.RAEncrypt, Seed: seed},
+		{XOM: core.XOMSFI, SFILevel: sfi.O3, Diversify: true, RAProt: diversify.RADecoy, Seed: seed},
+		{XOM: core.XOMMPX, Diversify: true, RAProt: diversify.RAEncrypt, Seed: seed},
 	}
 
 	boot := func(cfg core.Config) *kernel.Kernel {
 		k, err := kernel.Boot(cfg, kernel.WithCache())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "krxattack:", err)
-			os.Exit(1)
+			panic(bootFailure{err})
 		}
 		return k
 	}
 
 	for _, cfg := range targets {
-		fmt.Printf("=== target: %s ===\n", cfg.Name())
-		if *direct {
+		fmt.Fprintf(w, "=== target: %s ===\n", cfg.Name())
+		if sel.direct {
 			ref := boot(core.Config{XOM: cfg.XOM, SFILevel: cfg.SFILevel,
-				Diversify: cfg.Diversify, RAProt: cfg.RAProt, Seed: *seed + 7919})
-			fmt.Println(" ", attack.DirectROP(boot(cfg), ref))
+				Diversify: cfg.Diversify, RAProt: cfg.RAProt, Seed: seed + 7919})
+			fmt.Fprintln(w, " ", attack.DirectROP(boot(cfg), ref))
 		}
-		if *jitrop {
-			fmt.Println(" ", attack.JITROP(boot(cfg)))
+		if sel.jitrop {
+			fmt.Fprintln(w, " ", attack.JITROP(boot(cfg)))
 		}
-		if *indirect {
-			fmt.Println(" ", attack.IndirectJITROP(boot(cfg)))
+		if sel.indirect {
+			fmt.Fprintln(w, " ", attack.IndirectJITROP(boot(cfg)))
 		}
-		if *subst && cfg.RAProt == diversify.RAEncrypt && cfg.Diversify {
-			fmt.Println(" ", attack.Substitution(boot(cfg)))
+		if sel.subst && cfg.RAProt == diversify.RAEncrypt && cfg.Diversify {
+			fmt.Fprintln(w, " ", attack.Substitution(boot(cfg)))
 		}
-		if *race && cfg.RAProt == diversify.RAEncrypt && cfg.Diversify {
-			fmt.Println(" ", attack.RaceHazard(boot(cfg)))
+		if sel.race && cfg.RAProt == diversify.RAEncrypt && cfg.Diversify {
+			fmt.Fprintln(w, " ", attack.RaceHazard(boot(cfg)))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	if *ret2usr {
-		fmt.Println("=== ret2usr (the §3 baseline kR^X builds upon) ===")
+	if sel.ret2usr {
+		fmt.Fprintln(w, "=== ret2usr (the §3 baseline kR^X builds upon) ===")
 		legacy := boot(core.Vanilla)
 		legacy.CPU.SMEP = false
-		fmt.Println("  no SMEP: ", attack.Ret2usr(legacy))
-		fmt.Println("  SMEP:    ", attack.Ret2usr(boot(core.Vanilla)))
-		fmt.Println()
+		fmt.Fprintln(w, "  no SMEP: ", attack.Ret2usr(legacy))
+		fmt.Fprintln(w, "  SMEP:    ", attack.Ret2usr(boot(core.Vanilla)))
+		fmt.Fprintln(w)
 	}
 
-	if *survival {
-		fmt.Println("=== gadget survival across seeds (§7.3 byte-for-byte comparison) ===")
-		a := boot(core.Config{Diversify: true, Seed: *seed})
-		b := boot(core.Config{Diversify: true, Seed: *seed + 1})
+	if sel.survival {
+		fmt.Fprintln(w, "=== gadget survival across seeds (§7.3 byte-for-byte comparison) ===")
+		a := boot(core.Config{Diversify: true, Seed: seed})
+		b := boot(core.Config{Diversify: true, Seed: seed + 1})
 		total, surviving := attack.GadgetSurvival(a, b)
-		fmt.Printf("  diversified: %d/%d gadgets at their original location (%.2f%%)\n",
+		fmt.Fprintf(w, "  diversified: %d/%d gadgets at their original location (%.2f%%)\n",
 			surviving, total, 100*float64(surviving)/float64(total))
 		v1, v2 := boot(core.Vanilla), boot(core.Vanilla)
 		total, surviving = attack.GadgetSurvival(v1, v2)
-		fmt.Printf("  vanilla:     %d/%d gadgets at their original location (%.2f%%)\n",
+		fmt.Fprintf(w, "  vanilla:     %d/%d gadgets at their original location (%.2f%%)\n",
 			surviving, total, 100*float64(surviving)/float64(total))
 	}
+	return nil
 }

@@ -196,6 +196,7 @@ func runObserved(traceOut string, funcs, stats, blocks, compile bool, hot int) e
 		obs.RegisterRollback(reg, "rollback", k.CPU.AS)
 		obs.RegisterPhysmap(reg, "physmap", k.CPU.AS)
 		obs.RegisterStore(reg, "store", kernel.BuildCache())
+		obs.RegisterBoot(reg, "boot", kernel.FreshBoots, kernel.ForkedBoots)
 		obs.RegisterTracer(reg, "trace", tr)
 		fmt.Print(reg.Format())
 	}

@@ -173,6 +173,7 @@ func statsRegistry(f *fuzz.Fuzzer, fork bool) (*obs.Registry, error) {
 	obs.RegisterRollback(reg, "rollback", k.CPU.AS)
 	obs.RegisterPhysmap(reg, "physmap", k.CPU.AS)
 	obs.RegisterStore(reg, "store", kernel.BuildCache())
+	obs.RegisterBoot(reg, "boot", kernel.FreshBoots, kernel.ForkedBoots)
 	if fork {
 		// The first worker is the golden kernel every other worker
 		// forked from; its space carries the frame-sharing counters.

@@ -132,6 +132,7 @@ func printMetrics() error {
 		obs.RegisterDataTLB(reg, "dtlb", k.CPU.AS)
 		obs.RegisterPhysmap(reg, "physmap", k.CPU.AS)
 		obs.RegisterStore(reg, "store", kernel.BuildCache())
+		obs.RegisterBoot(reg, "boot", kernel.FreshBoots, kernel.ForkedBoots)
 		obs.RegisterFork(reg, "fork", kernel.Forks, child.Space.AS)
 		fmt.Printf("=== %s ===\n%s\n", cfg.Name(), reg.Format())
 	}

@@ -99,13 +99,15 @@ func scanRange(code []byte, base uint64, lo, hi int) []Gadget {
 }
 
 // decodesTo decodes b as a full instruction sequence whose final
-// instruction is ret, consuming exactly len(b) bytes.
+// instruction is ret, consuming exactly len(b) bytes. Most candidate
+// windows fail to decode, so it asks only for validity (isa.TryDecode)
+// and never builds an error it would discard.
 func decodesTo(b []byte) ([]isa.Instr, bool) {
 	var ins []isa.Instr
 	off := 0
 	for off < len(b) {
-		in, n, err := isa.Decode(b[off:])
-		if err != nil {
+		in, n, ok := isa.TryDecode(b[off:])
+		if !ok {
 			return nil, false
 		}
 		ins = append(ins, in)

@@ -292,26 +292,29 @@ func measureEmu(w emuWorkload, iters int) (EmuResult, error) {
 const forkBatch = 64
 
 // measureFork times what snapshot-fork execution buys under one
-// configuration: the cost of a cold executor boot (build served from the
-// warm cache) against the cost of a copy-on-write fork of a golden
-// executor, and the steady-state cost of a fuzz iteration inside a forked
-// worker against one inside a booted worker. All timings are min-of-emuReps;
-// the iteration windows additionally enforce the determinism invariant —
-// identical emulated cycles in fork mode and boot mode, every repetition.
+// configuration: the cost of a cold boot (fresh kernel construction from
+// the warm cache's image) against the cost of a copy-on-write fork of a
+// golden executor, and the steady-state cost of a fuzz iteration inside a
+// forked worker against one inside a booted worker. All timings are
+// min-of-emuReps; the iteration windows additionally enforce the
+// determinism invariant — identical emulated cycles in fork mode and boot
+// mode, every repetition.
 func measureFork(cfg core.Config, seed int64, iters int) (ForkResult, error) {
 	res := ForkResult{Name: "fork/" + cfg.Name(), Reps: emuReps}
 	opts := fuzz.Options{Iters: 1, Seed: seed, Config: cfg, Workers: 1}
-	// The golden executor doubles as the build-cache warmer: every boot
-	// timed below compiles nothing, so the boot number is kernel
-	// construction, not toolchain work.
+	// The golden executor doubles as the build-cache warmer, and the boot
+	// side installs its cached image with WithImage: the boot number is
+	// kernel construction, not toolchain work. A WithCache boot would not
+	// do here, because it is itself a fork of a golden kernel.
 	golden, err := fuzz.NewExecutor(opts)
 	if err != nil {
 		return res, fmt.Errorf("bench: %s: golden: %w", res.Name, err)
 	}
+	img := golden.Kernel().Build
 	var boot, fork time.Duration
 	for rep := 0; rep < emuReps; rep++ {
 		start := time.Now()
-		if _, err := fuzz.NewExecutor(opts); err != nil {
+		if _, err := kernel.Boot(cfg, kernel.WithImage(img)); err != nil {
 			return res, fmt.Errorf("bench: %s: boot: %w", res.Name, err)
 		}
 		if d := time.Since(start); rep == 0 || d < boot {

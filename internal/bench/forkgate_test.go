@@ -27,7 +27,9 @@ func gateTolerance(t *testing.T, def float64) float64 {
 // a worker as a copy-on-write fork of a golden kernel must be at least 10x
 // cheaper than booting one cold (ISSUE acceptance: "fork startup >= 10x
 // cheaper than cold boot"). Like the other perf gates it is a same-host
-// relative comparison, armed only under KRX_PERF_GATE.
+// relative comparison, armed only under KRX_PERF_GATE. Booting cold means
+// constructing a kernel from the warm cache's image (see measureFork): a
+// WithCache boot is itself a fork of a golden kernel.
 func TestForkStartupPerfGate(t *testing.T) {
 	if os.Getenv("KRX_PERF_GATE") == "" {
 		t.Skip("perf gate disarmed (set KRX_PERF_GATE=1 to gate fork startup cost)")

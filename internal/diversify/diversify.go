@@ -185,11 +185,14 @@ func Diversify(fn *ir.Function, cfg Config) (Stats, error) {
 		} else {
 			// Pad with phantom blocks: random-length int3 runs, never
 			// executed (no label references them; explicit jmps connect
-			// all real blocks).
+			// all real blocks). Each run has room for the jmp that
+			// terminates it below: a cached build keeps these blocks for
+			// the life of the process, and an append past len would
+			// double every one of them.
 			s.Padded = 1
 			for i := 0; len(chunks) < need; i++ {
 				n := 1 + cfg.Rand.Intn(16)
-				ins := make([]isa.Instr, n)
+				ins := make([]isa.Instr, n, n+1)
 				for j := range ins {
 					ins[j] = isa.Int3()
 				}

@@ -3,6 +3,7 @@ package diversify
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
@@ -415,5 +416,42 @@ func TestLgFactorial(t *testing.T) {
 	}
 	if v := LgFactorial(13); v < 32 || v > 33 {
 		t.Errorf("lg(13!) = %f", v)
+	}
+}
+
+// TestPhantomPadBlocksExactSize: the jmp that terminates each phantom pad
+// block fills the block's spare slot instead of reallocating it, so a
+// diversified program retained by the build cache holds no doubled arrays.
+func TestPhantomPadBlocksExactSize(t *testing.T) {
+	prog := sumFunc(t)
+	leaf, err := ir.NewBuilder("leaf").I(isa.MovRI(isa.RAX, 7), isa.Ret()).Func()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Funcs = append(prog.Funcs, leaf)
+	st, err := DiversifyProgram(prog, Config{K: 30, Rand: rand.New(rand.NewSource(9))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PhantomBlocks == 0 {
+		t.Fatal("no phantom pad blocks generated")
+	}
+	pads := 0
+	for _, f := range prog.Funcs {
+		for _, b := range f.Blocks {
+			if !strings.HasPrefix(b.Label, "krx.pad.") {
+				continue
+			}
+			pads++
+			if last := b.Ins[len(b.Ins)-1]; last.Op != isa.JMP {
+				t.Errorf("%s/%s: pad block ends in %v, want jmp", f.Name, b.Label, last.Op)
+			}
+			if cap(b.Ins) != len(b.Ins) {
+				t.Errorf("%s/%s: cap %d, len %d", f.Name, b.Label, cap(b.Ins), len(b.Ins))
+			}
+		}
+	}
+	if pads != st.PhantomBlocks {
+		t.Errorf("found %d pad blocks, stats report %d", pads, st.PhantomBlocks)
 	}
 }

@@ -2,9 +2,10 @@ package kernel
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
-	"repro/internal/inject"
+	"repro/internal/core"
 )
 
 // forkCount is the process-wide fork counter behind Forks() — the obs
@@ -13,8 +14,23 @@ import (
 // process), and the gauge may read it from yet another.
 var forkCount atomic.Uint64
 
-// Forks returns the number of kernel forks performed process-wide.
+// Forks returns the number of kernel forks performed process-wide. Boots
+// served by forking a golden kernel are not forks in this sense; they are
+// counted by ForkedBoots.
 func Forks() uint64 { return forkCount.Load() }
+
+// freshBoots and forkedBoots count, process-wide, the machines Boot
+// constructed from an image (bootImage: uncached and WithImage boots, and
+// each golden kernel's own construction) and the ones it handed out as
+// forks of a golden kernel. They feed the boot.* gauges.
+var freshBoots, forkedBoots atomic.Uint64
+
+// FreshBoots returns the number of kernels constructed from an image.
+func FreshBoots() uint64 { return freshBoots.Load() }
+
+// ForkedBoots returns the number of Boot(cfg, WithCache()) calls served by
+// forking a golden kernel.
+func ForkedBoots() uint64 { return forkedBoots.Load() }
 
 // Fork returns a copy-on-write fork of the kernel: an O(1)-ish child that
 // shares every physical frame with this kernel until one side writes it
@@ -45,6 +61,26 @@ func (k *Kernel) Fork(opts ...BootOption) (*Kernel, error) {
 	if o.cached || o.prog != nil || o.image != nil {
 		return nil, fmt.Errorf("kernel: Fork accepts only WithProbes and WithTracer")
 	}
+	nk, err := k.fork()
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range o.probes {
+		nk.CPU.AddProbe(p)
+	}
+	if o.tracer != nil {
+		nk.Trace = o.tracer
+		o.tracer.Attach(nk.CPU)
+	}
+	nk.armInjector()
+	forkCount.Add(1)
+	return nk, nil
+}
+
+// fork is the machine copy behind Fork and bootGolden: a copy-on-write
+// fork of the space, a fork of the CPU over it, and a copy of the keys.
+// The child has the parent's Cfg and no observers or injector.
+func (k *Kernel) fork() (*Kernel, error) {
 	sp, err := k.Space.Fork()
 	if err != nil {
 		return nil, fmt.Errorf("kernel: fork: %w", err)
@@ -61,17 +97,58 @@ func (k *Kernel) Fork(opts ...BootOption) (*Kernel, error) {
 		nk.Keys[s] = v
 	}
 	nk.CPU = k.CPU.Fork(sp.AS)
-	for _, p := range o.probes {
-		nk.CPU.AddProbe(p)
-	}
-	if o.tracer != nil {
-		nk.Trace = o.tracer
-		o.tracer.Attach(nk.CPU)
-	}
-	if k.Cfg.FaultPlan != nil {
-		nk.Inj = inject.New(*k.Cfg.FaultPlan)
-		nk.Inj.Attach(nk.CPU, sp.AS, nk.FaultTargets())
-	}
-	forkCount.Add(1)
 	return nk, nil
+}
+
+// A golden kernel is the pristine machine one cached image boots into
+// under one configuration. It is built once, by the first Boot(cfg,
+// WithCache()) that asks for it, and frozen before anything else can see
+// it; every such Boot, the first included, returns a fork of it. A golden
+// never runs an instruction, never takes a snapshot and is never written
+// after its freeze, so concurrent boots only read it, and each fork starts
+// with the zeroed counters and cold caches of a fresh boot.
+type golden struct {
+	once sync.Once
+	k    *Kernel
+	err  error
+}
+
+// goldenKey identifies a golden kernel: the cached image it booted and its
+// configuration with FaultPlan cleared, since each child arms its own
+// injector. Every other Config field is kept in the key.
+type goldenKey struct {
+	res *core.BuildResult
+	cfg core.Config
+}
+
+// bootGolden returns a copy-on-write fork of the golden kernel of (res,
+// cfg), booting and freezing the golden first if this is its first use.
+func bootGolden(res *core.BuildResult, cfg core.Config) (*Kernel, error) {
+	key := goldenKey{res: res, cfg: cfg}
+	key.cfg.FaultPlan = nil
+	goldenMu.Lock()
+	g, ok := goldens[key]
+	if !ok {
+		g = &golden{}
+		goldens[key] = g
+	}
+	goldenMu.Unlock()
+	g.once.Do(func() {
+		k, err := bootImage(res, key.cfg)
+		if err == nil {
+			err = k.Space.AS.Freeze()
+		}
+		g.k, g.err = k, err
+	})
+	if g.err != nil {
+		return nil, g.err
+	}
+	k, err := g.k.fork()
+	if err != nil {
+		return nil, err
+	}
+	k.Cfg = cfg
+	k.armInjector()
+	forkedBoots.Add(1)
+	return k, nil
 }

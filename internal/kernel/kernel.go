@@ -137,11 +137,13 @@ type bootOptions struct {
 // WithCache boots through the process-wide build cache: the first boot of
 // a configuration compiles the corpus, every later boot of the same
 // configuration (per Config.BuildKey — runtime knobs like WatchdogBudget
-// and FaultPlan do not fragment the cache) reuses the compiled image and
-// only pays for installing it into a fresh address space. Safe for
-// concurrent use: multi-worker fuzzing campaigns and parallel benchmark
-// sweeps boot their kernels through here. Incompatible with WithProgram
-// (the cache is keyed to the shared corpus).
+// and FaultPlan do not fragment the cache) reuses the compiled image.
+// Each cached image is booted once, into a golden kernel that never runs;
+// every caller gets a copy-on-write fork of it (see bootGolden), which
+// executes bit-identically to a fresh boot. Safe for concurrent use:
+// multi-worker fuzzing campaigns and parallel benchmark sweeps boot their
+// kernels through here. Incompatible with WithProgram (the cache is keyed
+// to the shared corpus).
 func WithCache() BootOption {
 	return func(o *bootOptions) { o.cached = true }
 }
@@ -151,8 +153,9 @@ func WithProgram(prog *ir.Program) BootOption {
 	return func(o *bootOptions) { o.prog = prog }
 }
 
-// WithImage installs an already-built image, skipping compilation. The
-// result may be shared: everything it holds is only read.
+// WithImage installs an already-built image into a freshly constructed
+// machine, skipping compilation. The result may be shared: everything it
+// holds is only read.
 func WithImage(res *core.BuildResult) BootOption {
 	return func(o *bootOptions) { o.image = res }
 }
@@ -175,7 +178,9 @@ func WithTracer(t *obs.Tracer) BootOption {
 // unmapping), and sets up a user process ready to issue syscalls. Options
 // select where the image comes from (WithCache, WithProgram, WithImage —
 // default: an uncached compile of the shared corpus) and what observers
-// ride along (WithProbes, WithTracer).
+// ride along (WithProbes, WithTracer). Under WithCache the machine is a
+// copy-on-write fork of the image's golden kernel rather than a fresh
+// construction; emulated code cannot tell the two apart.
 func Boot(cfg core.Config, opts ...BootOption) (*Kernel, error) {
 	var o bootOptions
 	for _, opt := range opts {
@@ -216,7 +221,13 @@ func Boot(cfg core.Config, opts ...BootOption) (*Kernel, error) {
 			return nil, err
 		}
 	}
-	k, err := bootImage(res, cfg)
+	var k *Kernel
+	var err error
+	if o.cached {
+		k, err = bootGolden(res, cfg)
+	} else {
+		k, err = bootImage(res, cfg)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -230,15 +241,21 @@ func Boot(cfg core.Config, opts ...BootOption) (*Kernel, error) {
 	return k, nil
 }
 
-// The shared corpus and build cache behind Boot(cfg, WithCache()). The corpus program
-// is built once and never mutated afterwards (core.Build clones before
-// instrumenting), so every cached build compiles the same input.
+// The shared corpus, build cache and golden kernels behind Boot(cfg,
+// WithCache()). The corpus program is built once and never mutated
+// afterwards (core.Build clones before instrumenting), so every cached
+// build compiles the same input. goldens holds the golden kernel booted
+// from each of buildCache's images; it is replaced whenever buildCache is,
+// so no golden outlives the cache entry it booted.
 var (
 	corpusOnce sync.Once
 	corpusProg *ir.Program
 	corpusErr  error
 
 	buildCache = core.NewImageCache(nil)
+
+	goldenMu sync.Mutex
+	goldens  = make(map[goldenKey]*golden)
 )
 
 // corpusID names the shared corpus in the build-cache key. Bump it if the
@@ -261,11 +278,15 @@ func BuildCache() *core.ImageCache { return buildCache }
 
 // SetBuildCache replaces the process-wide build cache — how a CLI wires a
 // persistent -cache-dir store under every Boot(cfg, WithCache()) — and
-// returns the previous cache so tests can restore it. Boot-time wiring
+// returns the previous cache so tests can restore it. The golden kernels
+// booted from the old cache's images are dropped with it. Boot-time wiring
 // only: swapping while boots are in flight races with them.
 func SetBuildCache(c *core.ImageCache) *core.ImageCache {
 	old := buildCache
 	buildCache = c
+	goldenMu.Lock()
+	goldens = make(map[goldenKey]*golden)
+	goldenMu.Unlock()
 	return old
 }
 
@@ -274,6 +295,7 @@ func SetBuildCache(c *core.ImageCache) *core.ImageCache {
 // holds is only read — section bytes are poked into the new space, xkeys
 // are replenished in the space, never in the image.
 func bootImage(res *core.BuildResult, cfg core.Config) (*Kernel, error) {
+	freshBoots.Add(1)
 	sp, err := kas.Install(res.Image.Layout, kas.NewPhysPool(PhysMemBytes))
 	if err != nil {
 		return nil, err
@@ -365,11 +387,16 @@ func bootImage(res *core.BuildResult, cfg core.Config) (*Kernel, error) {
 	}
 	k.CPU = c
 
-	if cfg.FaultPlan != nil {
-		k.Inj = inject.New(*cfg.FaultPlan)
-		k.Inj.Attach(c, sp.AS, k.FaultTargets())
-	}
+	k.armInjector()
 	return k, nil
+}
+
+// armInjector arms a fault injector over Cfg.FaultPlan, if one is set.
+func (k *Kernel) armInjector() {
+	if k.Cfg.FaultPlan != nil {
+		k.Inj = inject.New(*k.Cfg.FaultPlan)
+		k.Inj.Attach(k.CPU, k.Space.AS, k.FaultTargets())
+	}
 }
 
 // FaultTargets returns the injection surface of this kernel: every mapped

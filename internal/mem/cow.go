@@ -24,6 +24,7 @@ package mem
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 )
 
@@ -63,13 +64,29 @@ func (as *AddressSpace) Freeze() error {
 	if len(as.undo) > 0 {
 		return fmt.Errorf("mem: freeze with %d dirty frames in the undo log (rollback first)", len(as.undo))
 	}
-	collect := make(map[*Frame][]uint64, len(as.pages))
+	// seen holds the first page number each frame is mapped at; a frame
+	// seen at a second one moves its list into aliases. Most frames have
+	// one mapping, so most never allocate a list.
+	seen := make(map[*Frame]uint64, len(as.pages))
+	aliases := make(map[*Frame][]uint64) // a fresh map, never an edit of the old one: forks share alias maps
+	note := func(f *Frame, v uint64) {
+		first, ok := seen[f]
+		if !ok {
+			seen[f] = v
+			return
+		}
+		vs := aliases[f]
+		if vs == nil {
+			vs = []uint64{first}
+		}
+		aliases[f] = append(vs, v)
+	}
 	for _, e := range as.pages {
 		if f := e.pg.frame; f != nil { // tombstones hold no frame
-			collect[f] = append(collect[f], e.vpn)
+			note(f, e.vpn)
 		}
 	}
-	as.frozenFrames = uint64(len(collect))
+	as.frozenFrames = uint64(len(seen))
 	// Checkpoint-time mappings matter too: a structural Rollback can remap a
 	// frame at synonyms the current page table no longer shows, and a break
 	// after that must know to repoint them as well.
@@ -79,22 +96,19 @@ func (as *AddressSpace) Freeze() error {
 			continue
 		}
 		if cur, ok := as.pages.get(e.vpn); !ok || cur.frame != f {
-			collect[f] = append(collect[f], e.vpn)
+			note(f, e.vpn)
 		}
 	}
-	// A fresh map, never an edit of the old one: forks share alias maps.
-	aliases := make(map[*Frame][]uint64)
-	for f, vs := range collect {
+	for f := range seen {
 		// Write the frozen bit only when it flips: re-freezing a family's
 		// long-shared frames must not issue writes that would race with
 		// sibling forks concurrently reading them.
 		if !f.frozen {
 			f.frozen = true
 		}
-		if len(vs) > 1 {
-			sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-			aliases[f] = vs
-		}
+	}
+	for _, vs := range aliases {
+		slices.Sort(vs)
 	}
 	as.aliases = aliases
 	for _, sh := range as.shadow {

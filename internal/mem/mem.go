@@ -376,10 +376,10 @@ func (as *AddressSpace) MapDemandZero(va uint64, n int) error {
 		return fmt.Errorf("mem: demand-zero window declared under an armed checkpoint")
 	}
 	base := vpn(va)
-	for i := 0; i < n; i++ {
-		if _, ok := as.pages.get(base + uint64(i)); ok {
-			return fmt.Errorf("mem: page 0x%x already mapped", (base+uint64(i))<<PageShift)
-		}
+	// The table is sorted: the first entry at or above base is the only
+	// candidate, so the check is one search, not one per window page.
+	if i, _ := as.pages.find(base); i < len(as.pages) && as.pages[i].vpn-base < uint64(n) {
+		return fmt.Errorf("mem: page 0x%x already mapped", as.pages[i].vpn<<PageShift)
 	}
 	as.winBase, as.winPages = base, uint64(n)
 	as.ranges = setRange(as.ranges, base, n, PermRW, true)

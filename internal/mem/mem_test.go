@@ -298,6 +298,26 @@ func windowSpace(t *testing.T, va uint64, n int) *AddressSpace {
 	return as
 }
 
+// TestDemandZeroWindowOverMappedPages: a window may not cover a page that
+// is already mapped, and the error names the lowest such page; pages just
+// outside the window do not count.
+func TestDemandZeroWindowOverMappedPages(t *testing.T) {
+	const win = 0x100000
+	as := NewAddressSpace()
+	for _, va := range []uint64{win - PageSize, win + 8*PageSize, win + 5*PageSize, win + 3*PageSize} {
+		if _, err := as.Map(va, 1, PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := as.MapDemandZero(win, 8)
+	if err == nil || err.Error() != "mem: page 0x103000 already mapped" {
+		t.Fatalf("window over mapped pages: %v", err)
+	}
+	if err := as.MapDemandZero(win, 3); err != nil {
+		t.Fatalf("window between mapped pages: %v", err)
+	}
+}
+
 // TestDemandZeroWindow: untouched window pages read zero, and each of the
 // ways a page gets a frame of its own — a store, then a FramesAt that hands
 // the frame out for aliasing; a Protect; an Unmap and MapFrames back over

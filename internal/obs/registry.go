@@ -211,6 +211,14 @@ func RegisterTracer(r *Registry, prefix string, t *Tracer) {
 	r.Gauge(prefix+".dropped", func() uint64 { return t.Dropped() })
 }
 
+// RegisterBoot publishes the process-wide boot counters under prefix (e.g.
+// "boot"): fresh machine constructions and boots served as forks of a
+// golden kernel (pass kernel.FreshBoots and kernel.ForkedBoots).
+func RegisterBoot(r *Registry, prefix string, fresh, forked func() uint64) {
+	r.Gauge(prefix+".fresh", fresh)
+	r.Gauge(prefix+".forked", forked)
+}
+
 // RegisterFork publishes copy-on-write fork statistics under prefix (e.g.
 // "fork"): the process-wide fork count (pass kernel.Forks — taking a func
 // keeps obs from importing kernel) and as's frame-sharing counters.

@@ -112,6 +112,18 @@ func TestRegisterFork(t *testing.T) {
 	}
 }
 
+func TestRegisterBoot(t *testing.T) {
+	r := NewRegistry()
+	RegisterBoot(r, "boot", func() uint64 { return 3 }, func() uint64 { return 33 })
+	got := map[string]uint64{}
+	for _, m := range r.Snapshot() {
+		got[m.Name] = m.Value
+	}
+	if got["boot.fresh"] != 3 || got["boot.forked"] != 33 || len(got) != 2 {
+		t.Errorf("boot gauges = %v, want boot.fresh 3 and boot.forked 33", got)
+	}
+}
+
 func TestRegisterRollback(t *testing.T) {
 	as := mem.NewAddressSpace()
 	if _, err := as.Map(0x1000, 1, mem.PermRW); err != nil {
