@@ -58,6 +58,16 @@ import (
 // keeps a final-entry store sound: the store needs no re-check when the
 // dispatcher revalidates next, but it does when the block itself runs again.
 //
+// Lean blocks. A compiled block that writes no memory (no dcStore entry,
+// no final call pushing a return address) and has no interpreted entry is
+// lean, and a lean self-loop checks only RIP and the budget between passes:
+// nothing it runs can change the other four conditions (dcBlock.lean gives
+// the reason for each). Loads are the case that needs care, since a lean
+// block may load: AddressSpace.Read fills the data TLB through dataPage
+// without bumping the map generation, a load of an untouched demand-zero
+// page reads the shared zero frame instead of materializing one, and a load
+// that faults returns a trap, which leaves the loop before the loop-back.
+//
 // Three layers keep the dispatch cost amortized:
 //
 //   - Hotness-gated formation. Forming a block is not free: it decodes
@@ -134,6 +144,7 @@ type BlockStats struct {
 	Cold       uint64 // block dispatch attempts deferred by the hotness gate
 	Compiled   uint64 // blocks lowered to specialized thunks (cumulative)
 	Fused      uint64 // block entries whose flag computation the liveness pass elided
+	Merged     uint64 // block entries compiled into multi-entry calls (run merging)
 	Blocks     uint64 // blocks currently live (on pages that would still validate)
 }
 
@@ -283,6 +294,28 @@ type blkLink struct {
 // lazy lowering and the per-CPU dispatch count never race across forks.
 // cov, the block's coverage words (coverage.go), follows the same rule: set
 // once on the first covered completion, then shared.
+//
+// lean is set with comp: the block writes no memory and every slot has a
+// thunk, so a completed pass of it as a self-loop re-checks only RIP and the
+// budget (runBlockCompiled). The four checks it skips cannot change inside
+// such a pass:
+//
+//   - Pending is written only by the injector's Tick, which runs between
+//     dispatches, and by RestoreState.
+//   - Mode changes only in exec (syscall, sysret, iret), which a lean
+//     block never enters because it has no interpreted entry, and in trap
+//     delivery, which runs after the block has returned. No thunk writes it.
+//   - The frame's generation moves only on stores, and a lean block has no
+//     dcStore entry and no final call (whose return-address push is a store
+//     that dcStore, a straight-line flag, does not cover).
+//   - MapGen is not moved by loads: AddressSpace.Read resolves through
+//     dataPage, which refills the data TLB without bumping it; materialize,
+//     which does bump it, is reached only from store, Protect and FramesAt
+//     paths, so a load of an untouched demand-zero page reads the shared
+//     zero frame and leaves MapGen alone.
+//
+// A load that faults returns a trap, and the runner leaves through its trap
+// check before it reaches the loop-back. Non-lean blocks keep every check.
 type dcBlock struct {
 	ents  []blkEnt
 	comp  []cthunk  // compiled thunks; nil while uncompiled (off, or still cold)
@@ -290,6 +323,7 @@ type dcBlock struct {
 	count uint64    // len(ents): the Run fast path's limit guard
 	cost  uint64    // cumulative static cycle cost of the block
 	execs uint32    // dispatches by this CPU, for the lazy-compile gate
+	lean  bool      // compiled, store-free and fully thunked (see above)
 	taken blkLink   // exit through the last entry, anywhere but the fallthrough
 	fall  blkLink   // exit to the address after the last entry
 	side  blkLink   // exit through a side-exit JCC (the most recent one)
@@ -501,10 +535,12 @@ func (c *CPU) runBlock(p *dcPage, b *dcBlock, room uint64) (stop StopReason, tra
 	if b.comp == nil && c.compile {
 		// Lazy lowering: compile only blocks that prove steady-state reuse.
 		if b.execs++; b.execs >= blockCompileHot {
-			var fused uint64
-			b.comp, fused = compileBlock(b.ents)
+			var fused, merged uint64
+			b.comp, fused, merged = compileBlock(b.ents)
+			b.lean = leanBlock(b.ents, b.comp)
 			c.bstats.Compiled++
 			c.bstats.Fused += fused
+			c.bstats.Merged += merged
 		}
 	}
 	if b.comp != nil {
@@ -559,16 +595,33 @@ func (c *CPU) runBlock(p *dcPage, b *dcBlock, room uint64) (stop StopReason, tra
 	return stop, trap, exit
 }
 
-// runBlockCompiled is runBlock over the compiled thunk array: a direct call
-// per instruction, no exec-switch dispatch, no operand re-resolution, and
-// no per-instruction accounting — the whole (possibly partial, possibly
+// leanBlock reports whether a compiled block is lean (see dcBlock.lean):
+// no entry writes memory and no slot is left to the interpreter.
+func leanBlock(ents []blkEnt, comp []cthunk) bool {
+	for i := range ents {
+		switch ents[i].in.Op {
+		case isa.CALL, isa.CALLR, isa.CALLM:
+			return false
+		}
+		if ents[i].flags&dcStore != 0 || comp[i].fn == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// runBlockCompiled is runBlock over the compiled thunk array: one direct
+// call per slot (an instruction, a fused cmp+jcc, or a merged trap-free
+// run), no exec-switch dispatch, no operand re-resolution, and no
+// per-instruction accounting — the whole (possibly partial, possibly
 // multi-pass) run is charged in one shot from the compiler's cumulative
 // cycle sums. The control skeleton — trap/stop break, last-entry
 // completion, post-store generation re-check, side-exit RIP check — is the
 // interpreted loop's, so both produce the same architectural trace by
 // construction and differ only in host wall-clock. A completed pass that
 // returns to the block entry runs again here (a self-loop, see the top of
-// this file) while room still covers a full pass.
+// this file) while room still covers a full pass; between passes a lean
+// block checks only its RIP and that budget.
 func (c *CPU) runBlockCompiled(p *dcPage, b *dcBlock, room uint64) (stop StopReason, trap *Trap, exit blockExit) {
 	fgen := p.fgen
 	frame := p.frame
@@ -595,11 +648,12 @@ func (c *CPU) runBlockCompiled(p *dcPage, b *dcBlock, room uint64) (stop StopRea
 			break
 		}
 		// ni is also the index of the next entry: a fused cmp+jcc thunk
-		// retires two entries and skips the jcc's own slot.
+		// retires two entries and skips the jcc's own slot, and a merged
+		// thunk skips every slot of its run after the first.
 		next := int(ct.ni)
 		if next == n {
-			if c.RIP != entry || left < b.count || c.Pending != nil || c.Mode != mode ||
-				frame.Gen() != fgen || c.AS.MapGen() != p.mgen {
+			if c.RIP != entry || left < b.count || !b.lean && (c.Pending != nil || c.Mode != mode ||
+				frame.Gen() != fgen || c.AS.MapGen() != p.mgen) {
 				exit = exitEnd
 				break
 			}

@@ -232,30 +232,8 @@ func (o *blkOutcome) diff(ref *blkOutcome) string {
 // records every executed RIP.
 func runBlockCase(t *testing.T, code []byte, seed uint64, m engineMode, limit, stride uint64, act bool, probe *ripProbe) blkOutcome {
 	t.Helper()
-	as := mem.NewAddressSpace()
-	for _, r := range []struct {
-		va   uint64
-		n    int
-		perm mem.Perm
-	}{
-		{dcCodeVA, 2, mem.PermRWX}, // writable code: self-modification in play
-		{dcDataVA, 1, mem.PermRW},
-		{dcStackVA, 1, mem.PermRW},
-	} {
-		if _, err := as.Map(r.va, r.n, r.perm); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := as.Poke(dcCodeVA, code); err != nil {
-		t.Fatal(err)
-	}
-	c := New(as)
-	c.SetDecodeCache(m.cache)
-	c.SetBlockEngine(m.blocks)
-	c.SetBlockCompile(m.compiled)
-	c.SetBlockHotThreshold(m.hot)
-	cv := NewCoverage(dcCodeVA+5, mem.PageSize)
-	c.SetCoverage(cv)
+	c, cv := newBlockCaseCPU(t, code, seed, m)
+	as := c.AS
 	if probe != nil {
 		c.AddProbe(probe)
 	}
@@ -264,17 +242,6 @@ func runBlockCase(t *testing.T, code []byte, seed uint64, m engineMode, limit, s
 		tl = &tickLog{c: c, stride: stride, act: act}
 		c.SetTick(tl, stride)
 		c.AddTrapProbe(tl)
-	}
-	c.Mode = Kernel
-	c.RIP = dcCodeVA
-	rng := rand.New(rand.NewSource(int64(seed)))
-	bases := []uint64{dcCodeVA, dcDataVA, dcStackVA}
-	for i := range c.Regs {
-		c.Regs[i] = bases[rng.Intn(len(bases))] + uint64(rng.Intn(mem.PageSize))
-	}
-	c.Regs[isa.RSP] = dcStackVA + mem.PageSize - 64
-	if f := as.Write(c.Regs[isa.RSP], StopMagic, 8); f != nil {
-		t.Fatal(f)
 	}
 	res := c.Run(limit)
 	o := blkOutcome{
@@ -305,6 +272,50 @@ func runBlockCase(t *testing.T, code []byte, seed uint64, m engineMode, limit, s
 	return o
 }
 
+// newBlockCaseCPU builds runBlockCase's machine: code on writable+
+// executable pages, a data page and a stack page, engine mode m, registers
+// seeded from seed, and a coverage sink whose bitmap leaves part of the code
+// outside it.
+func newBlockCaseCPU(t *testing.T, code []byte, seed uint64, m engineMode) (*CPU, *Coverage) {
+	t.Helper()
+	as := mem.NewAddressSpace()
+	for _, r := range []struct {
+		va   uint64
+		n    int
+		perm mem.Perm
+	}{
+		{dcCodeVA, 2, mem.PermRWX}, // writable code: self-modification in play
+		{dcDataVA, 1, mem.PermRW},
+		{dcStackVA, 1, mem.PermRW},
+	} {
+		if _, err := as.Map(r.va, r.n, r.perm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := as.Poke(dcCodeVA, code); err != nil {
+		t.Fatal(err)
+	}
+	c := New(as)
+	c.SetDecodeCache(m.cache)
+	c.SetBlockEngine(m.blocks)
+	c.SetBlockCompile(m.compiled)
+	c.SetBlockHotThreshold(m.hot)
+	cv := NewCoverage(dcCodeVA+5, mem.PageSize)
+	c.SetCoverage(cv)
+	c.Mode = Kernel
+	c.RIP = dcCodeVA
+	rng := rand.New(rand.NewSource(int64(seed)))
+	bases := []uint64{dcCodeVA, dcDataVA, dcStackVA}
+	for i := range c.Regs {
+		c.Regs[i] = bases[rng.Intn(len(bases))] + uint64(rng.Intn(mem.PageSize))
+	}
+	c.Regs[isa.RSP] = dcStackVA + mem.PageSize - 64
+	if f := as.Write(c.Regs[isa.RSP], StopMagic, 8); f != nil {
+		t.Fatal(f)
+	}
+	return c, cv
+}
+
 // asmProg is a small assembler for generated programs: instructions plus
 // labels that rel32 branches target, resolved once every length is known.
 type asmProg struct {
@@ -327,8 +338,10 @@ func (a *asmProg) branch(in isa.Instr, l int) {
 	a.emit(in)
 }
 
-// encode lays the program out from offset 0 and returns its bytes.
-func (a *asmProg) encode() []byte {
+// offsets returns each instruction's code offset, plus the end offset.
+// Branch displacements do not change an encoding's length, so they hold
+// before and after encode patches them.
+func (a *asmProg) offsets() []int64 {
 	offs := make([]int64, len(a.ins)+1)
 	for i, in := range a.ins {
 		b, err := in.Encode(nil)
@@ -337,6 +350,15 @@ func (a *asmProg) encode() []byte {
 		}
 		offs[i+1] = offs[i] + int64(len(b))
 	}
+	return offs
+}
+
+// labelOff returns the code offset label l is bound to.
+func (a *asmProg) labelOff(l int) uint64 { return uint64(a.offsets()[a.labels[l]]) }
+
+// encode lays the program out from offset 0 and returns its bytes.
+func (a *asmProg) encode() []byte {
+	offs := a.offsets()
 	var out []byte
 	for i, in := range a.ins {
 		if l, ok := a.refs[i]; ok {
@@ -354,10 +376,12 @@ func (a *asmProg) encode() []byte {
 // superblock formation treats specially: forward jcc skips (side exits,
 // half of them fused with a compare right before), backward jcc loops,
 // IR-shaped loops (head: cmp; jae exit / body; jmp head) whose block is its
-// own successor, jmp chains that go forward and then back, and a self-loop
+// own successor, jmp chains that go forward and then back, a self-loop
 // whose last entry is a store through a pointer that walks memory and may
-// land on its own page. Loop counters live in registers the random
-// operations never write, so most loops end; the Run limit bounds the rest.
+// land on its own page, and a store-free self-loop whose load pointer walks
+// by a stride and may leave its page mid-loop (a lean block that faults).
+// Loop counters live in registers the random operations never write, so
+// most loops end; the Run limit bounds the rest.
 func genBlockProgram(rng *rand.Rand) []byte {
 	work := []isa.Reg{isa.RAX, isa.RBX, isa.RDX, isa.RDI, isa.R8, isa.R9}
 	wr := func() isa.Reg { return work[rng.Intn(len(work))] }
@@ -401,7 +425,7 @@ func genBlockProgram(rng *rand.Rand) []byte {
 		a.emit(isa.MovRI(isa.RSI, int64(dcCodeVA+rng.Intn(256))))
 	}
 	for n := 1 + rng.Intn(5); n > 0; n-- {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			ops(1 + rng.Intn(6))
 		case 1: // forward skip: a side exit once formation continues past it
@@ -458,6 +482,27 @@ func genBlockProgram(rng *rand.Rand) []byte {
 			ops(rng.Intn(3))
 			a.branch(isa.Instr{Op: isa.JMP}, back)
 			a.bind(on)
+		case 6: // store-free self-loop whose load pointer walks by a stride
+			head, exit := a.label(), a.label()
+			strides := []int64{8, 64, 512, -512, mem.PageSize}
+			a.emit(isa.MovRI(isa.R13, 0), isa.MovRI(isa.R15, strides[rng.Intn(len(strides))]))
+			a.bind(head)
+			a.emit(isa.CmpRI(isa.R13, int32(1+rng.Intn(20))))
+			a.branch(isa.Instr{Op: isa.JCC, CC: isa.CondAE}, exit)
+			a.emit(isa.Load(wr(), isa.Mem(isa.RSI, int32(rng.Intn(8)))))
+			for k := rng.Intn(3); k > 0; k-- {
+				switch rng.Intn(3) {
+				case 0:
+					a.emit(isa.AddRR(wr(), wr()))
+				case 1:
+					a.emit(isa.ShrRI(wr(), uint8(rng.Intn(8))))
+				default:
+					a.emit(isa.OrRI(wr(), imm()))
+				}
+			}
+			a.emit(isa.AddRR(isa.RSI, isa.R15), isa.Inc(isa.R13))
+			a.branch(isa.Instr{Op: isa.JMP}, head)
+			a.bind(exit)
 		}
 	}
 	a.emit(isa.Ret())
@@ -511,6 +556,13 @@ func FuzzBlockEquivalence(f *testing.F) {
 		isa.Ret(),
 	), uint64(5))
 	f.Add([]byte("structured"), uint64(6))
+	// sys_select's pure register loop: a lean self-loop whose body after
+	// the fused cmp+jae runs as one merged call.
+	code, _ := selectLoopProg(40)
+	f.Add(code, uint64(7))
+	// A lean self-loop whose load walks off the data page on pass 4.
+	code, _ = walkingLoadProg(dcDataVA+mem.PageSize-3*64, 64, 20)
+	f.Add(code, uint64(8))
 
 	f.Fuzz(func(t *testing.T, code []byte, seed uint64) {
 		if len(code) > 2*mem.PageSize {

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -17,7 +18,7 @@ import (
 // resolved ONCE, at block formation time, into a specialized closure — a
 // thunk — that the steady-state dispatch loop calls directly.
 //
-// Three families of specialization happen here:
+// Four families of specialization happen here:
 //
 //   - Operand capture. A thunk closes over the decoded operands as Go
 //     locals: register indices, sign-extended immediates, the access size,
@@ -36,6 +37,25 @@ import (
 //     provably overwritten before ANY observable point gets the fused
 //     no-flags thunk variant — a bare register update (or, for CMP/TEST, a
 //     pure no-op) with no flagsAdd/flagsSub/setSZP/parity work at all.
+//
+//   - Run merging. Once fusion has settled every slot, mergeRuns turns
+//     each maximal run of two or more trap-free, store-free compiled slots
+//     into ONE thunk that calls the run's thunks in order (mergeThunks).
+//     The dispatch loop's per-slot work — the indirect call, and the spill
+//     and reload of its locals around it — is then paid once per run instead
+//     of once per instruction. Only trap-free, store-free slots qualify
+//     because those are exactly the ones after which the loop has nothing to
+//     check: such a thunk always returns (StepContinue, nil), so no run can
+//     end partway through a merged call, and there is no self-modification
+//     re-check to make after it. A side exit (a JCC, fused or not) or the
+//     block's final terminator may close a run, since its check happens after
+//     the merged call exactly as it did after the slot itself. The merged
+//     slot carries the LAST entry's cumulative cyc, ni and flags, so the
+//     loop's accounting, its next-slot step and its side-exit check read as
+//     if it had just run that entry — just as a fused cmp+jcc carries its
+//     jcc's. The budget rule is unaffected: a compiled pass starts only when
+//     the whole block fits, so a run cut by the limit stops before a merged
+//     slot, never inside one.
 //
 // Soundness of the fusion rests on a conservative definition of "observable
 // point". The architectural %rflags must be bit-exact whenever anything can
@@ -87,7 +107,7 @@ type thunk func(c *CPU) (StopReason, *Trap)
 // array at the same index. The array stays index-aligned with the entries:
 // ni is also the index of the next entry to run, so a fused cmp+jcc thunk
 // (ni two past its own index) skips the jcc's slot, which stays in place
-// unused.
+// unused, and a merged run's thunk skips the rest of its run the same way.
 type cthunk struct {
 	fn    thunk
 	cyc   uint64
@@ -95,16 +115,25 @@ type cthunk struct {
 	flags uint8
 }
 
-// compileBlock lowers a formed block to compiled thunks. Each entry's
-// successor address (the constant every thunk folds) is its own rip plus its
-// length. It returns the thunk array and the number of entries whose flag
-// computation was elided by the liveness pass.
+// compileBlock lowers a formed block to compiled thunks (lowerBlock) and
+// merges their trap-free runs (mergeRuns). It returns the thunk array, the
+// number of entries whose flag computation was elided by the liveness pass,
+// and the number of entries run merging folded into multi-entry thunks.
+func compileBlock(ents []blkEnt) (comp []cthunk, fused, merged uint64) {
+	comp, fused = lowerBlock(ents)
+	return comp, fused, mergeRuns(comp)
+}
+
+// lowerBlock builds one thunk per entry, with flag-dead and cmp+jcc fusion.
+// Each entry's successor address (the constant every thunk folds) is its own
+// rip plus its length. It returns the thunk array and the number of entries
+// whose flag computation was elided by the liveness pass.
 //
 // The liveness pass walks backwards. dead == true means: the arithmetic
 // flags as they stand RIGHT AFTER the current entry are provably
 // overwritten before any observable point, so the entry need not compute
 // them. See the package comment above for what counts as observable.
-func compileBlock(ents []blkEnt) (comp []cthunk, fused uint64) {
+func lowerBlock(ents []blkEnt) (comp []cthunk, fused uint64) {
 	// Forward pass: the running sum of base cycle costs — the dispatch loop
 	// charges a whole run from the last executed entry's cumulative total
 	// instead of per instruction.
@@ -163,6 +192,54 @@ func compileBlock(ents []blkEnt) (comp []cthunk, fused uint64) {
 		}
 	}
 	return comp, fused
+}
+
+// mergeRuns is run merging (see the top of this file): it walks the slots
+// the dispatch loop visits, following ni past fused jcc slots, and collapses
+// each maximal run of two or more trap-free, store-free slots into its first
+// slot. A dcEnd slot closes the run it joins. The slots behind a merged one
+// stay in place, unvisited, like a fused pair's jcc slot. It returns the
+// number of entries merged.
+func mergeRuns(comp []cthunk) (merged uint64) {
+	var run []thunk
+	for i := 0; i < len(comp); {
+		k, end := i, i
+		run = run[:0]
+		for k < len(comp) {
+			ct := &comp[k]
+			if ct.fn == nil || ct.flags&(dcTrap|dcStore) != 0 {
+				break
+			}
+			run = append(run, ct.fn)
+			end, k = k, int(ct.ni)
+			if ct.flags&dcEnd != 0 {
+				break
+			}
+		}
+		if len(run) >= 2 {
+			l := comp[end]
+			comp[i] = cthunk{fn: mergeThunks(run), cyc: l.cyc, ni: l.ni, flags: l.flags}
+			merged += uint64(l.ni) - uint64(i)
+		}
+		if k == i {
+			k = int(comp[i].ni) // slot i itself does not qualify
+		}
+		i = k
+	}
+	return merged
+}
+
+// mergeThunks builds the single thunk of a merged run. Every thunk in fns is
+// trap-free and stop-free, so each returns (StepContinue, nil) and the
+// merged call discards their results and returns the same.
+func mergeThunks(fns []thunk) thunk {
+	fns = slices.Clone(fns)
+	return func(c *CPU) (StopReason, *Trap) {
+		for _, fn := range fns {
+			fn(c)
+		}
+		return StepContinue, nil
+	}
 }
 
 // compileCmpJcc fuses a trap-free register-form flag producer with the

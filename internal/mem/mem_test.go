@@ -438,3 +438,59 @@ func TestDemandZeroWindow(t *testing.T) {
 		zeroFrame.Zap()
 	})
 }
+
+// TestDemandZeroLoadsKeepMapGen: a load-only walk over untouched demand-zero
+// pages — every access size, in-page and page-straddling, word loads and
+// ReadRun, plain, under an armed checkpoint and in a fork — reads zeros,
+// refills the data TLB, and leaves MapGen and the page table alone; walking
+// off the window faults without moving MapGen either. The CPU's lean
+// compiled self-loops skip their MapGen re-check on exactly this basis.
+func TestDemandZeroLoadsKeepMapGen(t *testing.T) {
+	const win, pages = 0x100000, 3
+	for _, tc := range []struct {
+		name  string
+		space func(t *testing.T) *AddressSpace
+	}{
+		{"plain", func(t *testing.T) *AddressSpace { return windowSpace(t, win, pages) }},
+		{"checkpointed", func(t *testing.T) *AddressSpace {
+			as := windowSpace(t, win, pages)
+			as.Checkpoint()
+			return as
+		}},
+		{"forked", func(t *testing.T) *AddressSpace {
+			child, err := windowSpace(t, win, pages).Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return child
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			as := tc.space(t)
+			gen, misses := as.MapGen(), as.DataTLBStats().Misses
+			// An odd stride puts some accesses across page boundaries.
+			for va := uint64(win); va+8 <= win+pages*PageSize; va += 61 {
+				for _, sz := range []uint8{1, 2, 4, 8} {
+					if v, f := as.Read(va, sz); f != nil || v != 0 {
+						t.Fatalf("Read(%#x, %d) = %#x, %v", va, sz, v, f)
+					}
+				}
+				if b, f := as.ReadRun(va); f != nil || len(b) == 0 || b[0] != 0 {
+					t.Fatalf("ReadRun(%#x) = %d bytes, %v", va, len(b), f)
+				}
+			}
+			if _, f := as.Read(win+pages*PageSize-4, 8); f == nil || f.Kind != FaultNotMapped {
+				t.Fatalf("a load off the window's end: %v", f)
+			}
+			if got := as.MapGen(); got != gen {
+				t.Fatalf("loads moved MapGen %d -> %d", gen, got)
+			}
+			if got := as.PhysStats(); got != (PhysStats{Pages: pages}) {
+				t.Fatalf("loads changed the page table: %+v", got)
+			}
+			if as.DataTLBStats().Misses == misses {
+				t.Fatal("the walk never refilled the data TLB")
+			}
+		})
+	}
+}

@@ -137,6 +137,7 @@ func RegisterBlockEngine(r *Registry, prefix string, c *cpu.CPU) {
 	r.Gauge(prefix+".formed", stat(func(s cpu.BlockStats) uint64 { return s.Formed }))
 	r.Gauge(prefix+".compiled", stat(func(s cpu.BlockStats) uint64 { return s.Compiled }))
 	r.Gauge(prefix+".fused", stat(func(s cpu.BlockStats) uint64 { return s.Fused }))
+	r.Gauge(prefix+".merged", stat(func(s cpu.BlockStats) uint64 { return s.Merged }))
 	r.Gauge(prefix+".dispatches", stat(func(s cpu.BlockStats) uint64 { return s.Dispatches }))
 	r.Gauge(prefix+".instrs", stat(func(s cpu.BlockStats) uint64 { return s.Instrs }))
 	r.Gauge(prefix+".aborts", stat(func(s cpu.BlockStats) uint64 { return s.Aborts }))

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
@@ -183,5 +185,75 @@ func TestRegisterPhysmap(t *testing.T) {
 		if got[k] != v {
 			t.Errorf("%s = %d, want %d", k, got[k], v)
 		}
+	}
+}
+
+// TestRegisterBlockEngine runs a register-only counting loop on a bare CPU
+// and checks the block-engine gauges read its live BlockStats — merged
+// included: the loop's block compiles to a fused cmp+jae and one merged
+// call over its three remaining entries.
+func TestRegisterBlockEngine(t *testing.T) {
+	const code, stack = 0x100000, 0x200000
+	as := mem.NewAddressSpace()
+	if _, err := as.Map(code, 1, mem.PermX); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.Map(stack, 1, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	// mov rcx,0; head: cmp rcx,50; jae out; add rax,rcx; add rcx,1; jmp head; out: ret
+	prog := []isa.Instr{
+		isa.MovRI(isa.RCX, 0), isa.CmpRI(isa.RCX, 50), {Op: isa.JCC, CC: isa.CondAE},
+		isa.AddRR(isa.RAX, isa.RCX), isa.AddRI(isa.RCX, 1), {Op: isa.JMP}, isa.Ret(),
+	}
+	offs := make([]int64, len(prog)+1)
+	for i, in := range prog {
+		b, err := in.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs[i+1] = offs[i] + int64(len(b))
+	}
+	prog[2].Imm = offs[6] - offs[3]
+	prog[5].Imm = offs[1] - offs[6]
+	var text []byte
+	for _, in := range prog {
+		var err error
+		if text, err = in.Encode(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := as.Poke(code, text); err != nil {
+		t.Fatal(err)
+	}
+	c := cpu.New(as)
+	c.SetBlockHotThreshold(1)
+	c.Mode, c.RIP = cpu.Kernel, code
+	c.Regs[isa.RSP] = stack + mem.PageSize - 8
+	if f := as.Write(c.Regs[isa.RSP], cpu.StopMagic, 8); f != nil {
+		t.Fatal(f)
+	}
+	if res := c.Run(10000); res.Reason != cpu.StopReturn {
+		t.Fatalf("run: %+v", res)
+	}
+	r := NewRegistry()
+	RegisterBlockEngine(r, "block_engine", c)
+	got := map[string]uint64{}
+	for _, m := range r.Snapshot() {
+		got[m.Name] = m.Value
+	}
+	s := c.BlockStats()
+	want := map[string]uint64{
+		"block_engine.compiled": s.Compiled, "block_engine.fused": s.Fused,
+		"block_engine.merged": 3, "block_engine.loop_iters": s.LoopIters,
+		"block_engine.instrs": s.Instrs,
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %d, want %d", k, got[k], v)
+		}
+	}
+	if s.Merged != 3 || s.LoopIters == 0 {
+		t.Errorf("the loop did not run merged: %+v", s)
 	}
 }
