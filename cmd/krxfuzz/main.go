@@ -49,7 +49,6 @@ func run() error {
 	traceOut := flag.String("trace", "", "record the campaign event stream (byte-identical for any -workers count); write Chrome trace-event JSON to this file")
 	stats := flag.Bool("stats", false, "print the observability metric registry after the campaign")
 	blocks := flag.Bool("blocks", true, "dispatch through the superblock engine (bit-identical either way; -blocks=false forces per-instruction stepping)")
-	compile := flag.Bool("compile", true, "compile hot superblocks into per-opcode thunks (bit-identical either way; -compile=false keeps the interpreted block dispatcher)")
 	hot := flag.Int("hot", 0, "block-formation hotness threshold: form a superblock after this many dispatches of an entry point (0 = engine default)")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: kernel images are reused across invocations; a warm run performs zero link builds")
 	cacheQuota := flag.String("cache-quota", "1G", "artifact store byte quota, LRU-evicted (accepts K/M/G suffixes; 0 = unlimited)")
@@ -119,7 +118,6 @@ func run() error {
 	}
 	for _, k := range ks {
 		k.CPU.SetBlockEngine(*blocks)
-		k.CPU.SetBlockCompile(*compile)
 		k.CPU.SetBlockHotThreshold(*hot)
 	}
 	rep, err := f.RunContext(ctx)

@@ -1,5 +1,5 @@
 // Block-engine bit-identity enforcement at system scale: the superblock
-// engine — interpreted or compiled to per-opcode thunks — must not change
+// engine, which compiles every block to per-opcode thunks, must not change
 // any architecturally visible outcome of the Table 1 suite, the paper's
 // attack scenarios, or a fuzzing campaign — and the fuzz report must stay
 // byte-identical across worker counts with the engine on. These runs are
@@ -17,19 +17,16 @@ import (
 	"repro/internal/kernel"
 )
 
-// blockMode names one (blocksOn, compileOn) engine configuration. compiled
-// is the default shipping configuration; interp exercises the interpreted
-// block dispatcher the compiler replaced; off is the single-step baseline.
+// blockMode names one engine configuration. compiled is the default
+// shipping configuration; off is the single-step baseline.
 type blockMode struct {
-	name      string
-	blocksOn  bool
-	compileOn bool
+	name     string
+	blocksOn bool
 }
 
 var blockModes = []blockMode{
-	{"compiled", true, true},
-	{"interp", true, false},
-	{"off", false, false},
+	{"compiled", true},
+	{"off", false},
 }
 
 func bootBlocks(t *testing.T, cfg core.Config, m blockMode) *kernel.Kernel {
@@ -39,14 +36,12 @@ func bootBlocks(t *testing.T, cfg core.Config, m blockMode) *kernel.Kernel {
 		t.Fatal(err)
 	}
 	k.CPU.SetBlockEngine(m.blocksOn)
-	k.CPU.SetBlockCompile(m.compileOn)
 	return k
 }
 
-// TestTable1SuiteBlockEquivalence: every micro-op under block dispatch —
-// compiled and interpreted — must produce the identical cycle and
-// instruction totals as single-step, on the unprotected and the fully
-// protected columns.
+// TestTable1SuiteBlockEquivalence: every micro-op under compiled block
+// dispatch must produce the identical cycle and instruction totals as
+// single-step, on the unprotected and the fully protected columns.
 func TestTable1SuiteBlockEquivalence(t *testing.T) {
 	for _, cfg := range equivConfigs() {
 		type outcome struct {
@@ -64,11 +59,6 @@ func TestTable1SuiteBlockEquivalence(t *testing.T) {
 				t.Fatalf("%s/%s: block engine never dispatched", cfg.Name(), m.name)
 			} else if !m.blocksOn && bs.Dispatches != 0 {
 				t.Fatalf("%s/%s: disabled engine dispatched: %+v", cfg.Name(), m.name, bs)
-			}
-			if m.compileOn && bs.Compiled == 0 {
-				t.Fatalf("%s/%s: compiler never ran", cfg.Name(), m.name)
-			} else if !m.compileOn && bs.Compiled != 0 {
-				t.Fatalf("%s/%s: disabled compiler ran: %+v", cfg.Name(), m.name, bs)
 			}
 			return outcome{cycles: cycles, instrs: k.CPU.Instrs - instrs0}
 		}
@@ -131,7 +121,7 @@ func TestAttackScenariosBlockEquivalence(t *testing.T) {
 }
 
 // TestFuzzReportBlockInvariance: campaign reports must be byte-identical
-// across engine modes (compiled, interpreted, off), across -workers 1 and
+// across engine modes (compiled, off), across -workers 1 and
 // 4, with forked workers, and with an eager hotness threshold (-hot 1) —
 // the worker-count invariance the deterministic scheduler guarantees must
 // survive the compiled dispatch path. The campaign runs with coverage on
@@ -155,7 +145,6 @@ func TestFuzzReportBlockInvariance(t *testing.T) {
 		}
 		for _, k := range ks {
 			k.CPU.SetBlockEngine(m.blocksOn)
-			k.CPU.SetBlockCompile(m.compileOn)
 			k.CPU.SetBlockHotThreshold(l.hot)
 		}
 		rep, err := f.Run()

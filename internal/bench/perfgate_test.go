@@ -99,71 +99,36 @@ func TestProbesDisabledStepPerfGate(t *testing.T) {
 	}
 }
 
-// TestBlockEnginePerfGate gates the superblock engine against its own
-// fallback on EVERY workload: block dispatch (with hotness-gated formation
-// and chaining) must be at least as fast as the decode-cache-only path
-// (block_speedup >= 1.0, within the KRX_PERF_GATE_PCT band). The fuzz rows
-// run with coverage on, which keeps block dispatch armed (the CPU's
-// coverage sink marks whole blocks) — the fuzz-iteration/Vanilla row is
-// exactly the regression this gate exists to hold down. Each mode is
-// min-of-emuReps inside EmuBench, and the exact emulated-cycles equality
-// across all three modes is enforced inside measureEmu on every repetition
-// — a divergence fails the run before any timing is reported.
-//
-// Like the Step gate, this only arms under KRX_PERF_GATE: it is a relative
-// same-host comparison, so no goos/goarch check is needed.
-func TestBlockEnginePerfGate(t *testing.T) {
-	if os.Getenv("KRX_PERF_GATE") == "" {
-		t.Skip("perf gate disarmed (set KRX_PERF_GATE=1 to gate block-engine speedup)")
-	}
-	tolerance := 2.0
-	if s := os.Getenv("KRX_PERF_GATE_PCT"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("KRX_PERF_GATE_PCT: %v", err)
-		}
-		tolerance = v
-	}
-
-	cur, err := EmuBench(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, r := range cur.Results {
-		t.Logf("%s: blocks %d ns/op vs cache-only %d ns/op (block speedup %.3fx)",
-			r.Name, r.HostNsBlocks, r.HostNsOn, r.BlockSpeedup)
-		speedup := float64(r.HostNsOn) / float64(r.HostNsBlocks)
-		if speedup < 1.0-tolerance/100 {
-			t.Errorf("%s: block engine slower than decode-cache-only: %.3fx (< 1.0 - %.1f%% band)",
-				r.Name, speedup, tolerance)
-		}
-	}
-}
-
-// compiledSpeedupFloor returns the compiled_speedup floor for a benchmark
-// row: the ISSUE's acceptance bar is >= 1.15x on the table1-suite rows
-// (steady-state block dispatch, where thunk specialization is the whole
-// cost) and >= 1.0 everywhere else (fuzz rows amortize compilation over
-// fresh programs, so break-even is the contract).
-func compiledSpeedupFloor(name string) float64 {
+// blockSpeedupFloor returns the block_speedup floor for a benchmark row:
+// >= 1.15x on the table1-suite rows (steady-state block dispatch, where
+// compiled thunks are the whole cost) and >= 1.0 everywhere else (fuzz rows
+// amortize formation over fresh programs, so break-even is the contract).
+func blockSpeedupFloor(name string) float64 {
 	if strings.HasPrefix(name, "table1-suite/") {
 		return 1.15
 	}
 	return 1.0
 }
 
-// TestCompiledEnginePerfGate gates the compiled-thunk dispatcher against
-// the interpreted block engine it replaces, in two layers:
+// TestBlockEnginePerfGate gates the superblock engine, which compiles every
+// block it forms, against its own fallback, the decode-cache-only path, on
+// EVERY workload, in two layers:
 //
 //   - Static (always on): every row of the committed BENCH_emulator.json
-//     must carry compiled_speedup >= its floor. This holds the committed
+//     must carry block_speedup >= its floor. This holds the committed
 //     baseline honest — a PR cannot land a benchmark file in which the
-//     compiler loses to the interpreter it is supposed to beat.
+//     block engine loses to the path it is supposed to beat.
 //   - Live (under KRX_PERF_GATE): the same floors re-measured on this
-//     host, within the KRX_PERF_GATE_PCT band. Like TestBlockEnginePerfGate
-//     it is a relative same-host comparison, so no goos/goarch check.
-func TestCompiledEnginePerfGate(t *testing.T) {
+//     host, within the KRX_PERF_GATE_PCT band. The fuzz rows run with
+//     coverage on, which keeps block dispatch armed (the CPU's coverage
+//     sink marks whole blocks) — the fuzz-iteration/Vanilla row is exactly
+//     the regression this gate exists to hold down. Each mode is
+//     min-of-emuReps inside EmuBench, and the exact emulated-cycles
+//     equality across all three modes is enforced inside measureEmu on
+//     every repetition — a divergence fails the run before any timing is
+//     reported. It is a relative same-host comparison, so no goos/goarch
+//     check is needed.
+func TestBlockEnginePerfGate(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_emulator.json"))
 	if err != nil {
 		t.Fatalf("reading baseline: %v", err)
@@ -180,17 +145,17 @@ func TestCompiledEnginePerfGate(t *testing.T) {
 		t.Fatal("baseline has no emulator results")
 	}
 	for _, r := range base.Results {
-		floor := compiledSpeedupFloor(r.Name)
-		t.Logf("%s: baseline compiled %d ns/op vs blocks %d ns/op (compiled speedup %.3fx, floor %.2fx)",
-			r.Name, r.HostNsCompiled, r.HostNsBlocks, r.CompiledSpeedup, floor)
-		if r.CompiledSpeedup < floor {
-			t.Errorf("%s: committed baseline compiled_speedup %.3fx below the %.2fx floor: regenerate or fix the compiler",
-				r.Name, r.CompiledSpeedup, floor)
+		floor := blockSpeedupFloor(r.Name)
+		t.Logf("%s: baseline compiled %d ns/op vs cache-only %d ns/op (block speedup %.3fx, floor %.2fx)",
+			r.Name, r.HostNsCompiled, r.HostNsOn, r.BlockSpeedup, floor)
+		if r.BlockSpeedup < floor {
+			t.Errorf("%s: committed baseline block_speedup %.3fx below the %.2fx floor: regenerate or fix the block engine",
+				r.Name, r.BlockSpeedup, floor)
 		}
 	}
 
 	if os.Getenv("KRX_PERF_GATE") == "" {
-		t.Skip("live perf gate disarmed (set KRX_PERF_GATE=1 to re-measure compiled_speedup on this host)")
+		t.Skip("live perf gate disarmed (set KRX_PERF_GATE=1 to re-measure block_speedup on this host)")
 	}
 	tolerance := 2.0
 	if s := os.Getenv("KRX_PERF_GATE_PCT"); s != "" {
@@ -205,12 +170,12 @@ func TestCompiledEnginePerfGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range cur.Results {
-		floor := compiledSpeedupFloor(r.Name)
-		t.Logf("%s: compiled %d ns/op vs blocks %d ns/op (compiled speedup %.3fx, floor %.2fx)",
-			r.Name, r.HostNsCompiled, r.HostNsBlocks, r.CompiledSpeedup, floor)
-		if r.CompiledSpeedup < floor-tolerance/100 {
-			t.Errorf("%s: compiled dispatch speedup %.3fx below the %.2fx floor (band %.1f%%)",
-				r.Name, r.CompiledSpeedup, floor, tolerance)
+		floor := blockSpeedupFloor(r.Name)
+		t.Logf("%s: compiled %d ns/op vs cache-only %d ns/op (block speedup %.3fx, floor %.2fx)",
+			r.Name, r.HostNsCompiled, r.HostNsOn, r.BlockSpeedup, floor)
+		if r.BlockSpeedup < floor-tolerance/100 {
+			t.Errorf("%s: block engine speedup %.3fx below the %.2fx floor (band %.1f%%)",
+				r.Name, r.BlockSpeedup, floor, tolerance)
 		}
 	}
 }

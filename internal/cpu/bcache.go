@@ -51,18 +51,18 @@ import (
 //
 // Self-loops. A loop whose back edge returns to the block entry (the IR
 // lowers loops as head: cmp; jae exit + body; jmp head, which forms one
-// block at head) completes with RIP equal to its own entry. The compiled
-// runner then runs it again inside the same dispatch while the remaining
+// block at head) completes with RIP equal to its own entry. The runner
+// then runs it again inside the same dispatch while the remaining
 // budget covers a full pass, no trap is pending, the mode is unchanged, and
 // the page's frame and map generations still match. That last check is what
 // keeps a final-entry store sound: the store needs no re-check when the
 // dispatcher revalidates next, but it does when the block itself runs again.
 //
-// Lean blocks. A compiled block that writes no memory (no dcStore entry,
-// no final call pushing a return address) and has no interpreted entry is
-// lean, and a lean self-loop checks only RIP and the budget between passes:
-// nothing it runs can change the other four conditions (dcBlock.lean gives
-// the reason for each). Loads are the case that needs care, since a lean
+// Lean blocks. A block that writes no memory (no dcStore entry, no final
+// call pushing a return address) and has a thunk in every slot is lean, and
+// a lean self-loop checks only RIP and the budget between passes: nothing
+// it runs can change the other four conditions (dcBlock.lean gives the
+// reason for each). Loads are the case that needs care, since a lean
 // block may load: AddressSpace.Read fills the data TLB through dataPage
 // without bumping the map generation, a load of an untouched demand-zero
 // page reads the shared zero frame instead of materializing one, and a load
@@ -71,9 +71,10 @@ import (
 // Three layers keep the dispatch cost amortized:
 //
 //   - Hotness-gated formation. Forming a block is not free: it decodes
-//     forward and copies a dense blkEnt slice. On short, snapshot/restore-
-//     heavy runs (a fuzz iteration is a few hundred instructions), eager
-//     formation at every executed RIP costs more than it saves. A per-offset
+//     forward, copies a dense blkEnt slice and compiles it. On short,
+//     snapshot/restore-heavy runs (a fuzz iteration is a few hundred
+//     instructions), eager formation at every executed RIP costs more than
+//     it saves. A per-offset
 //     heat counter on the page defers formation until an entry point has
 //     been dispatched BlockHotThreshold times (SetBlockHotThreshold; default
 //     DefaultBlockHotThreshold); cold offsets keep single-stepping through
@@ -122,11 +123,13 @@ import (
 //     mid-block check — their cached blocks revalidate at next entry, and
 //     their inbound chain links fail the generation checks and sever.
 //
-// Accounting stays per-instruction in the interpreted runner (Instrs++/
-// Cycles+=cost before each exec), so a mid-block trap observes exactly the
-// counter state the single-step path would; the compiled runner batches the
-// same totals from cumulative sums (thunk.go). The precomputed block cost
-// and count feed the limit guard and the stats.
+// Formation compiles: formBlock lowers every block it forms to thunks
+// (thunk.go), so one runner executes every block and a block's translation
+// (ents, comp, lean, cost, count) never changes after formation. The
+// runner batches Instrs/Cycles from the compiler's cumulative sums, which
+// give a mid-block trap exactly the counter state the single-step path
+// would. The precomputed block cost and count feed the limit guard and the
+// stats.
 
 // BlockStats reports superblock-engine behaviour for one CPU. All counters
 // except Blocks are cumulative: they survive page flushes, SetBlockEngine
@@ -142,7 +145,7 @@ type BlockStats struct {
 	Chained    uint64 // block-to-block transitions that bypassed the dispatcher
 	Severed    uint64 // successor links invalidated by the generation checks
 	Cold       uint64 // block dispatch attempts deferred by the hotness gate
-	Compiled   uint64 // blocks lowered to specialized thunks (cumulative)
+	Compiled   uint64 // blocks lowered to specialized thunks (cumulative; equals Formed)
 	Fused      uint64 // block entries whose flag computation the liveness pass elided
 	Merged     uint64 // block entries compiled into multi-entry calls (run merging)
 	Blocks     uint64 // blocks currently live (on pages that would still validate)
@@ -283,27 +286,23 @@ type blkLink struct {
 }
 
 // dcBlock is one superblock: a formed path through its page (see formBlock),
-// plus its lazily resolved successor links.
-// When the block compiler is enabled, comp holds one specialized thunk per
-// entry (same indices as ents), lowered lazily once the block has proved
-// steady-state reuse (blockCompileHot dispatches); ents stays the decoded
-// source of truth (nil-fn entries are interpreted from it, and so is the
-// whole block while compilation is off or pending). Both slices are
-// immutable once set, so COW forks share them; the dcBlock VALUE — links,
-// execs, the comp slice header — is cloned per fork (fork.go), so the
-// lazy lowering and the per-CPU dispatch count never race across forks.
-// cov, the block's coverage words (coverage.go), follows the same rule: set
-// once on the first covered completion, then shared.
+// plus its lazily resolved successor links. Its translation — ents, comp,
+// lean, cost, count — is built by formBlock and never changes afterwards.
+// comp holds one specialized thunk per entry (same indices as ents); ents
+// stays the decoded source of truth, and a nil-fn slot runs through exec
+// from it. Both slices are immutable, so COW forks share them; the dcBlock
+// VALUE — links, the cov slice header — is cloned per fork (fork.go).
+// cov, the block's coverage words (coverage.go), is set once on the first
+// covered completion, then shared.
 //
-// lean is set with comp: the block writes no memory and every slot has a
-// thunk, so a completed pass of it as a self-loop re-checks only RIP and the
-// budget (runBlockCompiled). The four checks it skips cannot change inside
-// such a pass:
+// lean: the block writes no memory and every slot has a thunk, so a
+// completed pass of it as a self-loop re-checks only RIP and the budget
+// (runBlock). The four checks it skips cannot change inside such a pass:
 //
 //   - Pending is written only by the injector's Tick, which runs between
 //     dispatches, and by RestoreState.
 //   - Mode changes only in exec (syscall, sysret, iret), which a lean
-//     block never enters because it has no interpreted entry, and in trap
+//     block never enters because every slot has a thunk, and in trap
 //     delivery, which runs after the block has returned. No thunk writes it.
 //   - The frame's generation moves only on stores, and a lean block has no
 //     dcStore entry and no final call (whose return-address push is a store
@@ -318,12 +317,11 @@ type blkLink struct {
 // check before it reaches the loop-back. Non-lean blocks keep every check.
 type dcBlock struct {
 	ents  []blkEnt
-	comp  []cthunk  // compiled thunks; nil while uncompiled (off, or still cold)
+	comp  []cthunk  // compiled thunks, one slot per entry
 	cov   []covWord // coverage words; nil until the first covered completion
 	count uint64    // len(ents): the Run fast path's limit guard
 	cost  uint64    // cumulative static cycle cost of the block
-	execs uint32    // dispatches by this CPU, for the lazy-compile gate
-	lean  bool      // compiled, store-free and fully thunked (see above)
+	lean  bool      // store-free and fully thunked (see above)
 	taken blkLink   // exit through the last entry, anywhere but the fallthrough
 	fall  blkLink   // exit to the address after the last entry
 	side  blkLink   // exit through a side-exit JCC (the most recent one)
@@ -343,23 +341,13 @@ const (
 // formation cost stays bounded.
 const maxBlockEnts = 64
 
-// blockCompileHot is how many times a formed block must dispatch before it
-// is lowered to compiled thunks. Compilation allocates a closure per
-// specialized entry — cheap against any reuse, pure waste on one-shot code.
-// The fuzz workloads are exactly that worst case: a fresh program every
-// iteration lands on page offsets the heat counters already proved hot (heat
-// survives flushes by design), so its blocks FORM on first dispatch and then
-// die at the next iteration's flush. At 2, such single-use blocks stay
-// interpreted while anything with real reuse — kernel handlers, benchmark
-// loops — is lowered on its second dispatch.
-const blockCompileHot = 2
-
 // formBlock builds (and registers) the block entered at rip, decoding
 // forward as needed, by the formation rules at the top of this file. It
 // returns the blkIdx value for rip's offset: >0 for blocks[i-1], -1 when no
 // block can start here (a cached #UD or an undecidable page-tail offset —
-// the single-step path owns those). Compilation does NOT happen here: it is
-// deferred to runBlock's lazy-compile gate, so one-shot blocks never pay it.
+// the single-step path owns those). The block is compiled here, once: the
+// hotness gate in front of formation is the only one, so a block that forms
+// is reused often enough to repay its thunks.
 func (p *dcPage) formBlock(rip uint64, c *CPU) int16 {
 	dc := c.dc
 	base := rip &^ uint64(mem.PageMask)
@@ -403,11 +391,19 @@ func (p *dcPage) formBlock(rip uint64, c *CPU) int16 {
 		p.blkIdx[start] = -1
 		return -1
 	}
-	b := dcBlock{ents: slices.Clone(ents), count: uint64(len(ents)), cost: cost}
-	p.blocks = append(p.blocks, b)
+	// A fresh variable, not ents: the block stores the clone, and escape
+	// analysis would move buf to the heap (9 KiB per formation) if the
+	// stored slice and buf shared one variable.
+	be := slices.Clone(ents)
+	comp, fused, merged := compileBlock(be)
+	p.blocks = append(p.blocks, dcBlock{ents: be, comp: comp, lean: leanBlock(be, comp),
+		count: uint64(len(be)), cost: cost})
 	bi := int16(len(p.blocks))
 	p.blkIdx[start] = bi
 	c.bstats.Formed++
+	c.bstats.Compiled++
+	c.bstats.Fused += fused
+	c.bstats.Merged += merged
 	return bi
 }
 
@@ -522,81 +518,8 @@ func (c *CPU) stepCached(p *dcPage, off int) (StopReason, *Trap) {
 	return c.stepSlow()
 }
 
-// runBlock executes one superblock. When the block was compiled it walks
-// the thunk array (runBlockCompiled); otherwise it interprets the entry
-// array through the shared exec() switch. Either way every instruction is
-// charged individually, so a trap anywhere in the block observes exactly
-// the Instrs/Cycles/register state the single-step path would have
-// produced. room is the instruction budget left (at least b.count). exit
-// reports how the run ended: exitEnd and exitSide are the only states from
-// which chaining into a successor is allowed. With a coverage sink
-// installed, the entries that began executing are marked once the run ends.
-func (c *CPU) runBlock(p *dcPage, b *dcBlock, room uint64) (stop StopReason, trap *Trap, exit blockExit) {
-	if b.comp == nil && c.compile {
-		// Lazy lowering: compile only blocks that prove steady-state reuse.
-		if b.execs++; b.execs >= blockCompileHot {
-			var fused, merged uint64
-			b.comp, fused, merged = compileBlock(b.ents)
-			b.lean = leanBlock(b.ents, b.comp)
-			c.bstats.Compiled++
-			c.bstats.Fused += fused
-			c.bstats.Merged += merged
-		}
-	}
-	if b.comp != nil {
-		return c.runBlockCompiled(p, b, room)
-	}
-	dc := c.dc
-	fgen := p.fgen
-	frame := p.frame
-	last := len(b.ents) - 1
-	var done uint64
-	for i := range b.ents {
-		e := &b.ents[i]
-		c.Instrs++
-		c.Cycles += e.cost
-		done++
-		stop, trap = c.exec(&e.in, e.rip+uint64(e.ilen))
-		if trap != nil || stop != StepContinue {
-			break
-		}
-		if i == last {
-			// The block ran to completion; a store by this final entry needs
-			// no generation re-check — there are no stale entries left to
-			// execute, and both the dispatcher's next lookup and any chain
-			// link revalidate before anything else runs.
-			exit = exitEnd
-			break
-		}
-		if e.flags&dcStore != 0 && (frame.Gen() != fgen || c.AS.MapGen() != p.mgen) {
-			// The store landed on this very frame (directly or through an
-			// alias) — or broke copy-on-write on a frozen executable page,
-			// which repoints the mapping at a fresh frame under a mapGen
-			// bump without touching the old frame's gen. Either way the
-			// rest of the block is stale. Resync through the dispatch loop —
-			// its next lookup re-resolves, flushes, and redecodes.
-			c.bstats.Aborts++
-			break
-		}
-		if e.flags&dcEnd != 0 && c.RIP != b.ents[i+1].rip {
-			exit = c.sideExit(p, e.rip)
-			break
-		}
-	}
-	// Batched bookkeeping: each executed instruction is a decode-cache hit
-	// and a block-engine instruction. Nothing inside exec reads these, so
-	// deferring them off the hot loop cannot be observed mid-block.
-	dc.stats.Hits += done
-	c.bstats.Instrs += done
-	c.bstats.Dispatches++
-	if c.cov != nil {
-		c.coverBlock(b, done)
-	}
-	return stop, trap, exit
-}
-
 // leanBlock reports whether a compiled block is lean (see dcBlock.lean):
-// no entry writes memory and no slot is left to the interpreter.
+// no entry writes memory and every slot has a thunk.
 func leanBlock(ents []blkEnt, comp []cthunk) bool {
 	for i := range ents {
 		switch ents[i].in.Op {
@@ -610,19 +533,20 @@ func leanBlock(ents []blkEnt, comp []cthunk) bool {
 	return true
 }
 
-// runBlockCompiled is runBlock over the compiled thunk array: one direct
-// call per slot (an instruction, a fused cmp+jcc, or a merged trap-free
-// run), no exec-switch dispatch, no operand re-resolution, and no
+// runBlock executes one superblock over its compiled thunk array: one
+// direct call per slot (an instruction, a fused cmp+jcc, or a merged
+// trap-free run), no exec-switch dispatch, no operand re-resolution, and no
 // per-instruction accounting — the whole (possibly partial, possibly
 // multi-pass) run is charged in one shot from the compiler's cumulative
-// cycle sums. The control skeleton — trap/stop break, last-entry
-// completion, post-store generation re-check, side-exit RIP check — is the
-// interpreted loop's, so both produce the same architectural trace by
-// construction and differ only in host wall-clock. A completed pass that
-// returns to the block entry runs again here (a self-loop, see the top of
-// this file) while room still covers a full pass; between passes a lean
-// block checks only its RIP and that budget.
-func (c *CPU) runBlockCompiled(p *dcPage, b *dcBlock, room uint64) (stop StopReason, trap *Trap, exit blockExit) {
+// cycle sums. A slot with no thunk runs through exec in place. room is the
+// instruction budget left (at least b.count). exit reports how the run
+// ended: exitEnd and exitSide are the only states from which chaining into
+// a successor is allowed. A completed pass that returns to the block entry
+// runs again here (a self-loop, see the top of this file) while room still
+// covers a full pass; between passes a lean block checks only its RIP and
+// that budget. With a coverage sink installed, the entries that began
+// executing are marked once the run ends.
+func (c *CPU) runBlock(p *dcPage, b *dcBlock, room uint64) (stop StopReason, trap *Trap, exit blockExit) {
 	fgen := p.fgen
 	frame := p.frame
 	mode := c.Mode
@@ -636,11 +560,11 @@ func (c *CPU) runBlockCompiled(p *dcPage, b *dcBlock, room uint64) (stop StopRea
 		if ct.fn != nil {
 			stop, trap = ct.fn(c)
 		} else {
-			// Entry with no specialized form: interpret it exactly as the
-			// interpreted loop would (base cost is covered by the batched
-			// accounting below; variable extras, e.g. string-op units, are
-			// added by exec itself). c.RIP is this instruction's VA — thunks
-			// (and exec) advance RIP only on success.
+			// Entry with no specialized form: run it through the exec switch
+			// (base cost is covered by the batched accounting below; variable
+			// extras, e.g. string-op units, are added by exec itself). c.RIP
+			// is this instruction's VA — thunks (and exec) advance RIP only on
+			// success.
 			e := &b.ents[i]
 			stop, trap = c.exec(&e.in, e.rip+uint64(e.ilen))
 		}
@@ -663,10 +587,17 @@ func (c *CPU) runBlockCompiled(p *dcPage, b *dcBlock, room uint64) (stop StopRea
 			continue
 		}
 		if ct.flags&dcStore != 0 && (frame.Gen() != fgen || c.AS.MapGen() != p.mgen) {
-			// Self-modification resync — see the interpreted loop. The
+			// The store landed on this very frame (directly or through an
+			// alias) — or broke copy-on-write on a frozen executable page,
+			// which repoints the mapping at a fresh frame under a mapGen
+			// bump without touching the old frame's gen. Either way the
+			// rest of the block is stale. Resync through the dispatch loop —
+			// its next lookup re-resolves, flushes, and redecodes. The
 			// liveness pass treated every dcStore entry as a possible block
 			// exit, so flags are architectural here even when later entries
-			// promised to overwrite them.
+			// promised to overwrite them. A store by the final entry needs no
+			// re-check: no stale entry is left to run, and the dispatcher's
+			// next lookup and any chain link revalidate first.
 			c.bstats.Aborts++
 			break
 		}
@@ -677,12 +608,13 @@ func (c *CPU) runBlockCompiled(p *dcPage, b *dcBlock, room uint64) (stop StopRea
 		i = next
 	}
 	// Batched accounting: every entry that began executing — including one
-	// that trapped — is charged, exactly as the interpreted loop's
-	// per-instruction preamble does, plus every completed pass. The
+	// that trapped — is charged, exactly as the single-step path charges
+	// each instruction before executing it, plus every completed pass. The
 	// cumulative fields (not i) supply the totals because a fused entry
 	// retires two instructions. Nothing reads Instrs/Cycles mid-block (limit
 	// checks and chain budgeting run between dispatches), so the deferral
-	// is unobservable.
+	// is unobservable. Each executed instruction is also a decode-cache hit
+	// and a block-engine instruction.
 	ran := uint64(b.comp[i].ni)
 	done := passes*b.count + ran
 	c.Instrs += done
@@ -824,33 +756,6 @@ func (c *CPU) SetBlockEngine(on bool) {
 // BlockEngineEnabled reports whether the superblock engine is active (it
 // also requires the decode cache to be enabled to take effect).
 func (c *CPU) BlockEngineEnabled() bool { return c.blocks && c.dc != nil }
-
-// SetBlockCompile enables or disables the block compiler (on by default):
-// with it on, superblocks that reach blockCompileHot dispatches are lowered
-// to specialized per-opcode thunks with flag-dead arithmetic fusion
-// (thunk.go); with it off, blocks dispatch through the exec interpreter
-// switch exactly as in the pre-compiler engine. Toggling drops already-formed blocks so the whole engine runs in
-// one mode (heat counters survive — hot code re-forms immediately); the
-// cumulative Compiled/Fused counters live on the CPU and survive. Execution
-// semantics are bit-identical either way — only host wall-clock changes. It
-// has no effect while the block engine or decode cache is off.
-func (c *CPU) SetBlockCompile(on bool) {
-	if c.compile == on {
-		return
-	}
-	c.compile = on
-	if c.dc != nil {
-		for _, p := range c.dc.pages {
-			p.blocks = nil
-			p.blkIdx = [mem.PageSize]int16{}
-		}
-	}
-}
-
-// BlockCompileEnabled reports whether newly formed superblocks are compiled
-// to specialized thunks (it takes effect only while the block engine and
-// decode cache are enabled).
-func (c *CPU) BlockCompileEnabled() bool { return c.compile }
 
 // SetBlockHotThreshold sets the number of times a block entry offset must
 // be dispatched before a superblock is formed over it. 1 forms eagerly on

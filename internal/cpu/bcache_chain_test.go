@@ -242,7 +242,9 @@ func TestBlockChainLimit(t *testing.T) {
 // cumulative counters (everything but Blocks) are monotone and survive page
 // flushes, SetBlockEngine toggles, and SetDecodeCache toggles; Blocks is a
 // live recount that drops to zero whenever the formed blocks die (flush,
-// disable) and comes back only by re-forming.
+// disable) and comes back only by re-forming. Formation compiles: every
+// block ever formed was compiled, and every live block carries one thunk
+// slot per entry.
 func TestBlockStatsConsistency(t *testing.T) {
 	prog := []isa.Instr{
 		isa.MovRI(isa.RAX, 5),
@@ -321,6 +323,28 @@ func TestBlockStatsConsistency(t *testing.T) {
 	mono("cache on", s6, s7)
 	if s7.Blocks == 0 {
 		t.Fatalf("fresh cache must re-form on the next run: %+v", s7)
+	}
+
+	// At the default threshold, from cold heat (a fresh cache), the entry
+	// forms on its DefaultBlockHotThreshold'th run and is compiled then.
+	c.SetDecodeCache(false)
+	c.SetDecodeCache(true)
+	c.SetBlockHotThreshold(0)
+	for run := 0; run < DefaultBlockHotThreshold; run++ {
+		resetRaw(t, c)
+		mustReturn(t, c, 100)
+	}
+	s8 := c.BlockStats()
+	mono("default threshold", s7, s8)
+	if s8.Formed <= s7.Formed || s8.Blocks == 0 || s8.Compiled != s8.Formed {
+		t.Fatalf("every formed block must be compiled: %+v", s8)
+	}
+	for _, p := range c.dc.pages {
+		for i := range p.blocks {
+			if b := &p.blocks[i]; len(b.comp) != len(b.ents) {
+				t.Fatalf("block at %#x: %d thunk slots for %d entries", b.ents[0].rip, len(b.comp), len(b.ents))
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -89,6 +90,36 @@ func TestBlockLimitExact(t *testing.T) {
 	res2 := c.Run(100)
 	if res2.Reason != StopReturn || res.Instrs+res2.Instrs != 5 {
 		t.Fatalf("resume: %+v after %+v", res2, res)
+	}
+}
+
+// TestBlockFormationAllocBytes bounds the heap bytes one formation
+// allocates for a three-entry block: the entry copy, the thunk array, the
+// closures and the block list come to about 1 KiB. formBlock gathers
+// entries in a 9 KiB stack buffer, and a regression that moves that buffer
+// to the heap costs every formation 9 KiB — it showed as a 24% slower
+// Table 1/2 sweep, which re-forms each kernel's blocks.
+func TestBlockFormationAllocBytes(t *testing.T) {
+	c := rawCPU(t, mem.PermX, isa.MovRI(isa.RAX, 5), isa.AddRI(isa.RAX, 7), isa.Ret())
+	c.SetBlockHotThreshold(1)
+	form := func() {
+		c.SetBlockEngine(false) // drops the formed block
+		c.SetBlockEngine(true)
+		if _, b := c.blockLookup(dcCodeVA); b == nil {
+			t.Fatal("no block formed")
+		}
+	}
+	form() // decode the page first
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		form()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 4096 {
+		t.Fatalf("forming a three-entry block allocates %d bytes, want < 4096", per)
 	}
 }
 
@@ -298,7 +329,6 @@ func newBlockCaseCPU(t *testing.T, code []byte, seed uint64, m engineMode) (*CPU
 	c := New(as)
 	c.SetDecodeCache(m.cache)
 	c.SetBlockEngine(m.blocks)
-	c.SetBlockCompile(m.compiled)
 	c.SetBlockHotThreshold(m.hot)
 	cv := NewCoverage(dcCodeVA+5, mem.PageSize)
 	c.SetCoverage(cv)
@@ -569,16 +599,16 @@ func FuzzBlockEquivalence(f *testing.F) {
 			code = code[:2*mem.PageSize]
 		}
 		// The reference is the fully uncached interpreter; against it run
-		// cached single-step, interpreted blocks and compiled blocks, each
-		// eager and behind the default hotness gate (which mixes single-step
-		// and block dispatch of the same code).
+		// cached single-step and compiled blocks, eager and behind the
+		// default hotness gate (which mixes single-step and block dispatch
+		// of the same code).
 		ref := &ripProbe{rips: map[uint64]struct{}{}}
 		uncached := covModes[0]
 		off := runBlockCase(t, code, seed, uncached, 512, 0, false, ref)
 		if want := ref.sorted(); !slices.Equal(off.cover, want) {
 			t.Fatalf("uncached coverage %#x, probe saw %#x", off.cover, want)
 		}
-		for _, m := range covModes[1:6] {
+		for _, m := range covModes[1:4] {
 			on := runBlockCase(t, code, seed, m, 512, 0, false, nil)
 			if d := on.diff(&off); d != "" {
 				t.Fatalf("raw code: %s vs uncached diverge in %s", m.name, d)
@@ -593,7 +623,7 @@ func FuzzBlockEquivalence(f *testing.F) {
 		for pos := uint64(1); pos <= full.instrs+1 && pos <= progLimit; pos++ {
 			want := runBlockCase(t, prog, seed, uncached, pos, 0, false, nil)
 			tickWant := runBlockCase(t, prog, seed, uncached, progLimit, pos, pos%2 == 0, nil)
-			for _, m := range covModes[2:6] {
+			for _, m := range covModes[2:4] {
 				got := runBlockCase(t, prog, seed, m, pos, 0, false, nil)
 				if d := got.diff(&want); d != "" {
 					t.Fatalf("structured program, limit %d: %s vs uncached diverge in %s", pos, m.name, d)

@@ -42,24 +42,22 @@ var covRegions = []struct {
 
 // engineMode is one engine configuration the equivalence tests compare.
 type engineMode struct {
-	name                    string
-	cache, blocks, compiled bool
-	hot                     int
-	probed                  bool
+	name          string
+	cache, blocks bool
+	hot           int
+	probed        bool
 }
 
 // covModes are the engine modes a coverage sink must agree across:
-// covModes[0] is the uncached stepper, [2:6] the block engine modes. The
+// covModes[0] is the uncached stepper, [2:4] the block engine modes. The
 // probed mode keeps an exec probe armed, so Run single-steps and the sink
 // is marked by Step.
 var covModes = []engineMode{
-	{"uncached", false, false, false, 1, false},
-	{"cache-only", true, false, false, 1, false},
-	{"interpreted(hot=1)", true, true, false, 1, false},
-	{"interpreted(hot=default)", true, true, false, DefaultBlockHotThreshold, false},
-	{"compiled(hot=1)", true, true, true, 1, false},
-	{"compiled(hot=default)", true, true, true, DefaultBlockHotThreshold, false},
-	{"compiled+probe", true, true, true, 1, true},
+	{"uncached", false, false, 1, false},
+	{"cache-only", true, false, 1, false},
+	{"compiled(hot=1)", true, true, 1, false},
+	{"compiled(hot=default)", true, true, DefaultBlockHotThreshold, false},
+	{"compiled+probe", true, true, 1, true},
 }
 
 // loopTo returns a raw JNE back to the start of body, which must end just
@@ -202,7 +200,7 @@ func coverageCases(t *testing.T) []covCase {
 
 // runCovCase runs cs under one engine mode and bitmap region, with a sink
 // and optionally a recording probe installed.
-func runCovCase(t *testing.T, cs covCase, cache, blocks, compiled bool, hot int, base, span uint64, probe *ripProbe) (*Coverage, *CPU) {
+func runCovCase(t *testing.T, cs covCase, cache, blocks bool, hot int, base, span uint64, probe *ripProbe) (*Coverage, *CPU) {
 	t.Helper()
 	c := rawCPU(t, mem.PermRWX)
 	if err := c.AS.Poke(dcCodeVA, cs.code); err != nil {
@@ -210,7 +208,6 @@ func runCovCase(t *testing.T, cs covCase, cache, blocks, compiled bool, hot int,
 	}
 	c.SetDecodeCache(cache)
 	c.SetBlockEngine(blocks)
-	c.SetBlockCompile(compiled)
 	c.SetBlockHotThreshold(hot)
 	cv := NewCoverage(base, span)
 	c.SetCoverage(cv)
@@ -238,7 +235,7 @@ func TestCoverageEquivalence(t *testing.T) {
 	for _, cs := range coverageCases(t) {
 		for _, r := range covRegions {
 			ref := &ripProbe{rips: map[uint64]struct{}{}}
-			runCovCase(t, cs, false, false, false, 1, r.base, r.span, ref)
+			runCovCase(t, cs, false, false, 1, r.base, r.span, ref)
 			want := ref.sorted()
 			if len(want) == 0 {
 				t.Fatalf("%s: reference executed nothing", cs.name)
@@ -248,7 +245,7 @@ func TestCoverageEquivalence(t *testing.T) {
 				if m.probed {
 					p = &ripProbe{rips: map[uint64]struct{}{}}
 				}
-				cv, c := runCovCase(t, cs, m.cache, m.blocks, m.compiled, m.hot, r.base, r.span, p)
+				cv, c := runCovCase(t, cs, m.cache, m.blocks, m.hot, r.base, r.span, p)
 				if got := sortedRIPs(cv); !slices.Equal(got, want) {
 					t.Errorf("%s/%s/%s: coverage %#x, want %#x", cs.name, r.name, m.name, got, want)
 				}
@@ -274,10 +271,10 @@ func TestCoverageForkSharedBlocks(t *testing.T) {
 		}
 	}
 	ref := &ripProbe{rips: map[uint64]struct{}{}}
-	runCovCase(t, covCase{code: cs.code, passes: 1}, false, false, false, 1, dcCodeVA, mem.PageSize, ref)
+	runCovCase(t, covCase{code: cs.code, passes: 1}, false, false, 1, dcCodeVA, mem.PageSize, ref)
 	want := ref.sorted()
 
-	parentCov, parent := runCovCase(t, cs, true, true, true, 1, dcCodeVA, mem.PageSize, nil)
+	parentCov, parent := runCovCase(t, cs, true, true, 1, dcCodeVA, mem.PageSize, nil)
 	before := sortedRIPs(parentCov)
 	parentCov.Reset()
 

@@ -210,8 +210,8 @@ type CPU struct {
 
 	// dc is the predecoded translation cache (see dcache.go); nil when
 	// disabled. blocks arms the superblock engine layered on it (see
-	// bcache.go), compile the block compiler layered on THAT (see
-	// thunk.go), blockHot the hotness-gate threshold, and bstats/dstats
+	// bcache.go; every block it forms is compiled to thunks, thunk.go),
+	// blockHot the hotness-gate threshold, and bstats/dstats
 	// the cumulative block-engine and decode-cache counters (on the CPU,
 	// not the cache, so both survive cache toggles under one reset
 	// contract — see BlockStats/DecodeCacheStats). All affect host
@@ -219,20 +219,18 @@ type CPU struct {
 	// bit-identical with them on or off.
 	dc       *decodeCache
 	blocks   bool
-	compile  bool
 	blockHot uint32
 	bstats   BlockStats
 	dstats   DecodeCacheStats
 }
 
-// New creates a CPU over the given address space. The decode cache, the
-// superblock engine, and the block compiler are on by default;
-// SetDecodeCache(false) reverts to fetch+decode per instruction,
-// SetBlockEngine(false) to per-instruction dispatch over cached decodes,
-// and SetBlockCompile(false) to interpreted block dispatch.
+// New creates a CPU over the given address space. The decode cache and the
+// superblock engine, which compiles every block it forms, are on by
+// default; SetDecodeCache(false) reverts to fetch+decode per instruction,
+// and SetBlockEngine(false) to per-instruction dispatch over cached decodes.
 func New(as *mem.AddressSpace) *CPU {
 	c := &CPU{AS: as, MSRs: make(map[uint64]uint64),
-		blocks: true, compile: true, blockHot: DefaultBlockHotThreshold}
+		blocks: true, blockHot: DefaultBlockHotThreshold}
 	c.dc = newDecodeCache(&c.dstats)
 	return c
 }

@@ -46,7 +46,6 @@ func (c *CPU) Fork(as *mem.AddressSpace) *CPU {
 		savedUserBnd0:  c.savedUserBnd0,
 		inSyscall:      c.inSyscall,
 		blocks:         c.blocks,
-		compile:        c.compile,
 		blockHot:       c.blockHot,
 		MSRs:           make(map[uint64]uint64, len(c.MSRs)),
 	}
@@ -67,9 +66,9 @@ func (c *CPU) Fork(as *mem.AddressSpace) *CPU {
 // re-pointed at the cloned pages — a link into a page the clone does not
 // carry is severed, never followed into the parent's cache. The dcBlock
 // value copy shares each block's ents and comp arrays with the parent:
-// both are immutable after formation, and compiled thunks capture only
-// decoded operand constants (never a *CPU), so the child executes the
-// parent's thunks against its own state.
+// formation builds both and nothing changes them afterwards, and compiled
+// thunks capture only decoded operand constants (never a *CPU), so the
+// child executes the parent's thunks against its own state.
 func (dc *decodeCache) clone(stats *DecodeCacheStats) *decodeCache {
 	nd := newDecodeCache(stats)
 	remap := make(map[*dcPage]*dcPage, len(dc.pages))

@@ -39,7 +39,7 @@ type fusionOutcome struct {
 // hotness gate, so hot=DefaultBlockHotThreshold genuinely mixes stepped and
 // block-dispatched executions of the same bytes — and returns the outcome
 // of every repeat plus the CPU.
-func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn, compileOn bool, hot int) ([]fusionOutcome, *CPU) {
+func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn bool, hot int) ([]fusionOutcome, *CPU) {
 	t.Helper()
 	as := mem.NewAddressSpace()
 	for _, m := range []struct {
@@ -61,7 +61,6 @@ func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn, compileOn bo
 	c := New(as)
 	c.SetDecodeCache(cacheOn)
 	c.SetBlockEngine(blocksOn)
-	c.SetBlockCompile(compileOn)
 	c.SetBlockHotThreshold(hot)
 
 	var outs []fusionOutcome
@@ -203,8 +202,7 @@ func genFusionProgram(rng *rand.Rand) []isa.Instr {
 // TestFusionFlagProperty is the fused-thunk flag-semantics property test:
 // for random straight-line ALU programs with injected flag observers, block
 // boundaries, side exits, and traps, every engine configuration — uncached
-// interpreter, cache-only, interpreted blocks, compiled blocks eager and
-// hotness-gated — must agree on ALL of CF/OF/SF/ZF/PF (the full %rflags),
+// interpreter, cache-only, compiled blocks eager and hotness-gated — must agree on ALL of CF/OF/SF/ZF/PF (the full %rflags),
 // registers, Instrs, Cycles, and the trap, at every run boundary and at
 // every injected trap. The uncached interpreter is the semantic reference.
 // The corpus must reach cmp+jcc fusion mid-block and side exits taken by
@@ -212,14 +210,13 @@ func genFusionProgram(rng *rand.Rand) []isa.Instr {
 // untaken when its block formed is taken later).
 func TestFusionFlagProperty(t *testing.T) {
 	modes := []struct {
-		name                     string
-		cache, blocks, compileOn bool
-		hot                      int
+		name          string
+		cache, blocks bool
+		hot           int
 	}{
-		{"cache-only", true, false, false, 1},
-		{"blocks-interp", true, true, false, 1},
-		{"compiled-hot1", true, true, true, 1},
-		{"compiled-gated", true, true, true, DefaultBlockHotThreshold},
+		{"cache-only", true, false, 1},
+		{"compiled-hot1", true, true, 1},
+		{"compiled-gated", true, true, DefaultBlockHotThreshold},
 	}
 	var totalFused, sideExits uint64
 	var midFused int
@@ -227,9 +224,9 @@ func TestFusionFlagProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		prog := genFusionProgram(rng)
 		code := encodeProg(t, prog...)
-		ref, _ := runFusionProgram(t, code, false, false, false, 1)
+		ref, _ := runFusionProgram(t, code, false, false, 1)
 		for _, m := range modes {
-			got, c := runFusionProgram(t, code, m.cache, m.blocks, m.compileOn, m.hot)
+			got, c := runFusionProgram(t, code, m.cache, m.blocks, m.hot)
 			if m.name == "compiled-hot1" {
 				totalFused += c.BlockStats().Fused
 				sideExits += c.BlockStats().SideExits
@@ -344,14 +341,9 @@ func TestCompileFusionCounts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := rawCPU(t, mem.PermX, tc.prog...)
 			c.SetBlockHotThreshold(1)
-			// Lowering is lazy: each block compiles on its blockCompileHot'th
-			// dispatch, so run the program that many times.
-			for rep := 0; rep < blockCompileHot; rep++ {
-				resetRaw(t, c)
-				res := c.Run(1024)
-				if res.Trap != nil {
-					t.Fatalf("rep %d trapped: %v", rep, res.Trap)
-				}
+			resetRaw(t, c)
+			if res := c.Run(1024); res.Trap != nil {
+				t.Fatalf("trapped: %v", res.Trap)
 			}
 			if got := c.BlockStats().Fused; got != tc.fused {
 				t.Fatalf("Fused = %d, want %d (stats %+v)", got, tc.fused, c.BlockStats())

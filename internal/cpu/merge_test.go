@@ -110,7 +110,7 @@ func mergeShapes(t *testing.T) []mergeShape {
 	a.emit(isa.Ret())
 	add("store-loop", false, 3, a.encode(), a.labelOff(head))
 
-	// Not lean: rdmsr has no thunk, so it is interpreted in place.
+	// Not lean: rdmsr has no thunk, so it runs through exec in place.
 	a = &asmProg{refs: map[int]int{}}
 	head, done = a.label(), a.label()
 	a.emit(isa.MovRI(isa.RCX, 0x10), isa.MovRI(isa.R13, 0), isa.MovRI(isa.RBX, 0))
@@ -163,7 +163,7 @@ func mergeShapes(t *testing.T) []mergeShape {
 // merged-entry count are pinned, and merging must leave every slot outside a
 // merged run as the liveness and fusion passes made it.
 func TestMergedRuns(t *testing.T) {
-	compiled := covModes[4] // compiled(hot=1)
+	compiled := covModes[2] // compiled(hot=1)
 	for _, sh := range mergeShapes(t) {
 		t.Run(sh.name, func(t *testing.T) {
 			c, _ := newBlockCaseCPU(t, sh.code, 1, compiled)
@@ -190,7 +190,7 @@ func TestMergedRuns(t *testing.T) {
 			for pos := uint64(1); pos <= full.instrs+1; pos++ {
 				want := runBlockCase(t, sh.code, 1, covModes[0], pos, 0, false, nil)
 				tickWant := runBlockCase(t, sh.code, 1, covModes[0], 4096, pos, pos%2 == 0, nil)
-				for _, m := range covModes[2:6] {
+				for _, m := range covModes[2:4] {
 					got := runBlockCase(t, sh.code, 1, m, pos, 0, false, nil)
 					if d := got.diff(&want); d != "" {
 						t.Fatalf("limit %d: %s vs uncached diverge in %s", pos, m.name, d)

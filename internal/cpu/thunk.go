@@ -103,11 +103,12 @@ type thunk func(c *CPU) (StopReason, *Trap)
 // and the decode flags the loop needs (dcStore for the self-modification
 // abort check, dcEnd for the side-exit check). Kept small so the compiled
 // dispatch loop walks a dense array. A nil fn marks an entry with no
-// specialized form; the dispatch loop interprets it from the block's entry
-// array at the same index. The array stays index-aligned with the entries:
-// ni is also the index of the next entry to run, so a fused cmp+jcc thunk
-// (ni two past its own index) skips the jcc's slot, which stays in place
-// unused, and a merged run's thunk skips the rest of its run the same way.
+// specialized form; the dispatch loop runs it through exec from the block's
+// entry array at the same index. The array stays index-aligned with the
+// entries: ni is also the index of the next entry to run, so a fused cmp+jcc
+// thunk (ni two past its own index) skips the jcc's slot, which stays in
+// place unused, and a merged run's thunk skips the rest of its run the same
+// way.
 type cthunk struct {
 	fn    thunk
 	cyc   uint64
@@ -388,7 +389,7 @@ func compileEA(m isa.MemRef, next uint64) eaCap {
 // returned bool reports whether flag computation was actually elided on
 // that basis. Opcodes with no specialized constructor (string, system, MPX
 // spill/fill, trap instructions — all block-rare) return a nil thunk, which
-// the dispatch loop interprets in place through the exec switch — always
+// the dispatch loop runs in place through the exec switch — always
 // semantically exact.
 func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 	d, s := in.Dst, in.Src
@@ -1035,10 +1036,10 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 
 	// Generic fallback: string operations, mode switches, MSR access, trap
 	// instructions, MPX spill/fill — all either block terminators or rare.
-	// A nil thunk tells the compiled dispatch loop (runBlockCompiled) to
-	// interpret the entry in place through the exec switch — the identical
-	// instruction-step the interpreted loop performs, with no closure
-	// allocated and no extra indirect call layered on top.
+	// A nil thunk tells the block runner (runBlock) to run the entry in
+	// place through the exec switch — the identical instruction-step the
+	// single-step path performs, with no closure allocated and no extra
+	// indirect call layered on top.
 	return nil, false
 }
 

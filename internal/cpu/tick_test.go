@@ -17,7 +17,6 @@ func setCovMode(c *CPU, mode int) {
 	m := covModes[mode]
 	c.SetDecodeCache(m.cache)
 	c.SetBlockEngine(m.blocks)
-	c.SetBlockCompile(m.compiled)
 	c.SetBlockHotThreshold(m.hot)
 	if m.probed {
 		c.AddProbe(&ripProbe{rips: map[uint64]struct{}{}})
@@ -161,8 +160,7 @@ func TestTickOnFusedJcc(t *testing.T) {
 	jcc := dcCodeVA + uint64(len(encodeProg(t,
 		isa.MovRI(isa.RCX, 10), isa.AddRR(isa.RAX, isa.RCX), isa.SubRI(isa.RCX, 1), isa.CmpRI(isa.RCX, 0))))
 	// 1 + 4*3: the 13th instruction is the third iteration's jcc; under
-	// hot=1 the first iteration formed the block and the second ran it
-	// compiled.
+	// hot=1 the loop's block is compiled as soon as it forms.
 	const stride = 13
 	for mode := range covModes {
 		r := runTicked(t, cs, mode, stride, false)
@@ -287,7 +285,7 @@ func TestTickAcrossRunCalls(t *testing.T) {
 // TestTickForkAndSlot: CPU.Fork drops the ticker, and the single slot
 // refuses a second ticker until the first is disarmed.
 func TestTickForkAndSlot(t *testing.T) {
-	c := loopCPU(t, 4, 200) // compiled(hot=1)
+	c := loopCPU(t, 2, 200) // compiled(hot=1)
 	k := &countTicker{c: c, stride: 7}
 	c.SetTick(k, 7)
 	c.Run(10)

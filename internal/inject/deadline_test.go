@@ -24,15 +24,14 @@ func (l *trapLog) OnTrap(t *cpu.Trap, cycles uint64) {
 // engineModes are the CPU engine configurations an injected run must agree
 // across; the first, the uncached stepper, is the reference.
 var engineModes = []struct {
-	name                    string
-	cache, blocks, compiled bool
-	hot                     int
+	name          string
+	cache, blocks bool
+	hot           int
 }{
-	{"uncached", false, false, false, 1},
-	{"cache-only", true, false, false, 1},
-	{"blocks(hot=1)", true, true, true, 1},
-	{"blocks(hot=default)", true, true, true, cpu.DefaultBlockHotThreshold},
-	{"compile-off", true, true, false, cpu.DefaultBlockHotThreshold},
+	{"uncached", false, false, 1},
+	{"cache-only", true, false, 1},
+	{"blocks(hot=1)", true, true, 1},
+	{"blocks(hot=default)", true, true, cpu.DefaultBlockHotThreshold},
 }
 
 // injectedRun is everything an injected run makes visible.
@@ -55,7 +54,6 @@ func runInjected(t *testing.T, plan inject.Plan, mode int) injectedRun {
 	c := k.CPU
 	c.SetDecodeCache(m.cache)
 	c.SetBlockEngine(m.blocks)
-	c.SetBlockCompile(m.compiled)
 	c.SetBlockHotThreshold(m.hot)
 	snap := k.Snapshot()
 	tl := &trapLog{c: c}
