@@ -30,8 +30,6 @@ func main() {
 		traceOut = flag.String("trace", "", "run the Table 1 suite under the fully protected preset with event tracing; write Chrome trace-event JSON to this file")
 		funcs    = flag.Bool("funcs", false, "cycle-attributed per-function profile of the Table 1 suite (conservation-checked)")
 		stats    = flag.Bool("stats", false, "print the observability metric registry after the traced/profiled run")
-		blocks   = flag.Bool("blocks", true, "dispatch through the superblock engine where no probes are armed (bit-identical either way)")
-		hot      = flag.Int("hot", 0, "block-formation hotness threshold: form a superblock after this many dispatches of an entry point (0 = engine default)")
 		iters    = flag.Int("iters", 10, "measured iterations per data point")
 		cacheDir = flag.String("cache-dir", "", "persistent artifact store directory: kernel images are reused across invocations instead of re-linked")
 		quota    = flag.String("cache-quota", "1G", "artifact store byte quota, LRU-evicted (accepts K/M/G suffixes; 0 = unlimited)")
@@ -77,7 +75,7 @@ func main() {
 	}
 
 	if observe {
-		if err := runObserved(*traceOut, *funcs, *stats, *blocks, *hot); err != nil {
+		if err := runObserved(*traceOut, *funcs, *stats); err != nil {
 			fail(err)
 		}
 		return
@@ -147,7 +145,7 @@ func main() {
 // Chrome trace-event JSON), the cycle-attributed function profiler, and the
 // metric registry. Tracing and profiling never perturb the emulated
 // machine, so the suite's cycle totals match an unobserved run exactly.
-func runObserved(traceOut string, funcs, stats, blocks bool, hot int) error {
+func runObserved(traceOut string, funcs, stats bool) error {
 	presets := core.Presets()
 	cfg := presets[len(presets)-1]
 	tr := obs.NewTracer(1 << 16)
@@ -155,8 +153,6 @@ func runObserved(traceOut string, funcs, stats, blocks bool, hot int) error {
 	if err != nil {
 		return err
 	}
-	k.CPU.SetBlockEngine(blocks)
-	k.CPU.SetBlockHotThreshold(hot)
 	var prof *obs.Profiler
 	if funcs {
 		prof = obs.NewProfiler(k.Img)

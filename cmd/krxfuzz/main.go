@@ -44,12 +44,9 @@ func run() error {
 	vanilla := flag.Bool("vanilla", false, "fuzz the unprotected kernel instead of SFI+X")
 	budget := flag.Uint64("budget", 0, "per-syscall instruction watchdog budget (0 = default)")
 	workers := flag.Int("workers", 1, "parallel execution workers (report is byte-identical for any count)")
-	forkMode := flag.Bool("fork", false, "stand workers up as copy-on-write forks of one golden kernel instead of booting each (report is byte-identical either way)")
 	jsonOut := flag.Bool("json", false, "emit the report as machine-readable JSON (schema_version marks the format)")
 	traceOut := flag.String("trace", "", "record the campaign event stream (byte-identical for any -workers count); write Chrome trace-event JSON to this file")
 	stats := flag.Bool("stats", false, "print the observability metric registry after the campaign")
-	blocks := flag.Bool("blocks", true, "dispatch through the superblock engine (bit-identical either way; -blocks=false forces per-instruction stepping)")
-	hot := flag.Int("hot", 0, "block-formation hotness threshold: form a superblock after this many dispatches of an entry point (0 = engine default)")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: kernel images are reused across invocations; a warm run performs zero link builds")
 	cacheQuota := flag.String("cache-quota", "1G", "artifact store byte quota, LRU-evicted (accepts K/M/G suffixes; 0 = unlimited)")
 	corpusDir := flag.String("corpus-dir", "", "campaign checkpoint store directory: the corpus, coverage, and crash ledger persist at batch boundaries and the campaign resumes from its last checkpoint (incompatible with -trace)")
@@ -80,7 +77,6 @@ func run() error {
 	}
 	opts := fuzz.Options{
 		Iters: *iters, Seed: *seed, Config: cfg, Workers: *workers,
-		Fork:  *forkMode,
 		Trace: *traceOut != "",
 	}
 	if !*noInject {
@@ -112,14 +108,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ks, err := f.Kernels()
-	if err != nil {
-		return err
-	}
-	for _, k := range ks {
-		k.CPU.SetBlockEngine(*blocks)
-		k.CPU.SetBlockHotThreshold(*hot)
-	}
 	rep, err := f.RunContext(ctx)
 	if err != nil {
 		return err
@@ -144,7 +132,7 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "krxfuzz: wrote %d trace events to %s\n", len(rep.Trace), *traceOut)
 	}
 	if *stats {
-		reg, err := statsRegistry(f, opts.Fork)
+		reg, err := statsRegistry(f)
 		if err != nil {
 			return err
 		}
@@ -157,7 +145,7 @@ func run() error {
 // and cpu.cycles are campaign-cumulative, summed over workers; the decode-
 // cache, block-engine and address-space gauges describe the first worker's
 // kernel.
-func statsRegistry(f *fuzz.Fuzzer, fork bool) (*obs.Registry, error) {
+func statsRegistry(f *fuzz.Fuzzer) (*obs.Registry, error) {
 	k, err := f.Kernel()
 	if err != nil {
 		return nil, err
@@ -172,10 +160,5 @@ func statsRegistry(f *fuzz.Fuzzer, fork bool) (*obs.Registry, error) {
 	obs.RegisterPhysmap(reg, "physmap", k.CPU.AS)
 	obs.RegisterStore(reg, "store", kernel.BuildCache())
 	obs.RegisterBoot(reg, "boot", kernel.FreshBoots, kernel.ForkedBoots)
-	if fork {
-		// The first worker is the golden kernel every other worker
-		// forked from; its space carries the frame-sharing counters.
-		obs.RegisterFork(reg, "fork", kernel.Forks, k.CPU.AS)
-	}
 	return reg, nil
 }

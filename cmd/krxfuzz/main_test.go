@@ -34,7 +34,7 @@ func TestStatsCPUCountersCumulative(t *testing.T) {
 			if _, err := f.RunContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			reg, err := statsRegistry(f, false)
+			reg, err := statsRegistry(f)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,8 +13,11 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/diversify"
 	"repro/internal/fuzz"
+	"repro/internal/inject"
 	"repro/internal/kernel"
+	"repro/internal/sfi"
 )
 
 // blockMode names one engine configuration. compiled is the default
@@ -121,64 +124,85 @@ func TestAttackScenariosBlockEquivalence(t *testing.T) {
 }
 
 // TestFuzzReportBlockInvariance: campaign reports must be byte-identical
-// across engine modes (compiled, off), across -workers 1 and
-// 4, with forked workers, and with an eager hotness threshold (-hot 1) —
-// the worker-count invariance the deterministic scheduler guarantees must
-// survive the compiled dispatch path. The campaign runs with coverage on
-// and no injector, so blocks genuinely dispatch: every block-enabled leg
-// must retire instructions through them.
+// across engine modes (compiled, off, and compiled with an eager hotness
+// threshold of 1) and across 1 and 4 workers — the worker-count invariance
+// the deterministic scheduler guarantees must survive the compiled dispatch
+// path. The campaigns are the seed-17 Vanilla campaign, krxfuzz's default
+// (-seed 42 -iters 200: SFI+X under inject.DefaultPlan(42)), and the same
+// campaign as Vanilla with no injection. Coverage is on in all of them, so
+// blocks genuinely dispatch: every block-enabled leg must retire
+// instructions through them. The injector is an instruction-count ticker,
+// so the injected campaign runs compiled blocks between its fault
+// opportunities.
 func TestFuzzReportBlockInvariance(t *testing.T) {
-	type leg struct {
-		name    string
-		workers int
-		fork    bool
-		hot     int
+	plan := inject.DefaultPlan(42)
+	sfix := core.Config{
+		XOM: core.XOMSFI, SFILevel: sfi.O3,
+		Diversify: true, RAProt: diversify.RAEncrypt,
+		Seed: 42,
 	}
-	run := func(l leg, m blockMode) string {
-		f, err := fuzz.New(fuzz.Options{Iters: 96, Seed: 17, Config: core.Vanilla, Workers: l.workers, Fork: l.fork})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ks, err := f.Kernels()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range ks {
-			k.CPU.SetBlockEngine(m.blocksOn)
-			k.CPU.SetBlockHotThreshold(l.hot)
-		}
-		rep, err := f.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var blockInstrs uint64
-		for _, k := range ks {
-			blockInstrs += k.CPU.BlockStats().Instrs
-		}
-		if m.blocksOn && blockInstrs == 0 {
-			t.Errorf("%s/%s: no instruction ran in a block", l.name, m.name)
-		} else if !m.blocksOn && blockInstrs != 0 {
-			t.Errorf("%s/%s: disabled engine ran %d block instructions", l.name, m.name, blockInstrs)
-		}
-		return rep.String()
+	campaigns := []struct {
+		name string
+		opts fuzz.Options
+	}{
+		{"vanilla-seed17", fuzz.Options{Iters: 96, Seed: 17, Config: core.Vanilla}},
+		{"sfix-inject-seed42", fuzz.Options{Iters: 200, Seed: 42, Config: sfix, Plan: &plan}},
+		{"vanilla-seed42", fuzz.Options{Iters: 200, Seed: 42, Config: core.Config{Seed: 42}}},
+	}
+	type leg struct {
+		name string
+		m    blockMode
+		hot  int
 	}
 	legs := []leg{
-		{"w1", 1, false, 0},
-		{"w4", 4, false, 0},
-		{"w4-fork", 4, true, 0},
-		{"w1-hot1", 1, false, 1},
-		{"w4-hot1", 4, false, 1},
+		{"compiled", blockModes[0], 0},
+		{"off", blockModes[1], 0},
+		{"hot1", blockModes[0], 1},
 	}
-	base := run(legs[0], blockModes[0])
-	for _, l := range legs {
-		for _, m := range blockModes {
-			if l == legs[0] && m == blockModes[0] {
-				continue
+	for _, c := range campaigns {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(workers int, l leg) string {
+				opts := c.opts
+				opts.Workers = workers
+				f, err := fuzz.New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ks, err := f.Kernels()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range ks {
+					k.CPU.SetBlockEngine(l.m.blocksOn)
+					k.CPU.SetBlockHotThreshold(l.hot)
+				}
+				rep, err := f.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var blockInstrs uint64
+				for _, k := range ks {
+					blockInstrs += k.CPU.BlockStats().Instrs
+				}
+				if l.m.blocksOn && blockInstrs == 0 {
+					t.Errorf("w%d/%s: no instruction ran in a block", workers, l.name)
+				} else if !l.m.blocksOn && blockInstrs != 0 {
+					t.Errorf("w%d/%s: disabled engine ran %d block instructions", workers, l.name, blockInstrs)
+				}
+				return rep.String()
 			}
-			if got := run(l, m); got != base {
-				t.Errorf("%s mode=%s: report diverges from %s mode=%s",
-					l.name, m.name, legs[0].name, blockModes[0].name)
+			base := run(1, legs[0])
+			for _, workers := range []int{1, 4} {
+				for _, l := range legs {
+					if workers == 1 && l == legs[0] {
+						continue
+					}
+					if got := run(workers, l); got != base {
+						t.Errorf("w%d/%s: report diverges from w1/%s:\n%s\nvs\n%s",
+							workers, l.name, legs[0].name, got, base)
+					}
+				}
 			}
-		}
+		})
 	}
 }

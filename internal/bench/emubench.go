@@ -56,7 +56,11 @@ type EmuResult struct {
 // v8: the interpreted block runner is gone (formation compiles), so the
 // interpreted-blocks mode, its time and the compiled-over-interpreted
 // speedup are removed; block_speedup is now cache_on / compiled.
-const EmuSchemaVersion = 8
+// v9: fork mode is gone, so the fork rows drop their fork-vs-boot iteration
+// windows (host_ns_per_fork_iteration, host_ns_per_boot_iteration and
+// emulated_cycles) and time the golden-fork boot, Boot(cfg, WithCache()),
+// instead of a fuzz executor fork.
+const EmuSchemaVersion = 9
 
 // emuReps is the number of repetitions per mode; the reported time is the
 // minimum over them (the min estimates the noise-free cost; means are
@@ -66,11 +70,9 @@ const EmuSchemaVersion = 8
 // left such a ratio swinging across a 1.15 floor run to run.
 const emuReps = 5
 
-// ForkResult is one configuration's fork-mode measurement: what a kernel
-// fork costs next to a cold boot, and what a fuzz iteration costs inside a
-// forked worker next to a booted one. Cycles is the emulated total over the
-// timed iterations, asserted identical between the fork-mode and boot-mode
-// windows (the determinism invariant — a fork may only change host time).
+// ForkResult is one configuration's boot-cost measurement: what a
+// golden-fork boot (Boot(cfg, WithCache())) costs next to constructing a
+// kernel fresh from the same image.
 type ForkResult struct {
 	Name         string  `json:"name"`
 	Reps         int     `json:"reps"`
@@ -78,9 +80,6 @@ type ForkResult struct {
 	ForkNs       int64   `json:"host_ns_per_fork"`
 	ForksPerSec  float64 `json:"forks_per_sec"`
 	BootOverFork float64 `json:"boot_over_fork"`
-	IterNsFork   int64   `json:"host_ns_per_fork_iteration"`
-	IterNsBoot   int64   `json:"host_ns_per_boot_iteration"`
-	Cycles       uint64  `json:"emulated_cycles"`
 }
 
 // EmuReport is the machine-readable emulator benchmark baseline
@@ -278,30 +277,26 @@ func measureEmu(w emuWorkload, iters int) (EmuResult, error) {
 }
 
 // forkBatch is how many forks one timed repetition performs: a single fork
-// is sub-millisecond, so the per-fork time comes from a batch window, like
+// is a few microseconds, so the per-fork time comes from a batch window, like
 // emuWorkload.mult keeps the iteration windows above the noise floor.
 const forkBatch = 64
 
-// measureFork times what snapshot-fork execution buys under one
-// configuration: the cost of a cold boot (fresh kernel construction from
-// the warm cache's image) against the cost of a copy-on-write fork of a
-// golden executor, and the steady-state cost of a fuzz iteration inside a
-// forked worker against one inside a booted worker. All timings are
-// min-of-emuReps; the iteration windows additionally enforce the
-// determinism invariant — identical emulated cycles in fork mode and boot
-// mode, every repetition.
-func measureFork(cfg core.Config, seed int64, iters int) (ForkResult, error) {
+// measureFork times the boot every fuzz worker, sweep kernel and ladder
+// kernel takes under one configuration — Boot(cfg, WithCache()), a
+// copy-on-write fork of the configuration's golden kernel — against a fresh
+// construction of a kernel from the same cached image (WithImage). Both
+// timings are min-of-emuReps.
+func measureFork(cfg core.Config) (ForkResult, error) {
 	res := ForkResult{Name: "fork/" + cfg.Name(), Reps: emuReps}
-	opts := fuzz.Options{Iters: 1, Seed: seed, Config: cfg, Workers: 1}
-	// The golden executor doubles as the build-cache warmer, and the boot
-	// side installs its cached image with WithImage: the boot number is
-	// kernel construction, not toolchain work. A WithCache boot would not
-	// do here, because it is itself a fork of a golden kernel.
-	golden, err := fuzz.NewExecutor(opts)
+	// The first WithCache boot builds the image and constructs the golden
+	// kernel, so every timed WithCache boot below is a fork; the fresh side
+	// installs the same image with WithImage, so it times kernel
+	// construction, not toolchain work.
+	k, err := kernel.Boot(cfg, kernel.WithCache())
 	if err != nil {
 		return res, fmt.Errorf("bench: %s: golden: %w", res.Name, err)
 	}
-	img := golden.Kernel().Build
+	img := k.Build
 	var boot, fork time.Duration
 	for rep := 0; rep < emuReps; rep++ {
 		start := time.Now()
@@ -315,7 +310,7 @@ func measureFork(cfg core.Config, seed int64, iters int) (ForkResult, error) {
 	for rep := 0; rep < emuReps; rep++ {
 		start := time.Now()
 		for i := 0; i < forkBatch; i++ {
-			if _, err := golden.Fork(); err != nil {
+			if _, err := kernel.Boot(cfg, kernel.WithCache()); err != nil {
 				return res, fmt.Errorf("bench: %s: fork: %w", res.Name, err)
 			}
 		}
@@ -329,78 +324,13 @@ func measureFork(cfg core.Config, seed int64, iters int) (ForkResult, error) {
 		res.ForksPerSec = 1e9 / float64(res.ForkNs)
 		res.BootOverFork = float64(res.BootNs) / float64(res.ForkNs)
 	}
-
-	// Iteration cost, fork-mode vs boot-mode. The warmup runs the full
-	// iteration window once, not a fixed prefix: each iteration's program
-	// touches its own set of pages, so a short warmup would leave
-	// first-touch CoW breaks inside the timed window — a one-time ramp cost
-	// a real campaign amortizes over thousands of iterations, not the
-	// steady state this row reports. (A full-window warmup also covers the
-	// fuzzWorkload rationale: the block engine's hotness gate is past its
-	// ramp by the time timing starts.)
-	iters *= 10
-	var host [2]time.Duration
-	var cycles [2]uint64
-	for m, forked := range [2]bool{true, false} {
-		for rep := 0; rep < emuReps; rep++ {
-			var ex *fuzz.Executor
-			var err error
-			if forked {
-				ex, err = golden.Fork()
-			} else {
-				ex, err = fuzz.NewExecutor(opts)
-			}
-			if err != nil {
-				return res, fmt.Errorf("bench: %s: %w", res.Name, err)
-			}
-			k := ex.Kernel()
-			base := k.CPU.Cycles
-			run := func(i int) error {
-				prog := fuzz.PickProg(seed, i, nil, ex.Kaddrs())
-				_, err := ex.Exec(prog, fuzz.InjSeed(seed, i))
-				return err
-			}
-			for wi := 0; wi < iters; wi++ {
-				if err := run(wi); err != nil {
-					return res, fmt.Errorf("bench: %s: warmup: %w", res.Name, err)
-				}
-			}
-			var c uint64
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := run(i); err != nil {
-					return res, fmt.Errorf("bench: %s: %w", res.Name, err)
-				}
-				c += k.CPU.Cycles - base
-			}
-			d := time.Since(start)
-			if rep == 0 {
-				cycles[m], host[m] = c, d
-				continue
-			}
-			if c != cycles[m] {
-				return res, fmt.Errorf("bench: %s: emulated cycles diverge across reps: %d vs %d",
-					res.Name, cycles[m], c)
-			}
-			if d < host[m] {
-				host[m] = d
-			}
-		}
-	}
-	if cycles[0] != cycles[1] {
-		return res, fmt.Errorf("bench: %s: fork-mode cycles %d != boot-mode cycles %d — fork changed semantics",
-			res.Name, cycles[0], cycles[1])
-	}
-	res.Cycles = cycles[0]
-	res.IterNsFork = host[0].Nanoseconds() / int64(iters)
-	res.IterNsBoot = host[1].Nanoseconds() / int64(iters)
 	return res, nil
 }
 
 // EmuBench measures the emulator's host performance with the decode cache
 // on and off: the Table 1 micro-op suite under vanilla and a fully
 // protected column, a fuzzing iteration (restore + program execution), the
-// fork rows (copy-on-write worker startup and steady state), and the store
+// fork rows (golden-fork boot vs fresh construction), and the store
 // rows (cold-link boot vs a boot served from the persistent artifact store).
 func EmuBench(iters int) (*EmuReport, error) {
 	if iters <= 0 {
@@ -428,7 +358,7 @@ func EmuBench(iters int) (*EmuReport, error) {
 		rep.Results = append(rep.Results, r)
 	}
 	for _, cfg := range []core.Config{core.Vanilla, full} {
-		fr, err := measureFork(cfg, 42, iters)
+		fr, err := measureFork(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -59,9 +59,6 @@ func TestEmuReportSchemaGolden(t *testing.T) {
 			ForkNs:       1500000,
 			ForksPerSec:  666.67,
 			BootOverFork: 13.33,
-			IterNsFork:   50000,
-			IterNsBoot:   51000,
-			Cycles:       654321,
 		}},
 		Store: []StoreResult{{
 			Name:            "store/Vanilla",

@@ -290,8 +290,7 @@ type blkLink struct {
 // lean, cost, count — is built by formBlock and never changes afterwards.
 // comp holds one specialized thunk per entry (same indices as ents); ents
 // stays the decoded source of truth, and a nil-fn slot runs through exec
-// from it. Both slices are immutable, so COW forks share them; the dcBlock
-// VALUE — links, the cov slice header — is cloned per fork (fork.go).
+// from it. Both slices are immutable.
 // cov, the block's coverage words (coverage.go), is set once on the first
 // covered completion, then shared.
 //

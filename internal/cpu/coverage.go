@@ -21,8 +21,7 @@ import mathbits "math/bits"
 
 // covWord is one 64-RIP word of a block's coverage: the absolute word
 // number (rip>>6) and the bits of the block's instruction RIPs in it. Both
-// come from virtual addresses only, so forked CPUs share them with their
-// blocks.
+// come from virtual addresses only.
 type covWord struct {
 	word uint64
 	mask uint64

@@ -399,7 +399,7 @@ func TestCacheStatsResetUnification(t *testing.T) {
 	}
 
 	// A forked CPU is a new CPU for stats purposes: both sets restart at
-	// zero even though it inherits the warm cache.
+	// zero.
 	fas, err := c.AS.Fork()
 	if err != nil {
 		t.Fatal(err)

@@ -84,8 +84,7 @@ import (
 // semantics.
 //
 // Thunks capture NO *CPU and no page state — only immutable decoded
-// operands — so compiled blocks are shared freely across COW forks
-// (fork.go) and are invalidated by exactly the machinery that already
+// operands — so they are invalidated by exactly the machinery that already
 // drops the blocks that own them.
 
 // thunk executes one compiled instruction against c. It mirrors exec's trap

@@ -74,14 +74,6 @@ type Options struct {
 	// cache and executes a deterministic shard of every batch; the report
 	// is byte-identical for any value.
 	Workers int
-	// Fork boots a single golden kernel and stands the remaining workers up
-	// as copy-on-write forks of its boot snapshot (kernel.Fork) instead of
-	// booting each one: workers share every unwritten frame and start with
-	// the golden kernel's warm decode cache. Reports are byte-identical to
-	// boot-per-worker mode at any worker count — emulated semantics cannot
-	// observe frame identity or host cache warmth — which TestForkReport-
-	// Identical and the CI cmp gates enforce.
-	Fork bool
 	// Checkpoint, when non-nil, persists the campaign ledger to this store
 	// at every batch boundary and resumes from the stored checkpoint on
 	// start: a killed campaign (or a warm-starting worker fleet) continues
@@ -291,29 +283,21 @@ type Executor struct {
 	// block at a time, so coverage keeps the block engine armed.
 	cov *cpu.Coverage
 	// instrs and cycles count what this executor's CPU has retired in all:
-	// its boot (a forked executor's boot is its parent's) plus every Exec.
-	// The CPU's own counters rewind at every snapshot restore.
+	// its boot plus every Exec. The CPU's own counters rewind at every
+	// snapshot restore.
 	instrs, cycles uint64
 }
 
 // New boots the campaign's kernels (one per worker, all sharing one cached
 // build) and prepares the campaign. Each boot snapshot is taken after user
-// memory seeding, so every iteration starts from an identical machine. With
-// Options.Fork set, only worker 0 boots; the rest are copy-on-write forks
-// of its snapshot — identical machines by construction.
+// memory seeding, so every iteration starts from an identical machine.
 func New(opts Options) (*Fuzzer, error) {
 	if err := opts.Normalize(); err != nil {
 		return nil, err
 	}
 	f := &Fuzzer{opts: opts}
 	for i := 0; i < opts.Workers; i++ {
-		var w *Executor
-		var err error
-		if opts.Fork && i > 0 {
-			w, err = f.workers[0].Fork()
-		} else {
-			w, err = NewExecutor(opts)
-		}
+		w, err := NewExecutor(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -362,39 +346,6 @@ func NewExecutor(opts Options) (*Executor, error) {
 	w.snap = k.Snapshot()
 	w.instrs, w.cycles = k.CPU.Instrs, k.CPU.Cycles
 	return w, nil
-}
-
-// Fork stands up a new executor whose kernel is a copy-on-write fork of
-// this executor's machine (kernel.Fork): frames, and the warm decode cache,
-// are shared until first write, so the child costs a few map clones instead
-// of a boot plus warmup. The parent must be at its snapshot point — freshly
-// built by NewExecutor, or restored — which is where fuzz.New calls it
-// from. The child takes its own boot snapshot and behaves exactly like a
-// NewExecutor-built worker from then on: byte-identical execution, reports,
-// and traces.
-func (w *Executor) Fork() (*Executor, error) {
-	var forkOpts []kernel.BootOption
-	var tr *obs.Tracer
-	if w.opts.Trace {
-		tr = obs.NewTracer(0)
-		forkOpts = append(forkOpts, kernel.WithTracer(tr))
-	}
-	k, err := w.k.Fork(forkOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("fuzz: fork: %w", err)
-	}
-	nw := &Executor{
-		opts:    w.opts,
-		k:       k,
-		tracer:  tr,
-		funcs:   w.funcs, // sorted once, never mutated — shareable
-		kaddrs:  w.kaddrs,
-		targets: w.targets,
-		cov:     cpu.NewCoverage(k.Sym("_text"), uint64(len(k.Img.Text))),
-	}
-	k.CPU.SetCoverage(nw.cov)
-	nw.snap = k.Snapshot()
-	return nw, nil
 }
 
 // Kernel returns the executor's booted kernel.

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -69,7 +70,7 @@ func TestZeroWorkerGuards(t *testing.T) {
 // bar the partial marker — to a full campaign requesting exactly those
 // k*BatchSize iterations. Cancellation never tears a batch: the in-flight
 // batch drains and merges before the ledger is finalized, at any worker
-// count and whether workers are booted or forked.
+// count.
 func TestPartialReportPrefix(t *testing.T) {
 	const cutoff = 2 * BatchSize
 
@@ -81,18 +82,10 @@ func TestPartialReportPrefix(t *testing.T) {
 		t.Fatal("uncancelled campaign marked partial")
 	}
 
-	for _, tc := range []struct {
-		name    string
-		workers int
-		fork    bool
-	}{
-		{"workers=1", 1, false},
-		{"workers=2", 2, false},
-		{"workers=4/fork", 4, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			opts := campaignOpts(4 * BatchSize)
-			opts.Workers, opts.Fork = tc.workers, tc.fork
+			opts.Workers = workers
 			f, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
