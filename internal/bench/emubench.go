@@ -276,8 +276,8 @@ func measureEmu(w emuWorkload, iters int) (EmuResult, error) {
 	return res, nil
 }
 
-// forkBatch is how many forks one timed repetition performs: a single fork
-// is a few microseconds, so the per-fork time comes from a batch window, like
+// forkBatch is how many boots one timed repetition performs: a single fork
+// is a few microseconds, so the per-boot time comes from a batch window, like
 // emuWorkload.mult keeps the iteration windows above the noise floor.
 const forkBatch = 64
 
@@ -285,7 +285,7 @@ const forkBatch = 64
 // kernel takes under one configuration — Boot(cfg, WithCache()), a
 // copy-on-write fork of the configuration's golden kernel — against a fresh
 // construction of a kernel from the same cached image (WithImage). Both
-// timings are min-of-emuReps.
+// sides are timed alike, by perBoot.
 func measureFork(cfg core.Config) (ForkResult, error) {
 	res := ForkResult{Name: "fork/" + cfg.Name(), Reps: emuReps}
 	// The first WithCache boot builds the image and constructs the golden
@@ -297,26 +297,19 @@ func measureFork(cfg core.Config) (ForkResult, error) {
 		return res, fmt.Errorf("bench: %s: golden: %w", res.Name, err)
 	}
 	img := k.Build
-	var boot, fork time.Duration
-	for rep := 0; rep < emuReps; rep++ {
-		start := time.Now()
-		if _, err := kernel.Boot(cfg, kernel.WithImage(img)); err != nil {
-			return res, fmt.Errorf("bench: %s: boot: %w", res.Name, err)
-		}
-		if d := time.Since(start); rep == 0 || d < boot {
-			boot = d
-		}
+	boot, err := perBoot(func() error {
+		_, err := kernel.Boot(cfg, kernel.WithImage(img))
+		return err
+	})
+	if err != nil {
+		return res, fmt.Errorf("bench: %s: boot: %w", res.Name, err)
 	}
-	for rep := 0; rep < emuReps; rep++ {
-		start := time.Now()
-		for i := 0; i < forkBatch; i++ {
-			if _, err := kernel.Boot(cfg, kernel.WithCache()); err != nil {
-				return res, fmt.Errorf("bench: %s: fork: %w", res.Name, err)
-			}
-		}
-		if d := time.Since(start) / forkBatch; rep == 0 || d < fork {
-			fork = d
-		}
+	fork, err := perBoot(func() error {
+		_, err := kernel.Boot(cfg, kernel.WithCache())
+		return err
+	})
+	if err != nil {
+		return res, fmt.Errorf("bench: %s: fork: %w", res.Name, err)
 	}
 	res.BootNs = boot.Nanoseconds()
 	res.ForkNs = fork.Nanoseconds()
@@ -325,6 +318,24 @@ func measureFork(cfg core.Config) (ForkResult, error) {
 		res.BootOverFork = float64(res.BootNs) / float64(res.ForkNs)
 	}
 	return res, nil
+}
+
+// perBoot runs emuReps batches of forkBatch boots and returns the best
+// batch's time per boot.
+func perBoot(boot func() error) (time.Duration, error) {
+	var best time.Duration
+	for rep := 0; rep < emuReps; rep++ {
+		start := time.Now()
+		for i := 0; i < forkBatch; i++ {
+			if err := boot(); err != nil {
+				return 0, err
+			}
+		}
+		if d := time.Since(start) / forkBatch; rep == 0 || d < best {
+			best = d
+		}
+	}
+	return best, nil
 }
 
 // EmuBench measures the emulator's host performance with the decode cache

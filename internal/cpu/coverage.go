@@ -98,9 +98,14 @@ func (cv *Coverage) Reset() {
 	cv.words = cv.words[:0]
 }
 
-// RIPs returns the distinct RIPs recorded since the last Reset, unordered.
+// RIPs returns the distinct RIPs recorded since the last Reset, unordered,
+// in a slice sized to fit them exactly.
 func (cv *Coverage) RIPs() []uint64 {
-	out := make([]uint64, 0, len(cv.extra)+8*len(cv.words))
+	n := len(cv.extra)
+	for _, i := range cv.words {
+		n += mathbits.OnesCount64(cv.bits[i])
+	}
+	out := make([]uint64, 0, n)
 	for rip := range cv.extra {
 		out = append(out, rip)
 	}

@@ -571,7 +571,12 @@ func (c *CPU) RestoreState(s State) {
 	c.savedUserBnd0 = s.SavedUserBnd0
 	c.inSyscall = s.InSyscall
 	c.Pending = s.Pending
-	c.MSRs = make(map[uint64]uint64, len(s.MSRs))
+	// Refill the CPU's own map rather than replacing it: a restore per
+	// fuzz iteration then allocates nothing here.
+	if c.MSRs == nil {
+		c.MSRs = make(map[uint64]uint64, len(s.MSRs))
+	}
+	clear(c.MSRs)
 	for k, v := range s.MSRs {
 		c.MSRs[k] = v
 	}

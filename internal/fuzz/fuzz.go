@@ -14,10 +14,14 @@
 //     never drawn from a shared generator: program generation/mutation uses
 //     ProgSeed(seed, i), fault injection uses InjSeed(seed, i). What
 //     iteration i does therefore never depends on which worker ran it or
-//     what ran before it on the same kernel. Both streams come from
-//     prng.New, which is stream-identical to math/rand's NewSource but
+//     what ran before it on the same kernel. Both streams come from a
+//     prng source, which is stream-identical to math/rand's NewSource but
 //     seeds in constant time: an iteration draws far fewer values than a
-//     full math/rand seeding computes.
+//     full math/rand seeding computes. So neither stream gets a source of
+//     its own: every Executor keeps one injector and re-seeds it in place
+//     per iteration (inject.Injector.Reseed), and PickProg re-seeds a
+//     recycled generator. A stream is a function of its seed alone, so which
+//     source carries it never shows.
 //  2. The iteration space is executed in fixed-size batches (BatchSize,
 //     independent of the worker count). Within a batch, workers execute
 //     disjoint iteration shards against their own booted kernels; mutation
@@ -42,6 +46,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/audit"
@@ -63,9 +68,9 @@ type Options struct {
 	Seed int64
 	// Config is the kernel protection configuration to boot under.
 	Config core.Config
-	// Plan, when non-nil, arms fault injection: each iteration runs under a
-	// fresh injector whose seed is derived from (Seed, iteration), so any
-	// crash replays from its iteration number alone.
+	// Plan, when non-nil, arms fault injection: each iteration runs under
+	// the plan with its seed derived from (Seed, iteration), so any crash
+	// replays from its iteration number alone.
 	Plan *inject.Plan
 	// MaxMinimize caps the executions spent minimizing one crash (0 = 64).
 	MaxMinimize int
@@ -232,8 +237,14 @@ func ProgSeed(seed int64, iter int) int64 {
 // fresh generation while the corpus is cold, afterwards mostly mutations of
 // corpus entries. The whole decision consumes only the iteration's own
 // derived RNG, so it is identical under any scheduling and worker count.
+//
+// The generator comes from a free list and its source is re-seeded in
+// place, so the returned Prog is all PickProg allocates.
 func PickProg(seed int64, iter int, corpus []*Prog, kaddrs []uint64) *Prog {
-	g := &generator{rng: prng.New(ProgSeed(seed, iter)), kaddrs: kaddrs}
+	g := takeGenerator()
+	defer putGenerator(g)
+	g.rng.Seed(ProgSeed(seed, iter))
+	g.kaddrs = kaddrs
 	r := g.rng
 	if len(corpus) == 0 || r.Intn(4) == 0 {
 		return g.Generate(1 + r.Intn(5))
@@ -244,6 +255,33 @@ func PickProg(seed int64, iter int, corpus []*Prog, kaddrs []uint64) *Prog {
 		other = corpus[r.Intn(len(corpus))]
 	}
 	return g.Mutate(base, other)
+}
+
+// generators is PickProg's free list. A call takes a generator and puts it
+// back, so the list holds one per concurrent caller at most. (A sync.Pool
+// would drop them at every GC, and at random under the race detector.)
+var generators struct {
+	sync.Mutex
+	free []*generator
+}
+
+func takeGenerator() *generator {
+	generators.Lock()
+	defer generators.Unlock()
+	n := len(generators.free)
+	if n == 0 {
+		return &generator{rng: prng.New(0)}
+	}
+	g := generators.free[n-1]
+	generators.free = generators.free[:n-1]
+	return g
+}
+
+func putGenerator(g *generator) {
+	g.kaddrs = nil
+	generators.Lock()
+	generators.free = append(generators.free, g)
+	generators.Unlock()
 }
 
 // Fuzzer is one campaign in progress.
@@ -282,6 +320,12 @@ type Executor struct {
 	// set for RIPs outside it (user stubs, modules). The CPU marks it a
 	// block at a time, so coverage keeps the block engine armed.
 	cov *cpu.Coverage
+	// inj is the campaign's injector (nil without a plan), re-seeded in
+	// place for every run.
+	inj *inject.Injector
+	// audit keeps the kernel's audit verdicts between iterations, so an
+	// audit re-evaluates only the checks whose inputs changed.
+	audit audit.Cache
 	// instrs and cycles count what this executor's CPU has retired in all:
 	// its boot plus every Exec. The CPU's own counters rewind at every
 	// snapshot restore.
@@ -343,6 +387,14 @@ func NewExecutor(opts Options) (*Executor, error) {
 	// alone, and Exec empties it per iteration.
 	w.cov = cpu.NewCoverage(k.Sym("_text"), uint64(len(k.Img.Text)))
 	k.CPU.SetCoverage(w.cov)
+	if opts.Plan != nil {
+		w.inj = inject.New(*opts.Plan)
+		if tr != nil {
+			w.inj.Sink = func(e inject.Event) {
+				tr.Emit(obs.EvFault, e.Kind, e.Addr, 0)
+			}
+		}
+	}
 	w.snap = k.Snapshot()
 	w.instrs, w.cycles = k.CPU.Instrs, k.CPU.Cycles
 	return w, nil
@@ -395,6 +447,27 @@ type ExecResult struct {
 // campaign has a plan. The injector seed is passed explicitly so
 // minimization can replay an iteration's exact fault stream.
 func (w *Executor) Exec(prog *Prog, injSeed int64) (ExecResult, error) {
+	res, err := w.replay(prog, injSeed)
+	if err != nil {
+		return res, err
+	}
+	// Invariant check: after any injected fault (or crash), the protections
+	// must either still hold or report exactly which check broke.
+	if res.Faults > 0 || res.Bucket != "" {
+		res.AuditBad = w.audit.Failed(w.k, nil)
+	}
+	res.Cover = w.cov.RIPs()
+	if w.tracer != nil {
+		res.Trace = w.tracer.Take()
+	}
+	return res, nil
+}
+
+// replay is Exec up to the end of the syscalls: the restore, the injected
+// faults and the crash triage, which set Bucket, CrashIdx, NExec and
+// Faults exactly as Exec sets them. It skips the audit, the coverage
+// export and the trace, which minimization never reads.
+func (w *Executor) replay(prog *Prog, injSeed int64) (ExecResult, error) {
 	var res ExecResult
 	if w.tracer != nil {
 		// Start the iteration's stream empty; Restore below rewinds the
@@ -408,17 +481,9 @@ func (w *Executor) Exec(prog *Prog, injSeed int64) (ExecResult, error) {
 	w.cov.Reset()
 	instrs, cycles := w.k.CPU.Instrs, w.k.CPU.Cycles
 
-	var inj *inject.Injector
-	if w.opts.Plan != nil {
-		plan := *w.opts.Plan
-		plan.Seed = injSeed
-		inj = inject.New(plan)
-		if w.tracer != nil {
-			inj.Sink = func(e inject.Event) {
-				w.tracer.Emit(obs.EvFault, e.Kind, e.Addr, 0)
-			}
-		}
-		inj.Attach(w.k.CPU, w.k.Space.AS, w.targets)
+	if w.inj != nil {
+		w.inj.Reseed(injSeed)
+		w.inj.Attach(w.k.CPU, w.k.Space.AS, w.targets)
 	}
 
 	res.CrashIdx = -1
@@ -431,28 +496,12 @@ func (w *Executor) Exec(prog *Prog, injSeed int64) (ExecResult, error) {
 			break
 		}
 	}
-	if inj != nil {
-		inj.Detach()
-		res.Faults = len(inj.Events)
+	if w.inj != nil {
+		w.inj.Detach()
+		res.Faults = len(w.inj.Events)
 	}
 	w.instrs += w.k.CPU.Instrs - instrs
 	w.cycles += w.k.CPU.Cycles - cycles
-
-	// Invariant check: after any injected fault (or crash), the protections
-	// must either still hold or report exactly which check broke.
-	if res.Faults > 0 || res.Bucket != "" {
-		rep := audit.Audit(w.k)
-		for _, fd := range rep.Findings {
-			if !fd.OK {
-				res.AuditBad = append(res.AuditBad, fd.Check)
-			}
-		}
-	}
-
-	res.Cover = w.cov.RIPs()
-	if w.tracer != nil {
-		res.Trace = w.tracer.Take()
-	}
 	return res, nil
 }
 
@@ -528,17 +577,17 @@ func (f *Fuzzer) ExecIteration(i int) (uint64, error) {
 func (w *Executor) bucketOf(r *kernel.SyscallResult) string {
 	if r.Err != nil {
 		if be, ok := r.Err.(*cpu.BudgetError); ok {
-			return "watchdog/" + w.funcAt(be.RIP)
+			return w.bucket("watchdog", be.RIP)
 		}
 		return "harness-panic"
 	}
 	res := r.Run
 	switch res.Reason {
 	case cpu.StopHalt:
-		return "halt/" + w.funcAt(res.HaltRIP)
+		return w.bucket("halt", res.HaltRIP)
 	case cpu.StopTrap:
 		if res.Trap != nil {
-			return res.Trap.Kind.String() + "/" + w.funcAt(res.Trap.RIP)
+			return w.bucket(res.Trap.Kind.String(), res.Trap.RIP)
 		}
 		return "trap/?"
 	default:
@@ -546,17 +595,22 @@ func (w *Executor) bucketOf(r *kernel.SyscallResult) string {
 	}
 }
 
-// funcAt names the image function containing rip; addresses outside the
-// image coarsen to 64-byte buckets so unknown-RIP crashes still dedup.
-func (w *Executor) funcAt(rip uint64) string {
+// bucket renders class + "/" + the image function containing rip, in one
+// allocation. Addresses outside the image coarsen to 64-byte buckets
+// ("rip-0x..."), so unknown-RIP crashes still dedup.
+func (w *Executor) bucket(class string, rip uint64) string {
+	var buf [64]byte
+	b := append(append(buf[:0], class...), '/')
 	i := sort.Search(len(w.funcs), func(i int) bool { return w.funcs[i].end > rip })
-	if i < len(w.funcs) && rip >= w.funcs[i].start {
-		return w.funcs[i].name
+	switch {
+	case i < len(w.funcs) && rip >= w.funcs[i].start:
+		b = append(b, w.funcs[i].name...)
+	case rip < kernel.UserStack+16*4096:
+		b = append(b, "user"...)
+	default:
+		b = strconv.AppendUint(append(b, "rip-0x"...), rip>>6<<6, 16)
 	}
-	if rip < kernel.UserStack+16*4096 {
-		return "user"
-	}
-	return fmt.Sprintf("rip-%#x", rip>>6<<6)
+	return string(b)
 }
 
 // Ledger is the campaign's single-writer merge state: the corpus, the
@@ -574,6 +628,11 @@ type Ledger struct {
 	crashes map[string]*Crash
 	report  *Report
 	done    int
+
+	// replayHook, when set, sees every minimization candidate with the
+	// injector seed it replayed under and its result — the test seam for
+	// checking replays against full executions.
+	replayHook func(cand *Prog, injSeed int64, res ExecResult)
 }
 
 // NewLedger creates the merge state for one campaign. min is the executor
@@ -665,8 +724,10 @@ func (l *Ledger) Finalize(partial bool) *Report {
 // iteration's exact injector seed. Delta-removal repeats until a full pass
 // removes nothing (or the execution budget runs out). Minimization runs on
 // the ledger's executor, during the ordered merge, so its executions are
-// counted deterministically; its coverage is deliberately not folded into
-// the campaign's coverage map.
+// counted deterministically. A candidate's fate depends only on its bucket
+// and syscall count, so candidates are replayed (Executor.replay): no
+// audit, and no coverage export, since their coverage is deliberately not
+// folded into the campaign's coverage map.
 func (l *Ledger) minimize(prog *Prog, bucket string, injSeed int64) *Prog {
 	min := prog.Clone()
 	budget := l.opts.MaxMinimize
@@ -677,9 +738,12 @@ func (l *Ledger) minimize(prog *Prog, bucket string, injSeed int64) *Prog {
 				return min
 			}
 			cand := &Prog{Calls: append(append([]Call{}, min.Calls[:i]...), min.Calls[i+1:]...)}
-			res, err := l.min.Exec(cand, injSeed)
+			res, err := l.min.replay(cand, injSeed)
 			budget--
 			if err == nil {
+				if l.replayHook != nil {
+					l.replayHook(cand, injSeed, res)
+				}
 				l.report.Executed += res.NExec
 				if res.Bucket == bucket {
 					min = cand

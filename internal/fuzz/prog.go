@@ -3,6 +3,7 @@ package fuzz
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/kernel"
@@ -225,11 +226,12 @@ func pick(r *rand.Rand, vals ...uint64) uint64 {
 type generator struct {
 	rng    *rand.Rand
 	kaddrs []uint64 // interesting kernel addresses, sorted at construction
+	buf    []Call   // Mutate's scratch program, reused across calls
 }
 
 // Generate builds a fresh program of n typed calls.
 func (g *generator) Generate(n int) *Prog {
-	p := &Prog{}
+	p := &Prog{Calls: make([]Call, 0, n)}
 	for i := 0; i < n; i++ {
 		p.Calls = append(p.Calls, g.genCall())
 	}
@@ -270,21 +272,24 @@ func (g *generator) genCall() Call {
 // Mutate derives a new program from p by one of the classic corpus
 // mutations: insert, delete, replace-arg, duplicate, truncate, or splice
 // with a second corpus program.
+//
+// The mutation edits a scratch copy of p, so the result is the only
+// allocation: a Prog whose Calls fit it exactly.
 func (g *generator) Mutate(p *Prog, other *Prog) *Prog {
 	r := g.rng
-	q := p.Clone()
+	calls := append(g.buf[:0], p.Calls...)
 	switch op := r.Intn(6); {
-	case op == 0 || len(q.Calls) == 0: // insert
+	case op == 0 || len(calls) == 0: // insert
 		at := 0
-		if len(q.Calls) > 0 {
-			at = r.Intn(len(q.Calls) + 1)
+		if len(calls) > 0 {
+			at = r.Intn(len(calls) + 1)
 		}
-		q.Calls = append(q.Calls[:at], append([]Call{g.genCall()}, q.Calls[at:]...)...)
-	case op == 1 && len(q.Calls) > 1: // delete
-		at := r.Intn(len(q.Calls))
-		q.Calls = append(q.Calls[:at], q.Calls[at+1:]...)
+		calls = slices.Insert(calls, at, g.genCall())
+	case op == 1 && len(calls) > 1: // delete
+		at := r.Intn(len(calls))
+		calls = slices.Delete(calls, at, at+1)
 	case op == 2: // mutate one argument in place
-		c := &q.Calls[r.Intn(len(q.Calls))]
+		c := &calls[r.Intn(len(calls))]
 		a := r.Intn(3)
 		kind := ArgValue
 		if int(c.Nr) < len(specs) && a < len(specs[c.Nr].Args) {
@@ -296,22 +301,23 @@ func (g *generator) Mutate(p *Prog, other *Prog) *Prog {
 			c.Args[a] ^= 1 << uint(r.Intn(64))
 		}
 	case op == 3: // duplicate a call
-		at := r.Intn(len(q.Calls))
-		q.Calls = append(q.Calls[:at], append([]Call{q.Calls[at]}, q.Calls[at:]...)...)
-	case op == 4 && len(q.Calls) > 1: // truncate
-		q.Calls = q.Calls[:1+r.Intn(len(q.Calls)-1)]
+		at := r.Intn(len(calls))
+		calls = slices.Insert(calls, at, calls[at])
+	case op == 4 && len(calls) > 1: // truncate
+		calls = calls[:1+r.Intn(len(calls)-1)]
 	default: // splice
 		if other != nil && len(other.Calls) > 0 {
-			cut := r.Intn(len(q.Calls) + 1)
+			cut := r.Intn(len(calls) + 1)
 			tail := other.Calls[r.Intn(len(other.Calls)):]
-			q.Calls = append(q.Calls[:cut:cut], tail...)
+			calls = append(calls[:cut], tail...)
 		} else {
-			q.Calls = append(q.Calls, g.genCall())
+			calls = append(calls, g.genCall())
 		}
 	}
+	g.buf = calls[:0]
 	const maxLen = 12
-	if len(q.Calls) > maxLen {
-		q.Calls = q.Calls[:maxLen]
+	if len(calls) > maxLen {
+		calls = calls[:maxLen]
 	}
-	return q
+	return (&Prog{Calls: calls}).Clone()
 }

@@ -115,9 +115,9 @@ type Injector struct {
 }
 
 // New creates an injector for the plan. Zero-valued stride and cap take
-// their defaults. The fuzzer builds one per iteration, so its stream comes
-// from prng.New: the values math/rand's NewSource(plan.Seed) gives, without
-// paying for the whole seeded vector up front.
+// their defaults. Its stream comes from prng.New: the values math/rand's
+// NewSource(plan.Seed) gives, without paying for the whole seeded vector
+// up front.
 func New(plan Plan) *Injector {
 	if plan.Every == 0 {
 		plan.Every = 512
@@ -126,6 +126,18 @@ func New(plan Plan) *Injector {
 		plan.MaxFaults = 16
 	}
 	return &Injector{plan: plan, rng: prng.New(plan.Seed)}
+}
+
+// Reseed readies a detached injector for a new attachment under seed: from
+// here on it injects exactly what New would with the plan's Seed set to
+// seed. The source is re-seeded in place, in constant time, and Events is
+// emptied into its old backing array, so a caller that keeps one injector
+// across runs (the fuzzer keeps one per executor) allocates nothing for
+// it. Copy Events first if an earlier run's log must outlive this call.
+func (inj *Injector) Reseed(seed int64) {
+	inj.plan.Seed = seed
+	inj.rng.Seed(seed)
+	inj.Events = inj.Events[:0]
 }
 
 // Attach arms the injector as the CPU's ticker: the first opportunity

@@ -606,6 +606,14 @@ func (as *AddressSpace) readable(p Perm) bool {
 	return !as.EPT && p&PermX != 0
 }
 
+// Readable reports whether a data load at va would succeed: the page is
+// mapped and its permissions allow reads. Unlike LoadByte it builds no
+// fault when they do not, and it leaves the data TLB alone.
+func (as *AddressSpace) Readable(va uint64) bool {
+	pg, ok := as.lookup(vpn(va))
+	return ok && as.readable(pg.perm)
+}
+
 // dataPage resolves a virtual page number for a data access through the
 // data-side TLB, filling the entry on a miss. It returns nil when the page
 // is unmapped (faults are never cached). Permission checks are the
@@ -1077,6 +1085,40 @@ func (as *AddressSpace) Peek(va uint64, n int) ([]byte, error) {
 		i += copy(out[i:], pg.frame.Data[a&PageMask:])
 	}
 	return out, nil
+}
+
+// PeekUint64 loads the little-endian word at va ignoring permissions, as
+// Peek(va, 8) does, without allocating. ok is false if a page the word
+// touches is unmapped.
+func (as *AddressSpace) PeekUint64(va uint64) (v uint64, ok bool) {
+	if off := va & PageMask; off <= PageSize-8 {
+		pg, mapped := as.lookup(vpn(va))
+		if !mapped {
+			return 0, false
+		}
+		return binary.LittleEndian.Uint64(pg.frame.Data[off:]), true
+	}
+	for i := uint64(0); i < 8; i++ {
+		pg, mapped := as.lookup(vpn(va + i))
+		if !mapped {
+			return 0, false
+		}
+		v |= uint64(pg.frame.Data[(va+i)&PageMask]) << (8 * i)
+	}
+	return v, true
+}
+
+// FrameAt returns the frame va's page maps, ignoring permissions and
+// without materializing an untouched demand-zero page (which reports the
+// shared zero frame). Together with Frame.Gen it lets a host-side reader
+// tell whether the bytes Peek would return have changed since it last
+// looked.
+func (as *AddressSpace) FrameAt(va uint64) (*Frame, bool) {
+	pg, ok := as.lookup(vpn(va))
+	if !ok {
+		return nil, false
+	}
+	return pg.frame, true
 }
 
 // MappedRange describes a maximal run of contiguously mapped pages with
