@@ -60,7 +60,11 @@ type EmuResult struct {
 // windows (host_ns_per_fork_iteration, host_ns_per_boot_iteration and
 // emulated_cycles) and time the golden-fork boot, Boot(cfg, WithCache()),
 // instead of a fuzz executor fork.
-const EmuSchemaVersion = 9
+// v10: the fork rows add the Table 1 suite's first pass on a fresh golden
+// fork, with and without the family's shared translations
+// (host_ns_first_pass_unshared, host_ns_first_pass_shared,
+// first_pass_speedup).
+const EmuSchemaVersion = 10
 
 // emuReps is the number of repetitions per mode; the reported time is the
 // minimum over them (the min estimates the noise-free cost; means are
@@ -72,14 +76,20 @@ const emuReps = 5
 
 // ForkResult is one configuration's boot-cost measurement: what a
 // golden-fork boot (Boot(cfg, WithCache())) costs next to constructing a
-// kernel fresh from the same image.
+// kernel fresh from the same image, and what a fork's first Table 1 suite
+// pass costs when an earlier fork of the golden already ran it, with the
+// golden's shared translations (shared) and with the fork's table detached
+// (unshared, what every fork paid before translations were shared).
 type ForkResult struct {
-	Name         string  `json:"name"`
-	Reps         int     `json:"reps"`
-	BootNs       int64   `json:"host_ns_per_boot"`
-	ForkNs       int64   `json:"host_ns_per_fork"`
-	ForksPerSec  float64 `json:"forks_per_sec"`
-	BootOverFork float64 `json:"boot_over_fork"`
+	Name              string  `json:"name"`
+	Reps              int     `json:"reps"`
+	BootNs            int64   `json:"host_ns_per_boot"`
+	ForkNs            int64   `json:"host_ns_per_fork"`
+	ForksPerSec       float64 `json:"forks_per_sec"`
+	BootOverFork      float64 `json:"boot_over_fork"`
+	FirstPassUnshared int64   `json:"host_ns_first_pass_unshared"`
+	FirstPassShared   int64   `json:"host_ns_first_pass_shared"`
+	FirstPassSpeedup  float64 `json:"first_pass_speedup"`
 }
 
 // EmuReport is the machine-readable emulator benchmark baseline
@@ -285,7 +295,10 @@ const forkBatch = 64
 // kernel takes under one configuration — Boot(cfg, WithCache()), a
 // copy-on-write fork of the configuration's golden kernel — against a fresh
 // construction of a kernel from the same cached image (WithImage). Both
-// sides are timed alike, by perBoot.
+// sides are timed alike, by perBoot. It then times the Table 1 suite's
+// first pass on fresh forks, min of emuReps, alternating forks that adopt
+// the golden's shared translations with forks whose table is detached; the
+// two must retire identical emulated cycles.
 func measureFork(cfg core.Config) (ForkResult, error) {
 	res := ForkResult{Name: "fork/" + cfg.Name(), Reps: emuReps}
 	// The first WithCache boot builds the image and constructs the golden
@@ -316,6 +329,50 @@ func measureFork(cfg core.Config) (ForkResult, error) {
 	if res.ForkNs > 0 {
 		res.ForksPerSec = 1e9 / float64(res.ForkNs)
 		res.BootOverFork = float64(res.BootNs) / float64(res.ForkNs)
+	}
+	// The earlier fork: it runs the suite once, so the golden's table holds
+	// the suite's blocks before anything below is timed. It is booted after
+	// the batches above, so it is never the golden's first fork, which
+	// shares nothing.
+	earlier, err := kernel.Boot(cfg, kernel.WithCache())
+	if err != nil {
+		return res, fmt.Errorf("bench: %s: warm-up: %w", res.Name, err)
+	}
+	if _, err := RunTable1Suite(earlier); err != nil {
+		return res, fmt.Errorf("bench: %s: warm-up: %w", res.Name, err)
+	}
+	var cycles [2]uint64
+	var host [2]time.Duration
+	for rep := 0; rep < emuReps; rep++ {
+		for m, shared := range []bool{false, true} {
+			f, err := kernel.Boot(cfg, kernel.WithCache())
+			if err != nil {
+				return res, fmt.Errorf("bench: %s: first pass: %w", res.Name, err)
+			}
+			if !shared {
+				f.CPU.ShareBlocks(nil)
+			}
+			start := time.Now()
+			c, err := RunTable1Suite(f)
+			d := time.Since(start)
+			if err != nil {
+				return res, fmt.Errorf("bench: %s: first pass: %w", res.Name, err)
+			}
+			if rep == 0 {
+				cycles[m], host[m] = c, d
+			} else if c != cycles[m] {
+				return res, fmt.Errorf("bench: %s: first-pass cycles diverge across reps: %d vs %d", res.Name, cycles[m], c)
+			}
+			host[m] = min(host[m], d)
+		}
+	}
+	if cycles[0] != cycles[1] {
+		return res, fmt.Errorf("bench: %s: first-pass cycles diverge: unshared %d vs shared %d", res.Name, cycles[0], cycles[1])
+	}
+	res.FirstPassUnshared = host[0].Nanoseconds()
+	res.FirstPassShared = host[1].Nanoseconds()
+	if res.FirstPassShared > 0 {
+		res.FirstPassSpeedup = float64(res.FirstPassUnshared) / float64(res.FirstPassShared)
 	}
 	return res, nil
 }
@@ -405,8 +462,8 @@ func BlockEngineReport(k *kernel.Kernel) string {
 	}
 	s := k.CPU.BlockStats()
 	return fmt.Sprintf(
-		"block-engine: blocks=%d formed=%d compiled=%d fused=%d dispatches=%d instrs=%d aborts=%d side_exits=%d loop_iters=%d chained=%d severed=%d cold=%d",
-		s.Blocks, s.Formed, s.Compiled, s.Fused, s.Dispatches, s.Instrs, s.Aborts, s.SideExits, s.LoopIters, s.Chained, s.Severed, s.Cold)
+		"block-engine: blocks=%d formed=%d adopted=%d compiled=%d fused=%d dispatches=%d instrs=%d aborts=%d side_exits=%d loop_iters=%d chained=%d severed=%d cold=%d",
+		s.Blocks, s.Formed, s.Adopted, s.Compiled, s.Fused, s.Dispatches, s.Instrs, s.Aborts, s.SideExits, s.LoopIters, s.Chained, s.Severed, s.Cold)
 }
 
 // DataTLBReport formats the kernel address space's data-TLB counters.

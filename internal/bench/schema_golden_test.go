@@ -53,12 +53,15 @@ func TestEmuReportSchemaGolden(t *testing.T) {
 			Cycles:         123456,
 		}},
 		Fork: []ForkResult{{
-			Name:         "fork/Vanilla",
-			Reps:         3,
-			BootNs:       20000000,
-			ForkNs:       1500000,
-			ForksPerSec:  666.67,
-			BootOverFork: 13.33,
+			Name:              "fork/Vanilla",
+			Reps:              3,
+			BootNs:            20000000,
+			ForkNs:            1500000,
+			ForksPerSec:       666.67,
+			BootOverFork:      13.33,
+			FirstPassUnshared: 9000000,
+			FirstPassShared:   7500000,
+			FirstPassSpeedup:  1.2,
 		}},
 		Store: []StoreResult{{
 			Name:            "store/Vanilla",

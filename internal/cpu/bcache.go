@@ -2,6 +2,8 @@ package cpu
 
 import (
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -61,7 +63,7 @@ import (
 // Lean blocks. A block that writes no memory (no dcStore entry, no final
 // call pushing a return address) and has a thunk in every slot is lean, and
 // a lean self-loop checks only RIP and the budget between passes: nothing
-// it runs can change the other four conditions (dcBlock.lean gives the
+// it runs can change the other four conditions (blockXlat.lean gives the
 // reason for each). Loads are the case that needs care, since a lean
 // block may load: AddressSpace.Read fills the data TLB through dataPage
 // without bumping the map generation, a load of an untouched demand-zero
@@ -130,6 +132,53 @@ import (
 // give a mid-block trap exactly the counter state the single-step path
 // would. The precomputed block cost and count feed the limit guard and the
 // stats.
+//
+// Shared translations. A block is two records. Its translation (blockXlat:
+// ents, comp, cost, count, lean) is a pure function of the page's bytes, its
+// virtual address and the seen-taken bits its former had, and never changes
+// once built. Its per-CPU state (dcBlock: the taken/fall/side links and the
+// coverage words) belongs to the CPU that runs it, and so do the page's heat
+// and seen-taken bits. A dcBlock holds its translation's slice headers by
+// value, so runBlock and runChain load exactly what they would from a block
+// the CPU formed itself.
+//
+// The forks of one golden kernel run the same frozen code, so a
+// SharedBlocks table, owned by the golden and handed to every CPU forked
+// from it, lets them form each block once between them:
+//
+//   - Eligibility. The table is keyed by (frame, page address), and its keys
+//     are fixed when it is made (NewSharedBlocks): the executable pages the
+//     space maps onto frozen frames at that moment. A frozen frame never
+//     changes again, so a translation of it is valid for as long as a CPU's
+//     page still resolves to it, which resolvePage checks on every lookup
+//     as it always has. A copy-on-write copy, a text_poke'd page or a frame
+//     frozen by a later Freeze is not a key: its page keeps private
+//     translations, exactly as without a table.
+//   - Adoption. When blockLookup or blockStep find no block at an offset of
+//     an eligible page, they first ask the table. A published translation is
+//     adopted at once: no hotness gate, no decode, no formation and no
+//     compile. Only a miss goes through the gate and formBlock as before.
+//   - Publication. A block formed over an eligible page is published under
+//     its entry offset; the first publisher wins and later ones keep their
+//     own copy. Every access takes the page's mutex, but only on a per-CPU
+//     miss: a CPU that has adopted or formed a block never asks again until
+//     its page flushes.
+//   - The first fork. Sharing starts once a table's CPUs have been forked
+//     twice: a page a CPU resolves before that stays private for as long
+//     as it keeps its frame. A golden's only fork, which is all a one-
+//     worker fuzz campaign or a one-off boot takes, therefore takes no
+//     lock on a miss and leaves no blocks behind in the golden. Publishing
+//     from that fork kept each campaign's blocks alive in its golden until
+//     the next build cache replaced it, and a new campaign's set-up then
+//     ran about a fifth slower (fuzz-vanilla setup_s).
+//
+// A block's shape follows its former's seen-taken history, so an adopter
+// may run a block another fork would have cut elsewhere. Shapes are not
+// semantics: every shape runs bit-identically to the single-step path, the
+// same property that lets the hotness gate pick formation times freely.
+// Only the block_engine counters show it: a fork that adopts forms, gates
+// and compiles less, and when forks run concurrently, which of them forms
+// a block first is a matter of scheduling.
 
 // BlockStats reports superblock-engine behaviour for one CPU. All counters
 // except Blocks are cumulative: they survive page flushes, SetBlockEngine
@@ -137,6 +186,7 @@ import (
 // the cache they describe). Blocks is the current live footprint.
 type BlockStats struct {
 	Formed     uint64 // blocks ever formed (cumulative, survives flushes)
+	Adopted    uint64 // blocks taken from a SharedBlocks table instead of formed
 	Dispatches uint64 // block executions entered via the Run fast path or a chain
 	Instrs     uint64 // instructions executed inside dispatched blocks
 	Aborts     uint64 // mid-block self-modification resyncs
@@ -285,14 +335,11 @@ type blkLink struct {
 	fgen  uint64
 }
 
-// dcBlock is one superblock: a formed path through its page (see formBlock),
-// plus its lazily resolved successor links. Its translation — ents, comp,
-// lean, cost, count — is built by formBlock and never changes afterwards.
-// comp holds one specialized thunk per entry (same indices as ents); ents
-// stays the decoded source of truth, and a nil-fn slot runs through exec
-// from it. Both slices are immutable.
-// cov, the block's coverage words (coverage.go), is set once on the first
-// covered completion, then shared.
+// blockXlat is a block's translation: a formed path through its page (see
+// formBlock), compiled. It is built once and never changes afterwards, so
+// CPUs sharing a SharedBlocks table share it, slices and all. comp holds
+// one specialized thunk per entry (same indices as ents); ents stays the
+// decoded source of truth, and a nil-fn slot runs through exec from it.
 //
 // lean: the block writes no memory and every slot has a thunk, so a
 // completed pass of it as a self-loop re-checks only RIP and the budget
@@ -314,16 +361,99 @@ type blkLink struct {
 //
 // A load that faults returns a trap, and the runner leaves through its trap
 // check before it reaches the loop-back. Non-lean blocks keep every check.
-type dcBlock struct {
+type blockXlat struct {
 	ents  []blkEnt
-	comp  []cthunk  // compiled thunks, one slot per entry
+	comp  []cthunk // compiled thunks, one slot per entry
+	count uint64   // len(ents): the Run fast path's limit guard
+	cost  uint64   // cumulative static cycle cost of the block
+	lean  bool     // store-free and fully thunked (see above)
+}
+
+// dcBlock is one superblock as a CPU runs it: its translation, held by
+// value, plus the CPU's own lazily resolved successor links and coverage
+// words (coverage.go), which are set once on the first covered completion.
+type dcBlock struct {
+	blockXlat
 	cov   []covWord // coverage words; nil until the first covered completion
-	count uint64    // len(ents): the Run fast path's limit guard
-	cost  uint64    // cumulative static cycle cost of the block
-	lean  bool      // store-free and fully thunked (see above)
 	taken blkLink   // exit through the last entry, anywhere but the fallthrough
 	fall  blkLink   // exit to the address after the last entry
 	side  blkLink   // exit through a side-exit JCC (the most recent one)
+}
+
+// SharedBlocks is the translation table the forks of one frozen address
+// space share (see the top of this file): for each executable page the
+// space mapped onto a frozen frame when the table was made, the blocks
+// formed over it so far, by entry offset. Its key set never changes, so
+// finding a page's entry needs no lock; the entries themselves are guarded
+// per page. forks counts the CPUs forked from a CPU holding the table.
+type SharedBlocks struct {
+	pages map[sharedKey]*sharedPage
+	forks atomic.Int64
+}
+
+// sharedKey names an eligible page: its frozen frame and its virtual
+// address, which block entries and thunk constants fold in.
+type sharedKey struct {
+	frame *mem.Frame
+	base  uint64
+}
+
+// sharedPage holds the published translations of one eligible page.
+type sharedPage struct {
+	mu     sync.Mutex
+	blocks map[uint16]blockXlat
+}
+
+// NewSharedBlocks returns an empty table whose eligible pages are the
+// executable pages as maps onto frozen frames (mem.AddressSpace.Freeze):
+// call it after freezing the space the sharing CPUs are forked from.
+func NewSharedBlocks(as *mem.AddressSpace) *SharedBlocks {
+	t := &SharedBlocks{pages: make(map[sharedKey]*sharedPage)}
+	as.FrozenExecPages(func(va uint64, f *mem.Frame) {
+		t.pages[sharedKey{f, va}] = &sharedPage{blocks: make(map[uint16]blockXlat)}
+	})
+	return t
+}
+
+// page returns the shared entry for frame f mapped at page base, or nil
+// when that pair is not eligible, t is nil, or t has had at most one fork
+// (see the top of this file).
+func (t *SharedBlocks) page(f *mem.Frame, base uint64) *sharedPage {
+	if t == nil || t.forks.Load() < 2 {
+		return nil
+	}
+	return t.pages[sharedKey{f, base}]
+}
+
+// get returns the translation published for the block entered at off, and
+// how many blocks the page has published.
+func (sp *sharedPage) get(off int) (x blockXlat, n int, ok bool) {
+	sp.mu.Lock()
+	x, ok = sp.blocks[uint16(off)]
+	n = len(sp.blocks)
+	sp.mu.Unlock()
+	return x, n, ok
+}
+
+// publish records x as the translation of the block entered at off, unless
+// another CPU published one first.
+func (sp *sharedPage) publish(off int, x blockXlat) {
+	sp.mu.Lock()
+	if _, ok := sp.blocks[uint16(off)]; !ok {
+		sp.blocks[uint16(off)] = x
+	}
+	sp.mu.Unlock()
+}
+
+// ShareBlocks makes c adopt and publish translations through t, and so
+// does every CPU forked from c afterwards (CPU.Fork hands the table on).
+// nil stops sharing. Pages c has already resolved keep what they hold
+// until they next resolve a different frame.
+func (c *CPU) ShareBlocks(t *SharedBlocks) {
+	c.shared = t
+	if c.dc != nil {
+		c.dc.shared = t
+	}
 }
 
 // blockExit is how a block run ended, as runBlock reports it to runChain.
@@ -395,15 +525,46 @@ func (p *dcPage) formBlock(rip uint64, c *CPU) int16 {
 	// stored slice and buf shared one variable.
 	be := slices.Clone(ents)
 	comp, fused, merged := compileBlock(be)
-	p.blocks = append(p.blocks, dcBlock{ents: be, comp: comp, lean: leanBlock(be, comp),
-		count: uint64(len(be)), cost: cost})
-	bi := int16(len(p.blocks))
-	p.blkIdx[start] = bi
+	x := blockXlat{ents: be, comp: comp, lean: leanBlock(be, comp), count: uint64(len(be)), cost: cost}
+	if p.shared != nil {
+		p.shared.publish(start, x)
+	}
 	c.bstats.Formed++
 	c.bstats.Compiled++
 	c.bstats.Fused += fused
 	c.bstats.Merged += merged
+	return p.addBlock(start, x)
+}
+
+// addBlock registers translation x as the block entered at page offset off
+// and returns its blkIdx value.
+func (p *dcPage) addBlock(off int, x blockXlat) int16 {
+	p.blocks = append(p.blocks, dcBlock{blockXlat: x})
+	bi := int16(len(p.blocks))
+	p.blkIdx[off] = bi
 	return bi
+}
+
+// missBlock resolves an offset of p with no block yet: it adopts the
+// translation the page's shared table holds for it, if any, and otherwise
+// applies the hotness gate and forms (and publishes) one. It returns the
+// offset's new blkIdx value, or 0 when the gate keeps the dispatch cold.
+func (c *CPU) missBlock(p *dcPage, off int, rip uint64) int16 {
+	if p.shared != nil {
+		if x, n, ok := p.shared.get(off); ok {
+			if p.blocks == nil {
+				// A page that adopts once will likely adopt most of what
+				// its siblings published: size its block list for that.
+				p.blocks = make([]dcBlock, 0, n)
+			}
+			c.bstats.Adopted++
+			return p.addBlock(off, x)
+		}
+	}
+	if c.coldGate(p, off) {
+		return 0
+	}
+	return p.formBlock(rip, c)
 }
 
 // inBlock reports whether an entry of ents starts at rip.
@@ -432,12 +593,9 @@ func (c *CPU) blockLookup(rip uint64) (*dcPage, *dcBlock) {
 	off := int(rip & uint64(mem.PageMask))
 	bi := p.blkIdx[off]
 	if bi == 0 {
-		if c.coldGate(p, off) {
-			return nil, nil
-		}
-		bi = p.formBlock(rip, c)
+		bi = c.missBlock(p, off, rip)
 	}
-	if bi < 0 {
+	if bi <= 0 {
 		return nil, nil
 	}
 	return p, &p.blocks[bi-1]
@@ -462,12 +620,9 @@ func (c *CPU) blockStep(limit, done, startInstrs uint64) (StopReason, *Trap) {
 	off := int(c.RIP & uint64(mem.PageMask))
 	bi := p.blkIdx[off]
 	if bi == 0 {
-		if c.coldGate(p, off) {
-			return c.stepCached(p, off)
-		}
-		bi = p.formBlock(c.RIP, c)
+		bi = c.missBlock(p, off, c.RIP)
 	}
-	if bi < 0 {
+	if bi <= 0 {
 		return c.stepCached(p, off)
 	}
 	b := &p.blocks[bi-1]

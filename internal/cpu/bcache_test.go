@@ -264,6 +264,63 @@ func (o *blkOutcome) diff(ref *blkOutcome) string {
 func runBlockCase(t *testing.T, code []byte, seed uint64, m engineMode, limit, stride uint64, act bool, probe *ripProbe) blkOutcome {
 	t.Helper()
 	c, cv := newBlockCaseCPU(t, code, seed, m)
+	return runCaseOn(t, c, cv, limit, stride, act, probe)
+}
+
+// newSharedCase builds the frozen machine of FuzzBlockEquivalence's shared-
+// translation mode: runBlockCase's machine for code and seed at the default
+// hotness gate, frozen, with a SharedBlocks table over its code pages. A
+// sibling fork has already run the program from other register values with
+// eager formation, so the table holds blocks shaped by another run's branch
+// history. The sibling is the golden's second fork: the first shares
+// nothing.
+func newSharedCase(t *testing.T, code []byte, seed uint64, limit uint64) *CPU {
+	t.Helper()
+	golden := newSharedGolden(t, code, seed)
+	forkCase(t, golden)
+	sib := forkCase(t, golden)
+	sib.SetBlockHotThreshold(1)
+	seedCaseRegs(sib, seed^0x9e3779b97f4a7c15)
+	sib.Run(limit)
+	return golden
+}
+
+// newSharedGolden is runBlockCase's machine for code and seed at the
+// default hotness gate, frozen, with a fresh SharedBlocks table.
+func newSharedGolden(t *testing.T, code []byte, seed uint64) *CPU {
+	t.Helper()
+	golden, _ := newBlockCaseCPU(t, code, seed, covModes[3])
+	if err := golden.AS.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	golden.ShareBlocks(NewSharedBlocks(golden.AS))
+	return golden
+}
+
+// forkCase returns a copy-on-write fork of golden.
+func forkCase(t *testing.T, golden *CPU) *CPU {
+	t.Helper()
+	as, err := golden.AS.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return golden.Fork(as)
+}
+
+// runSharedCase is runBlockCase on a fresh fork of a newSharedCase machine,
+// which adopts the blocks its siblings published.
+func runSharedCase(t *testing.T, golden *CPU, limit, stride uint64, act bool) blkOutcome {
+	t.Helper()
+	c := forkCase(t, golden)
+	cv := NewCoverage(dcCodeVA+5, mem.PageSize)
+	c.SetCoverage(cv)
+	return runCaseOn(t, c, cv, limit, stride, act, nil)
+}
+
+// runCaseOn is runBlockCase's run and observation on an already built
+// machine c with coverage sink cv.
+func runCaseOn(t *testing.T, c *CPU, cv *Coverage, limit, stride uint64, act bool, probe *ripProbe) blkOutcome {
+	t.Helper()
 	as := c.AS
 	if probe != nil {
 		c.AddProbe(probe)
@@ -334,16 +391,23 @@ func newBlockCaseCPU(t *testing.T, code []byte, seed uint64, m engineMode) (*CPU
 	c.SetCoverage(cv)
 	c.Mode = Kernel
 	c.RIP = dcCodeVA
+	seedCaseRegs(c, seed)
+	if f := as.Write(c.Regs[isa.RSP], StopMagic, 8); f != nil {
+		t.Fatal(f)
+	}
+	return c, cv
+}
+
+// seedCaseRegs points every register of c into the case's pages, at
+// offsets drawn from seed, and the stack pointer at the stop sentinel's
+// slot.
+func seedCaseRegs(c *CPU, seed uint64) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	bases := []uint64{dcCodeVA, dcDataVA, dcStackVA}
 	for i := range c.Regs {
 		c.Regs[i] = bases[rng.Intn(len(bases))] + uint64(rng.Intn(mem.PageSize))
 	}
 	c.Regs[isa.RSP] = dcStackVA + mem.PageSize - 64
-	if f := as.Write(c.Regs[isa.RSP], StopMagic, 8); f != nil {
-		t.Fatal(f)
-	}
-	return c, cv
 }
 
 // asmProg is a small assembler for generated programs: instructions plus
@@ -550,7 +614,12 @@ func genBlockProgram(rng *rand.Rand) []byte {
 //   - as a structured program genBlockProgram derives from the input, full
 //     of side exits, self-loops and followed jumps, run with the Run limit
 //     at every position and then with a ticker deadline at every position,
-//     so a limit or a tick can cut a multi-pass dispatch anywhere.
+//     so a limit or a tick can cut a multi-pass dispatch anywhere. Besides
+//     the engine modes, each position also runs on a fork of a frozen copy
+//     of the machine whose SharedBlocks table a sibling fork filled first
+//     (newSharedCase): adopted blocks, shaped by another run's branches,
+//     next to blocks the fork forms and publishes itself, and private ones
+//     on pages its stores copied.
 func FuzzBlockEquivalence(f *testing.F) {
 	f.Add([]byte{byte(isa.NOP), byte(isa.RET)}, uint64(1))
 	f.Add(encodeProgF(isa.MovRI(isa.RAX, 5), isa.AddRI(isa.RAX, 7), isa.Ret()), uint64(2))
@@ -593,6 +662,10 @@ func FuzzBlockEquivalence(f *testing.F) {
 	// A lean self-loop whose load walks off the data page on pass 4.
 	code, _ = walkingLoadProg(dcDataVA+mem.PageSize-3*64, 64, 20)
 	f.Add(code, uint64(8))
+	// A structured program that rewrites its own code page: a fork's
+	// private copy of the page must never publish its blocks to the shared
+	// table (a table keyed by page address alone, not frame, fails here).
+	f.Add([]byte("\x05,\x00\x10\x00"), uint64(2))
 
 	f.Fuzz(func(t *testing.T, code []byte, seed uint64) {
 		if len(code) > 2*mem.PageSize {
@@ -620,6 +693,9 @@ func FuzzBlockEquivalence(f *testing.F) {
 		prog := genBlockProgram(rand.New(rand.NewSource(int64(h.Sum64() ^ seed))))
 		const progLimit = 256
 		full := runBlockCase(t, prog, seed, uncached, progLimit, 0, false, nil)
+		// Shared-translation mode: each run forks a frozen machine whose
+		// table already holds a sibling's blocks, and publishes its own.
+		golden := newSharedCase(t, prog, seed, progLimit)
 		for pos := uint64(1); pos <= full.instrs+1 && pos <= progLimit; pos++ {
 			want := runBlockCase(t, prog, seed, uncached, pos, 0, false, nil)
 			tickWant := runBlockCase(t, prog, seed, uncached, progLimit, pos, pos%2 == 0, nil)
@@ -633,6 +709,67 @@ func FuzzBlockEquivalence(f *testing.F) {
 					t.Fatalf("structured program, tick stride %d: %s vs uncached diverge in %s", pos, m.name, d)
 				}
 			}
+			got := runSharedCase(t, golden, pos, 0, false)
+			if d := got.diff(&want); d != "" {
+				t.Fatalf("structured program, limit %d: shared translations vs uncached diverge in %s", pos, d)
+			}
+			got = runSharedCase(t, golden, progLimit, pos, pos%2 == 0)
+			if d := got.diff(&tickWant); d != "" {
+				t.Fatalf("structured program, tick stride %d: shared translations vs uncached diverge in %s", pos, d)
+			}
 		}
 	})
+}
+
+// TestForkAdoptsSiblingBlocks: a fork of a frozen machine with a
+// SharedBlocks table runs on the blocks a sibling fork published, with no
+// hotness gate and no formation of its own, and matches the uncached
+// stepper; toggling the engine and the cache keeps the table. A golden's
+// only fork publishes nothing, and a machine without a table forms its
+// own blocks as before.
+func TestForkAdoptsSiblingBlocks(t *testing.T) {
+	code, _ := selectLoopProg(40)
+	const limit = 4096
+	want := runBlockCase(t, code, 1, covModes[0], limit, 0, false, nil)
+
+	lone := newSharedGolden(t, code, 1)
+	first := forkCase(t, lone)
+	first.Run(limit)
+	second := forkCase(t, lone)
+	second.Run(limit)
+	for i, c := range []*CPU{first, second} {
+		if s := c.BlockStats(); s.Adopted != 0 || s.Formed == 0 {
+			t.Errorf("fork %d: a golden's first fork must publish nothing, so neither fork adopts: %+v", i, s)
+		}
+	}
+
+	golden := newSharedCase(t, code, 1, limit)
+
+	c := forkCase(t, golden)
+	cv := NewCoverage(dcCodeVA+5, mem.PageSize)
+	c.SetCoverage(cv)
+	if got := runCaseOn(t, c, cv, limit, 0, false, nil); got.diff(&want) != "" {
+		t.Fatalf("adopting fork vs uncached diverge in %s", got.diff(&want))
+	}
+	if s := c.BlockStats(); s.Adopted == 0 || s.Formed != 0 || s.Cold != 0 || s.Compiled != 0 {
+		t.Errorf("fork must adopt every block it runs, gate and form none: %+v", s)
+	}
+
+	off := forkCase(t, golden)
+	off.SetBlockEngine(false)
+	off.SetBlockEngine(true)
+	off.SetDecodeCache(false)
+	off.SetDecodeCache(true)
+	off.Run(limit)
+	if s := off.BlockStats(); s.Adopted == 0 {
+		t.Errorf("toggling the engine and the cache must keep the table: %+v", s)
+	}
+
+	plain, cv := newBlockCaseCPU(t, code, 1, covModes[3])
+	if got := runCaseOn(t, plain, cv, limit, 0, false, nil); got.diff(&want) != "" {
+		t.Fatalf("unshared machine vs uncached diverge in %s", got.diff(&want))
+	}
+	if s := plain.BlockStats(); s.Adopted != 0 || s.Formed == 0 {
+		t.Errorf("a machine without a table must form its own blocks: %+v", s)
+	}
 }

@@ -211,15 +211,17 @@ type CPU struct {
 	// dc is the predecoded translation cache (see dcache.go); nil when
 	// disabled. blocks arms the superblock engine layered on it (see
 	// bcache.go; every block it forms is compiled to thunks, thunk.go),
-	// blockHot the hotness-gate threshold, and bstats/dstats
-	// the cumulative block-engine and decode-cache counters (on the CPU,
-	// not the cache, so both survive cache toggles under one reset
-	// contract — see BlockStats/DecodeCacheStats). All affect host
+	// blockHot the hotness-gate threshold, shared the translation table
+	// this CPU adopts blocks from and publishes them to (ShareBlocks), and
+	// bstats/dstats the cumulative block-engine and decode-cache counters
+	// (on the CPU, not the cache, so both survive cache toggles under one
+	// reset contract — see BlockStats/DecodeCacheStats). All affect host
 	// wall-clock only — Instrs, Cycles, traps, and probe callbacks are
 	// bit-identical with them on or off.
 	dc       *decodeCache
 	blocks   bool
 	blockHot uint32
+	shared   *SharedBlocks
 	bstats   BlockStats
 	dstats   DecodeCacheStats
 }
@@ -231,7 +233,7 @@ type CPU struct {
 func New(as *mem.AddressSpace) *CPU {
 	c := &CPU{AS: as, MSRs: make(map[uint64]uint64),
 		blocks: true, blockHot: DefaultBlockHotThreshold}
-	c.dc = newDecodeCache(&c.dstats)
+	c.dc = newDecodeCache(&c.dstats, nil)
 	return c
 }
 

@@ -77,6 +77,11 @@ type dcPage struct {
 	mgen    uint64     // AddressSpace.MapGen() the frame was resolved at
 	entries []dcEntry
 	blocks  []dcBlock
+	// shared is the SharedBlocks entry of (frame, page address), or nil
+	// when the frame is not an eligible frozen frame of the CPU's table.
+	// Set whenever the page resolves a new frame; a frozen frame never
+	// changes, so no content flush can stale it.
+	shared *sharedPage
 	// idx maps page offset -> decode slot: 0 = not yet decoded,
 	// >0 = entries[idx-1], -1 = deterministic in-page decode failure (#UD).
 	// Each offset decodes at most once between flushes, so a page holds at
@@ -166,11 +171,12 @@ type decodeCache struct {
 		base uint64
 		p    *dcPage
 	}
-	stats *DecodeCacheStats
+	stats  *DecodeCacheStats
+	shared *SharedBlocks // the CPU's translation table; nil when unshared
 }
 
-func newDecodeCache(stats *DecodeCacheStats) *decodeCache {
-	return &decodeCache{pages: make(map[uint64]*dcPage), stats: stats}
+func newDecodeCache(stats *DecodeCacheStats, shared *SharedBlocks) *decodeCache {
+	return &decodeCache{pages: make(map[uint64]*dcPage), stats: stats, shared: shared}
 }
 
 // resolvePage returns the cache page for rip with its frame resolved and
@@ -206,6 +212,7 @@ func (dc *decodeCache) resolvePage(as *mem.AddressSpace, rip uint64) *dcPage {
 			p.frame = f
 			p.fgen = f.Gen()
 			p.flush()
+			p.shared = dc.shared.page(f, base)
 		}
 		p.mgen = mgen
 	}
@@ -254,7 +261,7 @@ func (dc *decodeCache) lookup(as *mem.AddressSpace, rip uint64) (e *dcEntry, ud 
 func (c *CPU) SetDecodeCache(on bool) {
 	if on {
 		if c.dc == nil {
-			c.dc = newDecodeCache(&c.dstats)
+			c.dc = newDecodeCache(&c.dstats, c.shared)
 		}
 		return
 	}

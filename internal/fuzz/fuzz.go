@@ -622,7 +622,7 @@ func (w *Executor) bucket(class string, rip uint64) string {
 // into it.
 type Ledger struct {
 	opts    Options
-	min     *Executor // executes minimization candidates (deterministic replays)
+	replay  func(cand *Prog, injSeed int64) (ExecResult, error) // minimization's deterministic replays
 	corpus  []*Prog
 	cover   map[uint64]struct{}
 	crashes map[string]*Crash
@@ -642,7 +642,7 @@ type Ledger struct {
 func NewLedger(opts Options, min *Executor) *Ledger {
 	return &Ledger{
 		opts:    opts,
-		min:     min,
+		replay:  min.replay,
 		cover:   make(map[uint64]struct{}),
 		crashes: make(map[string]*Crash),
 		report: &Report{
@@ -728,7 +728,19 @@ func (l *Ledger) Finalize(partial bool) *Report {
 // and syscall count, so candidates are replayed (Executor.replay): no
 // audit, and no coverage export, since their coverage is deliberately not
 // folded into the campaign's coverage map.
+//
+// A later pass can meet a candidate an earlier one already replayed: after
+// [A,B,C] shrinks to [A,C], the next pass tries [C] again. Replays are
+// deterministic under one injector seed, so the outcome is memoized per
+// crash and a repeat is not executed again. It is still charged as if it
+// were: one unit of budget, and its syscalls to Executed, so the report
+// reads exactly as if every candidate had run.
 func (l *Ledger) minimize(prog *Prog, bucket string, injSeed int64) *Prog {
+	type outcome struct {
+		nexec  int
+		bucket string
+	}
+	memo := make(map[string]outcome)
 	min := prog.Clone()
 	budget := l.opts.MaxMinimize
 	for changed := true; changed && len(min.Calls) > 1; {
@@ -738,17 +750,24 @@ func (l *Ledger) minimize(prog *Prog, bucket string, injSeed int64) *Prog {
 				return min
 			}
 			cand := &Prog{Calls: append(append([]Call{}, min.Calls[:i]...), min.Calls[i+1:]...)}
-			res, err := l.min.replay(cand, injSeed)
 			budget--
-			if err == nil {
+			key := cand.key()
+			o, ok := memo[key]
+			if !ok {
+				res, err := l.replay(cand, injSeed)
+				if err != nil {
+					continue
+				}
 				if l.replayHook != nil {
 					l.replayHook(cand, injSeed, res)
 				}
-				l.report.Executed += res.NExec
-				if res.Bucket == bucket {
-					min = cand
-					changed = true
-				}
+				o = outcome{res.NExec, res.Bucket}
+				memo[key] = o
+			}
+			l.report.Executed += o.nexec
+			if o.bucket == bucket {
+				min = cand
+				changed = true
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -47,6 +48,19 @@ func (p *Prog) Clone() *Prog {
 	q := &Prog{Calls: make([]Call, len(p.Calls))}
 	copy(q.Calls, p.Calls)
 	return q
+}
+
+// key returns the program's calls as a string, byte-identical for equal
+// programs: a map key for memoizing replays.
+func (p *Prog) key() string {
+	b := make([]byte, 0, len(p.Calls)*32)
+	for _, c := range p.Calls {
+		b = binary.LittleEndian.AppendUint64(b, c.Nr)
+		for _, a := range c.Args {
+			b = binary.LittleEndian.AppendUint64(b, a)
+		}
+	}
+	return string(b)
 }
 
 // String renders the program as one line of pseudo-C, the reproducer format

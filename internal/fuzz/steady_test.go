@@ -195,3 +195,39 @@ func TestMinimizeReplayMatchesExec(t *testing.T) {
 		}
 	}
 }
+
+// TestMinimizeMemoSkipsRepeats: on the [A,B,C] shape, where a candidate
+// crashes exactly when it keeps A and C, delta removal tries [A,B], [A,C]
+// (which shrinks the program), [C], then [A] and [C] again. The repeat of
+// [C] comes from the memo, so the replay hook sees four replays, not five,
+// while the budget and Executed are charged for all five candidates.
+func TestMinimizeMemoSkipsRepeats(t *testing.T) {
+	a, b, c := Call{Nr: 1}, Call{Nr: 2}, Call{Nr: 3}
+	const bucket = "crash/shape"
+	for _, tc := range []struct {
+		budget, replays, executed int
+	}{
+		{64, 4, 7},
+		{5, 4, 7}, // the fifth candidate is the memo hit, still charged
+		{4, 4, 6}, // out of budget before the repeat
+	} {
+		l := NewLedger(Options{MaxMinimize: tc.budget}, nil)
+		l.replay = func(cand *Prog, _ int64) (ExecResult, error) {
+			res := ExecResult{NExec: len(cand.Calls), CrashIdx: -1}
+			if slices.Contains(cand.Calls, a) && slices.Contains(cand.Calls, c) {
+				res.Bucket, res.CrashIdx = bucket, len(cand.Calls)-1
+			}
+			return res, nil
+		}
+		replays := 0
+		l.replayHook = func(*Prog, int64, ExecResult) { replays++ }
+		min := l.minimize(&Prog{Calls: []Call{a, b, c}}, bucket, 7)
+		if !slices.Equal(min.Calls, []Call{a, c}) {
+			t.Errorf("budget %d: minimized to %v, want [A C]", tc.budget, min.Calls)
+		}
+		if replays != tc.replays || l.report.Executed != tc.executed {
+			t.Errorf("budget %d: %d replays and Executed %d, want %d and %d",
+				tc.budget, replays, l.report.Executed, tc.replays, tc.executed)
+		}
+	}
+}

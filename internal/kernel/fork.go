@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 )
 
 // forkCount is the process-wide fork counter behind Forks() — the obs
@@ -36,7 +37,8 @@ func ForkedBoots() uint64 { return forkedBoots.Load() }
 // shares every physical frame with this kernel until one side writes it
 // (mem.AddressSpace.Fork) and copies the CPU's architectural state by value
 // (cpu.CPU.Fork). It is the machine copy behind every golden boot: the
-// child starts with a cold decode cache and no superblocks, and executes
+// child starts with a cold decode cache and no superblocks of its own (it
+// shares the parent's cpu.SharedBlocks table, if any), and executes
 // bit-identically to its parent from the fork point on, because emulated
 // semantics cannot observe frame identity or host cache warmth.
 //
@@ -87,6 +89,12 @@ func (k *Kernel) fork() (*Kernel, error) {
 // never runs an instruction, never takes a snapshot and is never written
 // after its freeze, so concurrent boots only read it, and each fork starts
 // with the zeroed counters and cold caches of a fresh boot.
+//
+// The golden's CPU owns the family's cpu.SharedBlocks table, made right
+// after the freeze over the executable frames the golden maps then. Every
+// fork inherits it, so a block one fork forms over the golden's code is
+// adopted by the others instead of being formed again. The table lives
+// as long as the golden, which SetBuildCache drops with its cache.
 type golden struct {
 	once sync.Once
 	k    *Kernel
@@ -117,6 +125,9 @@ func bootGolden(res *core.BuildResult, cfg core.Config) (*Kernel, error) {
 		k, err := bootImage(res, key.cfg)
 		if err == nil {
 			err = k.Space.AS.Freeze()
+		}
+		if err == nil {
+			k.CPU.ShareBlocks(cpu.NewSharedBlocks(k.Space.AS))
 		}
 		g.k, g.err = k, err
 	})

@@ -6,6 +6,8 @@
 package kernel_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -309,5 +311,75 @@ func TestSnapshotRestoreWarmCache(t *testing.T) {
 	// After the final restore the probe must be gone.
 	if r := k.Syscall(kernel.SysGetpid); r.Failed || r.Ret != 1 {
 		t.Fatalf("restore did not undo the probe: %v %v", r.Run.Reason, r.Run.Trap)
+	}
+}
+
+// TestTextPokeBesideSharedTranslation: one fork of a golden forms and
+// publishes the sys_getpid path, a second fork text_pokes a probe into that
+// page and later removes it, and a third keeps running the shared
+// translation of the original bytes in between. The poke breaks
+// copy-on-write, so the poking fork runs a private frame with private
+// blocks and the table never sees its bytes; a late fork still adopts the
+// original. Every fork must match the same sequence on uncached forks.
+func TestTextPokeBesideSharedTranslation(t *testing.T) {
+	defer kernel.SetBuildCache(kernel.SetBuildCache(core.NewImageCache(nil)))
+	type outcome struct {
+		rets           []string
+		instrs, cycles uint64
+	}
+	run := func(cached bool) (outs [4]outcome, stats [4]cpu.BlockStats) {
+		var ks [4]*kernel.Kernel // publisher, poker, sibling, late
+		boot := func(i int) {
+			ks[i] = bootK(t)
+			ks[i].CPU.SetDecodeCache(cached)
+			ks[i].CPU.SetBlockHotThreshold(1)
+		}
+		call := func(i int) {
+			r := ks[i].Syscall(kernel.SysGetpid)
+			s := fmt.Sprintf("ret=%d failed=%v", r.Ret, r.Failed)
+			if r.Run.Trap != nil {
+				s += fmt.Sprintf(" trap=%v", r.Run.Trap.Kind)
+			}
+			outs[i].rets = append(outs[i].rets, s)
+		}
+		boot(0)
+		boot(1)
+		boot(2)
+		call(0)
+		orig, addr, err := patch.InstallProbe(ks[1], "sys_getpid")
+		if err != nil {
+			t.Fatal(err)
+		}
+		call(1)
+		call(2)
+		if err := patch.RemoveProbe(ks[1], addr, orig); err != nil {
+			t.Fatal(err)
+		}
+		call(1)
+		call(2)
+		call(0)
+		boot(3)
+		call(3)
+		for i, k := range ks {
+			outs[i].instrs, outs[i].cycles = k.CPU.Instrs, k.CPU.Cycles
+			stats[i] = k.CPU.BlockStats()
+		}
+		return outs, stats
+	}
+	got, stats := run(true)
+	want, _ := run(false)
+	for i := range want {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Errorf("fork %d: shared %v, uncached %v", i, got[i], want[i])
+		}
+	}
+	if !strings.Contains(got[1].rets[0], "trap=") || got[2].rets[0] != "ret=1 failed=false" {
+		t.Errorf("the probe must trap in the poking fork only: poker %q, sibling %q", got[1].rets, got[2].rets)
+	}
+	if stats[0].Formed == 0 || stats[2].Adopted == 0 || stats[3].Adopted == 0 {
+		t.Errorf("the publisher must form and the others adopt: %+v", stats)
+	}
+	if stats[1].Formed == 0 {
+		t.Errorf("the poking fork must form private blocks over its own copy of the page: %+v", stats[1])
 	}
 }

@@ -1121,6 +1121,18 @@ func (as *AddressSpace) FrameAt(va uint64) (*Frame, bool) {
 	return pg.frame, true
 }
 
+// FrozenExecPages calls fn, in ascending address order, for every page the
+// page table maps executable onto a frozen frame — the code a fork family
+// shares byte for byte, since a frozen frame never changes again. Untouched
+// demand-zero pages have no entry of their own and are not visited.
+func (as *AddressSpace) FrozenExecPages(fn func(va uint64, f *Frame)) {
+	for _, e := range as.pages {
+		if pg := e.pg; pg.frame != nil && pg.frame.frozen && pg.perm&PermX != 0 {
+			fn(e.vpn<<PageShift, pg.frame)
+		}
+	}
+}
+
 // MappedRange describes a maximal run of contiguously mapped pages with
 // identical permissions.
 type MappedRange struct {

@@ -135,6 +135,7 @@ func RegisterBlockEngine(r *Registry, prefix string, c *cpu.CPU) {
 	}
 	r.Gauge(prefix+".blocks", stat(func(s cpu.BlockStats) uint64 { return s.Blocks }))
 	r.Gauge(prefix+".formed", stat(func(s cpu.BlockStats) uint64 { return s.Formed }))
+	r.Gauge(prefix+".adopted", stat(func(s cpu.BlockStats) uint64 { return s.Adopted }))
 	r.Gauge(prefix+".compiled", stat(func(s cpu.BlockStats) uint64 { return s.Compiled }))
 	r.Gauge(prefix+".fused", stat(func(s cpu.BlockStats) uint64 { return s.Fused }))
 	r.Gauge(prefix+".merged", stat(func(s cpu.BlockStats) uint64 { return s.Merged }))
