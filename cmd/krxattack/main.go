@@ -38,7 +38,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "krxattack:", err)
 			os.Exit(1)
 		}
-		defer artifacts.Close()
 		kernel.SetBuildCache(core.NewImageCache(artifacts))
 	}
 	sel := scenarios{*direct, *jitrop, *indirect, *subst, *race, *ret2usr, *survival}

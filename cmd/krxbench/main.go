@@ -57,7 +57,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		defer artifacts.Close()
 		kernel.SetBuildCache(core.NewImageCache(artifacts))
 	}
 

@@ -88,11 +88,11 @@ func dumpFunc(name, mode string, level int, divers bool, raprot string, seed int
 	default:
 		return fmt.Errorf("unknown -ra %q", raprot)
 	}
-	res, err := core.Build(prog, cfg)
+	ins, err := core.Instrument(prog, cfg)
 	if err != nil {
 		return err
 	}
-	f := res.Prog.Func(name)
+	f := ins.Prog.Func(name)
 	if f == nil {
 		return fmt.Errorf("no function %q in the corpus", name)
 	}

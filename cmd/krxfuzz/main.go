@@ -92,7 +92,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer artifacts.Close()
 		kernel.SetBuildCache(core.NewImageCache(artifacts))
 	}
 	if *corpusDir != "" {
@@ -100,7 +99,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer cs.Close()
 		opts.Checkpoint = cs
 	}
 

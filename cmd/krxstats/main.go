@@ -34,7 +34,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "krxstats:", err)
 			os.Exit(1)
 		}
-		defer artifacts.Close()
 		kernel.SetBuildCache(core.NewImageCache(artifacts))
 	}
 

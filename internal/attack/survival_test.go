@@ -49,9 +49,20 @@ func TestRegRandChangesScratchAssignments(t *testing.T) {
 	// The §5.3 register-randomization complement: the same function uses
 	// different scratch registers across seeds.
 	a := boot(t, core.Config{Diversify: true, RegRand: true, Seed: 301})
-	b := boot(t, core.Config{Diversify: true, RegRand: true, Seed: 302})
-	fa := a.Build.Prog.Func("sys_null")
-	fb := b.Build.Prog.Func("sys_null")
+	prog, err := kernel.BuildCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ia, err := core.Instrument(prog, a.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ib, err := core.Instrument(prog, core.Config{Diversify: true, RegRand: true, Seed: 302})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := ia.Prog.Func("sys_null")
+	fb := ib.Prog.Func("sys_null")
 	if fa == nil || fb == nil {
 		t.Fatal("sys_null missing")
 	}

@@ -13,7 +13,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/kas"
 	"repro/internal/kernel"
@@ -408,19 +407,10 @@ func entryJmp(code []byte) bool {
 
 // bindEntries finds the offset in Img.Text of every diversified function.
 func (c *Cache) bindEntries(k *kernel.Kernel) {
-	// One name index instead of a Program.Func scan per image function.
-	// Like Program.Func, the first function of a name wins.
-	funcs := make(map[string]*ir.Function, len(k.Build.Prog.Funcs))
-	for _, fn := range k.Build.Prog.Funcs {
-		if _, dup := funcs[fn.Name]; !dup {
-			funcs[fn.Name] = fn
-		}
-	}
 	c.text = k.Img.Text
 	textStart := k.Sym("_text")
-	for _, fs := range k.Img.Funcs {
-		fn := funcs[fs.Name]
-		if fn == nil || fn.NoDiversify {
+	for i, fs := range k.Img.Funcs {
+		if k.Build.NoDiversify[i] {
 			continue
 		}
 		off := fs.Addr - textStart

@@ -131,8 +131,8 @@ func TestAuditDetectsMissingEntryPhantom(t *testing.T) {
 	}
 	// Sabotage: the first diversified function starts with a hlt.
 	textStart := k.Sym("_text")
-	for _, fs := range k.Img.Funcs {
-		if fn := k.Build.Prog.Func(fs.Name); fn != nil && !fn.NoDiversify {
+	for i, fs := range k.Img.Funcs {
+		if !k.Build.NoDiversify[i] {
 			k.Img.Text[fs.Addr-textStart] = byte(isa.HLT)
 			break
 		}

@@ -86,8 +86,8 @@ func TestCacheInvalidation(t *testing.T) {
 		}},
 		{"entry byte", "entry phantoms", func(t *testing.T, k *kernel.Kernel) func() {
 			textStart := k.Sym("_text")
-			for _, fs := range k.Img.Funcs {
-				if fn := k.Build.Prog.Func(fs.Name); fn != nil && !fn.NoDiversify {
+			for i, fs := range k.Img.Funcs {
+				if !k.Build.NoDiversify[i] {
 					b := &k.Img.Text[fs.Addr-textStart]
 					old := *b
 					*b = byte(isa.HLT)

@@ -50,7 +50,6 @@ func measureStore(cfg core.Config) (StoreResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("bench: %s: %w", res.Name, err)
 	}
-	defer disk.Close()
 	prog, err := kernel.BuildCorpus()
 	if err != nil {
 		return res, fmt.Errorf("bench: %s: corpus: %w", res.Name, err)

@@ -13,8 +13,8 @@ import (
 // served from a populated on-disk store by a fresh ImageCache must be
 // cheaper than re-running the link pipeline. The gate applies only to the
 // protected preset — Vanilla's pipeline has no SFI or diversification
-// passes, so its link cost sits at the blob-decode cost and the ratio is a
-// coin flip; the store's win is precisely the pass work it skips. Like the
+// passes, so its link costs little more than a blob decode; the store's
+// win is precisely the pass work it skips. Like the
 // other perf gates it is a same-host relative comparison, armed only under
 // KRX_PERF_GATE.
 func TestStoreHitPerfGate(t *testing.T) {

@@ -8,31 +8,34 @@ import (
 	"io"
 
 	"repro/internal/diversify"
-	"repro/internal/ir"
 	"repro/internal/link"
 	"repro/internal/sfi"
 )
 
-// BuildResult store-blob layout. The image reuses the KRXIMG01 file format
-// (the same bytes `krxbench -emit` writes), prefixed with its length so
-// the gob trailer can follow in the same blob:
+// BuildResult store-blob layout. All numbers are little endian:
 //
+//	[4] magic "KRXB"
+//	u32 layout version (2)
 //	u64 image length
-//	KRXIMG01 image bytes
-//	gob{SFIStats, DivStats, Prog}
+//	KRXIMG01 image bytes (the same bytes `krxbench -emit` writes)
+//	gob{SFIStats, DivStats, NoDiversify}
 //
-// Prog is the post-pass IR and must travel with the image: the audit layer
-// resolves function bodies through Build.Prog during fuzz execution, so a
-// decoded result without it would boot but crash the first audited Exec.
-// Config is NOT serialized — runtime-only knobs (watchdog budget, fault
-// plan) belong to the requesting caller, and build-affecting fields are
-// already the key.
+// The blob holds what boots and what the audit reads, and no IR. Layout 1
+// had no magic or version and carried the post-pass program in its
+// trailer; such a blob fails to decode here, and ImageCache rebuilds and
+// overwrites it. Config is not serialized: runtime-only knobs (watchdog
+// budget, fault plan) belong to the requesting caller, and
+// build-affecting fields are already the key.
+
+var buildBlobMagic = [4]byte{'K', 'R', 'X', 'B'}
+
+const buildBlobVersion = 2
 
 // buildTrailer is the gob-encoded remainder of a BuildResult blob.
 type buildTrailer struct {
-	SFIStats sfi.Stats
-	DivStats diversify.Stats
-	Prog     *ir.Program
+	SFIStats    sfi.Stats
+	DivStats    diversify.Stats
+	NoDiversify []bool
 }
 
 // EncodeBuildResult serializes res for the artifact store.
@@ -42,14 +45,16 @@ func EncodeBuildResult(res *BuildResult) ([]byte, error) {
 		return nil, fmt.Errorf("core: encode image: %w", err)
 	}
 	var out bytes.Buffer
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(img.Len()))
-	out.Write(n[:])
+	var hdr [16]byte
+	copy(hdr[:4], buildBlobMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:8], buildBlobVersion)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(img.Len()))
+	out.Write(hdr[:])
 	out.Write(img.Bytes())
 	if err := gob.NewEncoder(&out).Encode(buildTrailer{
-		SFIStats: res.SFIStats,
-		DivStats: res.DivStats,
-		Prog:     res.Prog,
+		SFIStats:    res.SFIStats,
+		DivStats:    res.DivStats,
+		NoDiversify: res.NoDiversify,
 	}); err != nil {
 		return nil, fmt.Errorf("core: encode trailer: %w", err)
 	}
@@ -60,11 +65,17 @@ func EncodeBuildResult(res *BuildResult) ([]byte, error) {
 // Config is zero — the caller owns it (see the layout note above).
 func DecodeBuildResult(data []byte) (*BuildResult, error) {
 	r := bytes.NewReader(data)
-	var n [8]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, fmt.Errorf("core: decode image length: %w", err)
+	var hdr [16]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("core: decode blob header: %w", err)
 	}
-	imgLen := binary.LittleEndian.Uint64(n[:])
+	if [4]byte(hdr[:4]) != buildBlobMagic {
+		return nil, fmt.Errorf("core: bad build blob magic")
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != buildBlobVersion {
+		return nil, fmt.Errorf("core: build blob layout %d, want %d", v, buildBlobVersion)
+	}
+	imgLen := binary.LittleEndian.Uint64(hdr[8:16])
 	if imgLen > uint64(r.Len()) {
 		return nil, fmt.Errorf("core: image length %d exceeds blob remainder %d", imgLen, r.Len())
 	}
@@ -76,13 +87,14 @@ func DecodeBuildResult(data []byte) (*BuildResult, error) {
 	if err := gob.NewDecoder(r).Decode(&tr); err != nil {
 		return nil, fmt.Errorf("core: decode trailer: %w", err)
 	}
-	if tr.Prog == nil {
-		return nil, fmt.Errorf("core: blob trailer missing program IR")
+	if len(tr.NoDiversify) != len(img.Funcs) {
+		return nil, fmt.Errorf("core: blob classifies %d functions, image has %d",
+			len(tr.NoDiversify), len(img.Funcs))
 	}
 	return &BuildResult{
-		Prog:     tr.Prog,
-		Image:    img,
-		SFIStats: tr.SFIStats,
-		DivStats: tr.DivStats,
+		Image:       img,
+		SFIStats:    tr.SFIStats,
+		DivStats:    tr.DivStats,
+		NoDiversify: tr.NoDiversify,
 	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/diversify"
@@ -54,13 +55,25 @@ func TestBuildResultBlobRoundTrip(t *testing.T) {
 	if got.DivStats != direct.DivStats {
 		t.Errorf("diversification stats: %+v vs %+v", got.DivStats, direct.DivStats)
 	}
-	// The post-pass IR must survive: the audit layer resolves function
-	// bodies through it at fuzz time.
-	if got.Prog == nil || len(got.Prog.Funcs) != len(direct.Prog.Funcs) {
-		t.Fatalf("decoded program IR missing or truncated")
+	// The audit's entry-phantom check reads the exemptions.
+	if !slices.Equal(got.NoDiversify, direct.NoDiversify) || len(got.NoDiversify) != len(got.Image.Funcs) {
+		t.Fatalf("exemptions: %v decoded vs %v direct", got.NoDiversify, direct.NoDiversify)
+	}
+	if !slices.Contains(got.NoDiversify, true) || !slices.Contains(got.NoDiversify, false) {
+		t.Fatalf("miniProg must have exempt and diversified functions: %v", got.NoDiversify)
 	}
 	if _, err := DecodeBuildResult(data[:8]); err == nil {
 		t.Fatal("truncated blob decoded")
+	}
+	// Layout 1 had no magic or version word: the rest of the blob alone
+	// must not decode.
+	if _, err := DecodeBuildResult(data[8:]); err == nil {
+		t.Fatal("blob without its magic and version decoded")
+	}
+	bumped := slices.Clone(data)
+	bumped[4]++
+	if _, err := DecodeBuildResult(bumped); err == nil {
+		t.Fatal("blob of another layout version decoded")
 	}
 }
 
@@ -101,8 +114,42 @@ func TestImageCacheWarmStartsFromStore(t *testing.T) {
 		t.Errorf("decoded result Config.WatchdogBudget = %d, want %d",
 			r2.Config.WatchdogBudget, cfg.WatchdogBudget)
 	}
-	if r2.Prog == nil {
-		t.Fatal("warm-started result lost its program IR")
+	if !slices.Equal(r2.NoDiversify, r1.NoDiversify) {
+		t.Fatalf("warm-started exemptions %v, built %v", r2.NoDiversify, r1.NoDiversify)
+	}
+}
+
+// TestImageCacheWarmCountersAreHonest: a second process over a populated
+// store reads one blob from disk and does nothing else, and its counters
+// say exactly that.
+func TestImageCacheWarmCountersAreHonest(t *testing.T) {
+	dir := t.TempDir()
+	cold, err := store.Open(dir, "0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := miniProg(t)
+	cfg := Config{XOM: XOMSFI, SFILevel: sfi.O3, Diversify: true, Seed: 1}
+	if _, err := NewImageCache(cold).Build(src, "mini", cfg); err != nil {
+		t.Fatal(err)
+	}
+	key := store.Key{ProgID: "mini", BuildKey: cfg.BuildKey()}
+	info, err := os.Stat(filepath.Join(dir, store.KindImage, key.Hash()[:2], key.Hash()+".blob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	disk, err := store.Open(dir, "0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := NewImageCache(disk)
+	if _, err := warm.Build(src, "mini", cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := store.Stats{Hits: 1, Bytes: uint64(info.Size())}
+	if got := warm.Stats(); got != want {
+		t.Fatalf("warm Stats = %+v, want %+v", got, want)
 	}
 }
 

@@ -19,14 +19,15 @@ func (c Config) BuildKey() string {
 }
 
 // ImageCache memoizes Build results by typed store.Key{ProgID, BuildKey},
-// optionally backed by a persistent store.Store: on a miss it first tries
-// to decode a serialized BuildResult from the backing store, and only
-// compiles (then Puts the encoded result) when the store misses too. With
-// a nil backing store it behaves exactly like the old in-memory Cache.
+// optionally backed by an on-disk store: on a miss it first tries to
+// decode a serialized BuildResult from the store, and only compiles (then
+// Puts the encoded result) when the store misses too. With a nil store it
+// is purely in-memory.
 //
 // A BuildResult handed out by the cache is shared: callers must treat the
-// Prog, Image, and stats as immutable, installing the image into fresh
-// address spaces rather than mutating it (link.Image.Install only reads).
+// Image, the stats and NoDiversify as immutable, installing the image into
+// fresh address spaces rather than mutating it (link.Image.Install only
+// reads).
 //
 // Concurrent requests for the same key are single-flighted: exactly one
 // build (or store fetch) runs, the rest block on it — Stats().Builds
@@ -36,7 +37,7 @@ type ImageCache struct {
 	mu      sync.Mutex
 	entries map[store.Key]*cacheEntry
 	stats   store.Stats
-	backing store.Store // may be nil: purely in-memory
+	backing *store.Disk // may be nil: purely in-memory
 }
 
 type cacheEntry struct {
@@ -45,9 +46,9 @@ type cacheEntry struct {
 	err  error
 }
 
-// NewImageCache returns an empty build cache over an optional backing
+// NewImageCache returns an empty build cache over an optional on-disk
 // store (nil = in-memory only).
-func NewImageCache(backing store.Store) *ImageCache {
+func NewImageCache(backing *store.Disk) *ImageCache {
 	return &ImageCache{entries: make(map[store.Key]*cacheEntry), backing: backing}
 }
 
@@ -73,13 +74,9 @@ func (c *ImageCache) Build(prog *ir.Program, progID string, cfg Config) (*BuildR
 	return e.res, e.err
 }
 
-// load fills a cache entry: backing-store fetch first, compile on miss.
-// The key is pinned for the duration so quota eviction cannot tear the
-// blob out between the Put and a concurrent process's Get.
+// load fills a cache entry: store fetch first, compile on miss.
 func (c *ImageCache) load(prog *ir.Program, key store.Key, cfg Config) (*BuildResult, error) {
 	if c.backing != nil {
-		release := c.backing.Pin(store.KindImage, key)
-		defer release()
 		if data, err := c.backing.Get(store.KindImage, key); err == nil {
 			res, derr := DecodeBuildResult(data)
 			if derr == nil {
@@ -89,8 +86,11 @@ func (c *ImageCache) load(prog *ir.Program, key store.Key, cfg Config) (*BuildRe
 				res.Config = cfg
 				return res, nil
 			}
-			// Undecodable payload inside a valid container (schema drift):
-			// fall through to a rebuild, which overwrites the blob.
+			// A valid container whose payload this build cannot decode (a
+			// blob of an older layout): rebuild, which overwrites it.
+			c.mu.Lock()
+			c.stats.Corrupt++
+			c.mu.Unlock()
 		}
 	}
 	res, err := Build(prog, cfg)
@@ -109,8 +109,9 @@ func (c *ImageCache) load(prog *ir.Program, key store.Key, cfg Config) (*BuildRe
 	return res, nil
 }
 
-// Stats folds the cache's own counters (Builds, singleflight Hits) with
-// the backing store's, giving one snapshot for the store.* gauges.
+// Stats folds the cache's own counters (Builds, singleflight Hits,
+// undecodable blobs as Corrupt) with the store's, giving one snapshot for
+// the store.* gauges.
 func (c *ImageCache) Stats() store.Stats {
 	c.mu.Lock()
 	s := c.stats

@@ -177,19 +177,31 @@ func Presets() []Config {
 }
 
 // BuildResult is a hardened, linked kernel image plus pass statistics.
+// It holds nothing of the compiler's IR: what boots is the image.
 type BuildResult struct {
 	Config   Config
-	Prog     *ir.Program // post-pass IR (diagnostics, Figure 2 dumps)
 	Image    *link.Image
+	SFIStats sfi.Stats
+	DivStats diversify.Stats
+	// NoDiversify[i] reports whether fine-grained KASLR exempted
+	// Image.Funcs[i] (hand-written stubs carry no entry phantom).
+	NoDiversify []bool
+}
+
+// Instrumented is the output of the pass stage: the post-pass program
+// and what the passes did to it.
+type Instrumented struct {
+	Prog     *ir.Program
 	SFIStats sfi.Stats
 	DivStats diversify.Stats
 }
 
-// Build runs the kR^X pipeline over a copy of prog: krx instrumentation,
-// kaslr diversification, then linking under the configured layout.
-func Build(prog *ir.Program, cfg Config) (*BuildResult, error) {
+// Instrument runs the kR^X passes over a copy of prog: krx
+// instrumentation, then kaslr diversification. It is Build without the
+// link, for callers that read the post-pass IR (krxcc, the module loader).
+func Instrument(prog *ir.Program, cfg Config) (*Instrumented, error) {
 	p := prog.Clone()
-	res := &BuildResult{Config: cfg, Prog: p}
+	res := &Instrumented{Prog: p}
 
 	if cfg.FullCoverage {
 		// Assembler-level coverage: lift the RTL-pass exemption from the
@@ -228,15 +240,35 @@ func Build(prog *ir.Program, cfg Config) (*BuildResult, error) {
 		}
 		res.DivStats = st
 	}
+	return res, nil
+}
 
+// Build runs the kR^X pipeline over a copy of prog: the pass stage
+// (Instrument), then linking under the configured layout. The post-pass
+// program is dropped once linked.
+func Build(prog *ir.Program, cfg Config) (*BuildResult, error) {
+	ins, err := Instrument(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
 	var slide uint64
 	if cfg.KASLR {
 		slide = uint64(rand.New(rand.NewSource(cfg.Seed^0x4b41534c)).Intn(int(kas.MaxSlide>>12))) << 12
 	}
-	img, err := link.Link(p, link.Options{Layout: cfg.Layout(), GuardSize: cfg.GuardSize, Slide: slide})
+	img, err := link.Link(ins.Prog, link.Options{Layout: cfg.Layout(), GuardSize: cfg.GuardSize, Slide: slide})
 	if err != nil {
 		return nil, fmt.Errorf("core: link: %w", err)
 	}
-	res.Image = img
-	return res, nil
+	// Image.Funcs lists ins.Prog.Funcs in order.
+	noDiv := make([]bool, len(ins.Prog.Funcs))
+	for i, f := range ins.Prog.Funcs {
+		noDiv[i] = f.NoDiversify
+	}
+	return &BuildResult{
+		Config:      cfg,
+		Image:       img,
+		SFIStats:    ins.SFIStats,
+		DivStats:    ins.DivStats,
+		NoDiversify: noDiv,
+	}, nil
 }

@@ -104,11 +104,11 @@ func TestBuildFullCoverageLiftsStubExemption(t *testing.T) {
 	clone.NoInstrument, clone.AccessorClone = true, true
 	src.Funcs = append(src.Funcs, stub, clone)
 
-	plain, err := Build(src, Config{XOM: XOMSFI, SFILevel: sfi.O3})
+	plain, err := Instrument(src, Config{XOM: XOMSFI, SFILevel: sfi.O3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Build(src, Config{XOM: XOMSFI, SFILevel: sfi.O3, FullCoverage: true})
+	full, err := Instrument(src, Config{XOM: XOMSFI, SFILevel: sfi.O3, FullCoverage: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ type Options struct {
 	// from its last completed batch, and the resumed run finalizes to the
 	// byte-identical report of an uninterrupted one. Incompatible with
 	// Trace (the event stream is not checkpointed).
-	Checkpoint store.Store
+	Checkpoint *store.Disk
 	// Trace arms per-iteration event tracing: every worker records
 	// snapshot/restore, syscall enter/exit, trap, and injected-fault events,
 	// and the merge folds them into Report.Trace in canonical iteration

@@ -9,15 +9,22 @@ import (
 	"repro/internal/store"
 )
 
+// tempStore opens an empty on-disk store under the test's temp directory.
+func tempStore(t *testing.T) *store.Disk {
+	t.Helper()
+	d, err := store.OpenDisk(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestWarmStartZeroBuildsByteIdentical is the store acceptance property the
 // CI gate enforces: a second campaign over a populated artifact store boots
 // every worker without a single link build, and its report is byte-identical
 // to the cold run's — at one worker and at four.
 func TestWarmStartZeroBuildsByteIdentical(t *testing.T) {
-	disk, err := store.OpenDisk(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	disk := tempStore(t)
 	orig := kernel.SetBuildCache(core.NewImageCache(disk))
 	defer kernel.SetBuildCache(orig)
 
@@ -61,7 +68,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 
 	opts := campaignOpts(150)
-	opts.Checkpoint = store.NewMem(0)
+	opts.Checkpoint = tempStore(t)
 
 	f, err := New(opts)
 	if err != nil {
@@ -120,7 +127,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 // instead of cold-starting — and lands on the same bytes as a single long
 // campaign.
 func TestCheckpointLongerRerunExtends(t *testing.T) {
-	ck := store.NewMem(0)
+	ck := tempStore(t)
 
 	short := campaignOpts(BatchSize)
 	short.Checkpoint = ck

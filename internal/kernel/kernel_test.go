@@ -445,9 +445,16 @@ func TestTenAccessorClones(t *testing.T) {
 	// §6: "we cloned seven functions of the get_next and peek_next family
 	// of routines, as well as memcpy, memcmp, and bitmap_copy" — ten
 	// exempt accessors in total, and they must stay exempt.
-	k := boot(t, core.Config{XOM: core.XOMSFI, SFILevel: sfi.O3, FullCoverage: true, Seed: 33})
+	prog, err := BuildCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := core.Instrument(prog, core.Config{XOM: core.XOMSFI, SFILevel: sfi.O3, FullCoverage: true, Seed: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
 	clones := 0
-	for _, f := range k.Build.Prog.Funcs {
+	for _, f := range ins.Prog.Funcs {
 		if f.AccessorClone {
 			clones++
 			if !f.NoInstrument {

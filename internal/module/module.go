@@ -12,14 +12,12 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/diversify"
 	"repro/internal/ir"
 	"repro/internal/kas"
 	"repro/internal/kernel"
 	"repro/internal/link"
 	"repro/internal/mem"
 	"repro/internal/pgtable"
-	"repro/internal/sfi"
 )
 
 // Object is an on-disk module: its IR program (the ELF sections before
@@ -86,29 +84,16 @@ func (l *Loader) Load(obj *Object) (*Loaded, error) {
 		// Mixed-code support (§6): load without the plugin passes.
 		cfg = core.Config{Seed: cfg.Seed}
 	}
-	prog := obj.Prog.Clone()
-
-	// The same plugin pipeline the kernel image went through.
-	switch cfg.XOM {
-	case core.XOMSFI:
-		if _, err := sfi.InstrumentProgram(prog, sfi.Config{Mode: sfi.ModeSFI, Level: cfg.SFILevel}); err != nil {
-			return nil, err
-		}
-	case core.XOMMPX:
-		if _, err := sfi.InstrumentProgram(prog, sfi.Config{Mode: sfi.ModeMPX}); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Diversify {
-		seed := cfg.Seed ^ int64(len(obj.Name))<<32 ^ int64(l.nextText)
-		if _, err := diversify.DiversifyProgram(prog, diversify.Config{
-			K: cfg.K, RAProt: cfg.RAProt, Rand: rand.New(rand.NewSource(seed)),
-		}); err != nil {
-			return nil, err
-		}
+	// The same plugin pipeline the kernel image went through, under a
+	// module-derived diversification seed.
+	pass := cfg
+	pass.Seed = cfg.Seed ^ int64(len(obj.Name))<<32 ^ int64(l.nextText)
+	ins, err := core.Instrument(obj.Prog, pass)
+	if err != nil {
+		return nil, err
 	}
 
-	img, err := link.LinkObject(prog, l.nextText, l.nextData, l.K.Img.Symbols)
+	img, err := link.LinkObject(ins.Prog, l.nextText, l.nextData, l.K.Img.Symbols)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package module
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -306,4 +307,42 @@ func mustRet(t *testing.T) *ir.Function {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// TestModuleGetsRegRand: a module goes through the kernel's whole pass
+// pipeline, so register randomization reaches it as it reaches the
+// kernel. The module references no kernel symbol, so the two loads can
+// differ only by what the passes did to it.
+func TestModuleGetsRegRand(t *testing.T) {
+	fn, err := ir.NewBuilder("mod_scratch").
+		I(
+			isa.MovRR(isa.R8, isa.RDI),
+			isa.AddRI(isa.R8, 1),
+			isa.MovRR(isa.R9, isa.R8),
+			isa.MovRR(isa.RAX, isa.R9),
+			isa.Ret(),
+		).Func()
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := &Object{Name: "regrand", Prog: &ir.Program{Funcs: []*ir.Function{fn}}}
+	var texts [2][]byte
+	for i, regRand := range []bool{false, true} {
+		cfg := fullKRX()
+		cfg.RegRand = regRand
+		k := bootK(t, cfg)
+		m, err := NewLoader(k).Load(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := callModFunc(t, k, m.Symbols["mod_scratch"], 41); res.Reason != cpu.StopReturn || k.CPU.Reg(isa.RAX) != 42 {
+			t.Fatalf("RegRand=%t: mod_scratch: %v rax=%d", regRand, res.Reason, k.CPU.Reg(isa.RAX))
+		}
+		if texts[i], err = k.Space.AS.Peek(m.TextAddr, int(m.TextSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(texts[0], texts[1]) {
+		t.Fatal("module text identical with and without RegRand: the module skipped register randomization")
+	}
 }

@@ -183,8 +183,8 @@ func RegisterPhysmap(r *Registry, prefix string, as *mem.AddressSpace) {
 
 // RegisterStore publishes an artifact store's (or build cache's) counters
 // under prefix (e.g. "store"). Anything implementing store.StatsSource
-// registers the same way — a single layer, a layered composition, or the
-// image cache folding its backing store in.
+// registers the same way: the store itself, or the image cache folding
+// its store in.
 func RegisterStore(r *Registry, prefix string, src store.StatsSource) {
 	stat := func(pick func(store.Stats) uint64) func() uint64 {
 		return func() uint64 { return pick(src.Stats()) }
@@ -195,7 +195,6 @@ func RegisterStore(r *Registry, prefix string, src store.StatsSource) {
 	r.Gauge(prefix+".evictions", stat(func(s store.Stats) uint64 { return s.Evictions }))
 	r.Gauge(prefix+".corrupt", stat(func(s store.Stats) uint64 { return s.Corrupt }))
 	r.Gauge(prefix+".bytes", stat(func(s store.Stats) uint64 { return s.Bytes }))
-	r.Gauge(prefix+".pins", stat(func(s store.Stats) uint64 { return s.Pins }))
 	r.Gauge(prefix+".builds", stat(func(s store.Stats) uint64 { return s.Builds }))
 }
 

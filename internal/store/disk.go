@@ -38,7 +38,7 @@ const blobVersion = 1
 // checksum.
 const blobHeaderSize = 8 + 4 + 8 + sha256.Size
 
-// Disk is the persistent layer: a content-addressed file tree under a root
+// Disk is the artifact store: a content-addressed file tree under a root
 // directory, with LRU eviction under a byte quota. Blobs live at
 // <dir>/<kind>/<hash[:2]>/<hash>.blob; recency is tracked in memory
 // (seeded from file mtimes at open, so LRU order survives across
@@ -52,7 +52,6 @@ type Disk struct {
 	ents  map[string]*diskEnt // addr (kind/hash) -> entry
 	bytes uint64
 	stats Stats
-	pins  map[string]int
 }
 
 type diskEnt struct {
@@ -73,7 +72,6 @@ func OpenDisk(dir string, quota uint64) (*Disk, error) {
 		dir:   dir,
 		quota: quota,
 		ents:  make(map[string]*diskEnt),
-		pins:  make(map[string]int),
 	}
 	type seeded struct {
 		addr string
@@ -129,8 +127,20 @@ func OpenDisk(dir string, quota uint64) (*Disk, error) {
 	return d, nil
 }
 
+// Open is the flag-level constructor behind -cache-dir/-cache-quota: the
+// store rooted at dir, bounded by the parsed quota spec (see ParseBytes).
+func Open(dir, quotaSpec string) (*Disk, error) {
+	quota, err := ParseBytes(quotaSpec)
+	if err != nil {
+		return nil, err
+	}
+	return OpenDisk(dir, quota)
+}
+
 // Dir returns the store's root directory.
 func (d *Disk) Dir() string { return d.dir }
+
+func addr(kind string, key Key) string { return kind + "/" + key.Hash() }
 
 func (d *Disk) blobPath(kind, hash string) string {
 	return filepath.Join(d.dir, kind, hash[:2], hash+".blob")
@@ -268,9 +278,8 @@ func (d *Disk) Put(kind string, key Key, data []byte) error {
 	return nil
 }
 
-// evictLocked deletes least-recently-used unpinned blobs until the byte
-// quota holds. Pinned entries are immune; if only pinned entries remain
-// the store runs over quota rather than evicting an in-flight artifact.
+// evictLocked deletes least-recently-used blobs until the byte quota
+// holds.
 func (d *Disk) evictLocked() {
 	if d.quota == 0 {
 		return
@@ -279,15 +288,9 @@ func (d *Disk) evictLocked() {
 		var victim string
 		var vent *diskEnt
 		for a, ent := range d.ents {
-			if d.pins[a] > 0 {
-				continue
-			}
 			if vent == nil || ent.seq < vent.seq {
 				victim, vent = a, ent
 			}
-		}
-		if vent == nil {
-			return // everything left is pinned
 		}
 		os.Remove(vent.path)
 		delete(d.ents, victim)
@@ -296,42 +299,11 @@ func (d *Disk) evictLocked() {
 	}
 }
 
-// Pin marks (kind, key) unevictable until released. Pinning before the
-// blob exists is allowed — it covers the window between a build's Put and
-// the boots that consume it.
-func (d *Disk) Pin(kind string, key Key) func() {
-	a := addr(kind, key)
-	d.mu.Lock()
-	d.pins[a]++
-	d.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			d.mu.Lock()
-			if d.pins[a]--; d.pins[a] == 0 {
-				delete(d.pins, a)
-			}
-			d.evictLocked()
-			d.mu.Unlock()
-		})
-	}
-}
-
-// Stats returns a snapshot of the layer's counters.
+// Stats returns a snapshot of the store's counters.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := d.stats
 	s.Bytes = d.bytes
-	s.Pins = uint64(len(d.pins))
 	return s
-}
-
-// Close releases the in-memory index. The files stay — that is the point.
-func (d *Disk) Close() error {
-	d.mu.Lock()
-	d.ents = make(map[string]*diskEnt)
-	d.bytes = 0
-	d.mu.Unlock()
-	return nil
 }

@@ -46,7 +46,6 @@ func TestDiskSurvivesReopen(t *testing.T) {
 	if err := d1.Put(KindImage, k, []byte("survives")); err != nil {
 		t.Fatal(err)
 	}
-	d1.Close()
 
 	d2, err := OpenDisk(dir, 0)
 	if err != nil {
@@ -74,7 +73,6 @@ func TestDiskReapsPartialTempFiles(t *testing.T) {
 	if err := d1.Put(KindImage, good, []byte("intact")); err != nil {
 		t.Fatal(err)
 	}
-	d1.Close()
 
 	victim := Key{ProgID: "victim"}
 	hash := victim.Hash()
@@ -195,31 +193,6 @@ func TestDiskLRUEvictionUnderTwoImageQuota(t *testing.T) {
 	}
 }
 
-func TestDiskPinBlocksEviction(t *testing.T) {
-	payload := bytes.Repeat([]byte{0x11}, 64)
-	blobSize := uint64(blobHeaderSize + len(payload))
-	d, err := OpenDisk(t.TempDir(), blobSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := Key{ProgID: "pinned"}
-	release := d.Pin(KindImage, pinned)
-	if err := d.Put(KindImage, pinned, payload); err != nil {
-		t.Fatal(err)
-	}
-	// This Put overflows the quota; the pinned blob must not be the victim.
-	if err := d.Put(KindImage, Key{ProgID: "other"}, payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Get(KindImage, pinned); err != nil {
-		t.Fatalf("pinned blob evicted: %v", err)
-	}
-	release()
-	if s := d.Stats(); s.Bytes > blobSize {
-		t.Fatalf("Bytes = %d over quota %d after release", s.Bytes, blobSize)
-	}
-}
-
 func TestDiskEvictionOrderSurvivesReopen(t *testing.T) {
 	// The reopened store seeds LRU order from mtimes, so the oldest blob of
 	// the previous process is the first eviction victim.
@@ -247,7 +220,6 @@ func TestDiskEvictionOrderSurvivesReopen(t *testing.T) {
 	if err := os.Chtimes(future, info.ModTime().Add(-1e9), info.ModTime().Add(-1e9)); err != nil {
 		t.Fatal(err)
 	}
-	d1.Close()
 
 	d2, err := OpenDisk(dir, 2*blobSize)
 	if err != nil {
@@ -284,9 +256,6 @@ func TestDiskConcurrentAccess(t *testing.T) {
 					}
 				case 1:
 					d.Get(KindImage, k)
-				case 2:
-					release := d.Pin(KindImage, k)
-					release()
 				}
 			}
 		}(g)

@@ -1,15 +1,12 @@
-// Package store is the content-addressed artifact store behind every cache
-// in the harness: compiled kernel images and fuzz corpora with their
-// coverage sets persist through one layered Store interface instead of
-// process-private maps.
+// Package store is the content-addressed artifact store behind the
+// harness' persistent caches: compiled kernel images and fuzz corpora with
+// their coverage sets persist across processes as files under one
+// directory (Disk).
 //
 // Keys are structured (Key{ProgID, BuildKey}) and hash to content
-// addresses; values are versioned, checksummed blobs. The two concrete
-// layers — Mem (a byte-quota LRU in memory) and Disk (crash-safe files
-// written via temp-file + rename) — compose through Layered, so a consumer
-// sees one Get/Put surface whether it is running purely in memory (the
-// pre-store behaviour) or warm-starting from a shared on-disk store across
-// processes.
+// addresses; values are versioned, checksummed blobs. In-process reuse is
+// the consumers' business (core.ImageCache memoizes every key it serves),
+// so the store has no memory layer of its own.
 //
 // Crash safety is detection, not durability: a kill mid-write leaves only a
 // *.tmp file (reaped on the next Open) because the final name appears
@@ -31,8 +28,8 @@ import (
 // the directory tree), so an image and a corpus checkpoint under the same
 // key never collide.
 const (
-	// KindImage holds serialized core.BuildResult blobs (linked kernel
-	// images plus pass statistics and post-pass IR).
+	// KindImage holds serialized core.BuildResult blobs: linked kernel
+	// images plus pass statistics and the diversification exemptions.
 	KindImage = "image"
 	// KindCorpus holds fuzz campaign ledger checkpoints: the corpus, the
 	// coverage set, and the crash buckets at a batch boundary.
@@ -66,10 +63,8 @@ func (k Key) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Stats is the uniform counter set every layer (and the build cache on top
-// of them) reports — the replacement for the deleted ad-hoc
-// Builds()/Hits()/Reset() accessors. The obs registry publishes these as
-// the store.* gauges.
+// Stats is the counter set the store (and the build cache on top of it)
+// reports. The obs registry publishes these as the store.* gauges.
 type Stats struct {
 	Hits      uint64 // Gets served
 	Misses    uint64 // Gets that found nothing
@@ -77,12 +72,11 @@ type Stats struct {
 	Evictions uint64 // blobs evicted under the byte quota
 	Corrupt   uint64 // blobs rejected by checksum/container validation
 	Bytes     uint64 // payload bytes currently resident
-	Pins      uint64 // currently pinned entries
 	Builds    uint64 // real compilations performed on behalf of this store
 }
 
-// Add returns the field-wise sum — how a layered store folds its layers'
-// counters into one snapshot.
+// Add returns the field-wise sum — how the build cache folds its own
+// counters into the store's.
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		Hits:      s.Hits + o.Hits,
@@ -91,42 +85,14 @@ func (s Stats) Add(o Stats) Stats {
 		Evictions: s.Evictions + o.Evictions,
 		Corrupt:   s.Corrupt + o.Corrupt,
 		Bytes:     s.Bytes + o.Bytes,
-		Pins:      s.Pins + o.Pins,
 		Builds:    s.Builds + o.Builds,
 	}
 }
 
-// StatsSource is anything that can report store statistics — a layer, a
-// composed store, or the build cache. The obs registry registers against
-// this interface.
+// StatsSource is anything that can report store statistics — the store
+// or the build cache. The obs registry registers against this interface.
 type StatsSource interface {
 	Stats() Stats
-}
-
-// Store is the layered cache API: content-addressed blobs under
-// (kind, key), with byte quotas, LRU eviction, and pinning for artifacts
-// that must survive eviction while a build is in flight. Implementations
-// are safe for concurrent use.
-type Store interface {
-	StatsSource
-
-	// Get returns the blob stored under (kind, key), or a *NotFoundError.
-	// A blob that fails validation is removed and reported as not found
-	// (with Corrupt set) — the caller's recovery for both is the same:
-	// rebuild and Put.
-	Get(kind string, key Key) ([]byte, error)
-
-	// Put stores data under (kind, key), evicting least-recently-used
-	// unpinned entries if the byte quota would be exceeded.
-	Put(kind string, key Key, data []byte) error
-
-	// Pin marks (kind, key) unevictable until the returned release func is
-	// called. Pinning a key before it exists is allowed — it protects the
-	// window between a Put and the dependent Get of an in-flight build.
-	Pin(kind string, key Key) (release func())
-
-	// Close releases any resources (file handles, background state).
-	Close() error
 }
 
 // NotFoundError reports a Get that found no (valid) blob.
