@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -90,8 +91,46 @@ func (a *Attacker) SmashChain(chain []uint64, raOffset int) *kernel.SyscallResul
 	return a.K.Syscall(kernel.SysStackSmash, kernel.UserBuf+16384, uint64(len(payload)))
 }
 
-// textWindow is how much code the JIT-ROP stage harvests.
+// textWindow bounds the JIT-ROP code harvest: the attacker discloses at
+// most this much code, a page at a time, and stops earlier at the first
+// signature hit or the first blocked read.
 const textWindow = 512 << 10
+
+// pageSize is the unit the JIT-ROP harvest discloses before each search.
+const pageSize = 4096
+
+// harvest discloses code one page at a time from start through leak, the
+// way a just-in-time code-reuse attacker does, and returns the window
+// offset of the lowest occurrence of pat (-1 if none), the number of bytes
+// read, and whether a read was blocked. After each page it searches only
+// the new bytes plus the last len(pat)-1 bytes of the page before, so a
+// signature straddling a page boundary is found, and at the same offset a
+// search of the whole window would report. It stops at the first hit, at
+// the first blocked read (searching what that page yielded), or at
+// textWindow. An empty pat hits at offset 0 once the first page is read.
+func harvest(leak func(uint64) (uint64, bool), start uint64, pat []byte) (hit, n int, blocked bool) {
+	carry := max(len(pat)-1, 0)
+	buf := make([]byte, 0, carry+pageSize)
+	for n < textWindow {
+		base := n - len(buf) // window offset of buf[0]
+		for end := n + pageSize; n < end; n += 8 {
+			v, ok := leak(start + uint64(n))
+			if !ok {
+				blocked = true
+				break
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		if i := bytes.Index(buf, pat); i >= 0 {
+			return base + i, n, blocked
+		}
+		if blocked {
+			break
+		}
+		buf = buf[:copy(buf, buf[len(buf)-min(carry, len(buf)):])]
+	}
+	return -1, n, blocked
+}
 
 // DirectROP mounts the precomputed-address attack of §7.3 ("Direct
 // ROP/JOP"): the attacker builds the ROP chain offline against a reference
@@ -129,11 +168,11 @@ func DirectROP(target, ref *kernel.Kernel) Result {
 }
 
 // JITROP mounts the direct JIT-ROP attack: use the arbitrary read to leak
-// code pointers from the (readable, non-randomized) syscall table, harvest
-// the surrounding code pages, locate do_set_uid by signature and a pop
-// %rdi gadget by scanning, then exploit via the function-pointer hijack
-// (whole-function/arity-matched reuse, unaffected by return-address
-// protection — the residual data-only channel §7.3 documents).
+// code pointers from the (readable, non-randomized) syscall table, disclose
+// the code around them page by page until the do_set_uid signature turns
+// up, then exploit via the function-pointer hijack (whole-function/
+// arity-matched reuse, unaffected by return-address protection — the
+// residual data-only channel §7.3 documents).
 func JITROP(target *kernel.Kernel) Result {
 	res := Result{Name: "jit-rop", Stage: "pointer-harvest"}
 	a := &Attacker{K: target}
@@ -152,32 +191,34 @@ func JITROP(target *kernel.Kernel) Result {
 		}
 	}
 
-	// Step 2: recursively harvest code around the leaked pointers.
+	// Step 2: harvest code around the leaked pointers, searching each page
+	// for the privilege-escalation target as it arrives: its first
+	// instruction loads the well-known cred address. The attacker reads
+	// until the signature turns up, a read is blocked (R^X violation) or
+	// the window is exhausted; running off the end of .text into unmapped
+	// space also stops the harvest, but whatever was read stays usable.
+	// A signature that cannot be encoded leaves pat empty, which stops the
+	// harvest after the first page; the error is reported at gadget search.
 	res.Stage = "code-harvest"
-	// The attacker reads until blocked (R^X violation) or the window is
-	// exhausted; running off the end of .text into unmapped space also
-	// stops the harvest, but whatever was read stays usable.
-	start := minPtr &^ 0xFFF
-	code, _ := a.LeakRange(start, textWindow)
-	if len(code) < 4096 {
-		res.Detail = fmt.Sprintf("code read blocked after %d bytes (R^X)", len(code))
+	pat, patErr := MovR8ImmPattern(target.Sym("cred"))
+	start := minPtr &^ (pageSize - 1)
+	hit, n, _ := harvest(a.Leak, start, pat)
+	if n < pageSize {
+		res.Detail = fmt.Sprintf("code read blocked after %d bytes (R^X)", n)
 		return res
 	}
 
-	// Step 3: locate the privilege-escalation target and a gadget.
+	// Step 3: locate the privilege-escalation target.
 	res.Stage = "gadget-search"
-	credAddr := target.Sym("cred")
-	pat, err := MovR8ImmPattern(credAddr)
-	if err != nil {
-		res.Detail = err.Error()
+	if patErr != nil {
+		res.Detail = patErr.Error()
 		return res
 	}
-	hits := FindPattern(code, pat)
-	if len(hits) == 0 {
+	if hit < 0 {
 		res.Detail = "do_set_uid signature not found in harvested code"
 		return res
 	}
-	targetAddr := start + uint64(hits[0])
+	targetAddr := start + uint64(hit)
 
 	// Step 4: exploit via the fptr hijack with a matching-arity call.
 	res.Stage = "exploitation"

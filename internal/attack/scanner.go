@@ -100,26 +100,35 @@ func scanRange(code []byte, base uint64, lo, hi int) []Gadget {
 
 // decodesTo decodes b as a full instruction sequence whose final
 // instruction is ret, consuming exactly len(b) bytes. Most candidate
-// windows fail to decode, so it asks only for validity (isa.TryDecode)
-// and never builds an error it would discard.
+// windows fail to decode, so a first pass only validates and counts the
+// instructions (isa.TryDecode builds no error it would discard), and only
+// a window that decodes gets its exact-size slice, filled by a second pass.
 func decodesTo(b []byte) ([]isa.Instr, bool) {
-	var ins []isa.Instr
-	off := 0
-	for off < len(b) {
-		in, n, ok := isa.TryDecode(b[off:])
+	n := 0
+	for off := 0; ; {
+		in, sz, ok := isa.TryDecode(b[off:])
 		if !ok {
 			return nil, false
 		}
-		ins = append(ins, in)
-		off += n
+		off += sz
+		n++
 		if in.Op == isa.RET {
-			return ins, off == len(b)
+			if off != len(b) {
+				return nil, false
+			}
+			break
 		}
-		if in.IsTerminator() || in.Op == isa.INT3 {
+		if in.IsTerminator() || in.Op == isa.INT3 || off == len(b) {
 			return nil, false
 		}
 	}
-	return nil, false
+	ins := make([]isa.Instr, n)
+	for i, off := 0, 0; i < n; i++ {
+		var sz int
+		ins[i], sz, _ = isa.TryDecode(b[off:])
+		off += sz
+	}
+	return ins, true
 }
 
 // FindPopRet locates a "pop %reg ; ret" gadget for the requested register.

@@ -212,6 +212,44 @@ func fuzzWorkload(cfg core.Config, seed int64) emuWorkload {
 	}
 }
 
+// leakBatch is how many sys_leak calls one syscall-leak op makes: eight
+// reads of every sys_call_table word. A single round trip is a couple of
+// microseconds, so the op is a batch.
+const leakBatch = 8 * kernel.NumSyscalls
+
+func leakWorkload(cfg core.Config) emuWorkload {
+	return emuWorkload{
+		name: "syscall-leak/" + cfg.Name(),
+		// A few warmup batches take every entry point of the leak path past
+		// the block engine's hotness gate, so the window times steady-state
+		// round trips: syscall entry, sys_leak's load, return.
+		warm: 4,
+		// The multiplier keeps the timed window in the tens of
+		// milliseconds (see emuWorkload.mult).
+		mult: 4,
+		make: func(cacheOn, blocksOn bool) (func() (uint64, error), error) {
+			k, err := kernel.Boot(cfg, kernel.WithCache())
+			if err != nil {
+				return nil, err
+			}
+			k.CPU.SetDecodeCache(cacheOn)
+			k.CPU.SetBlockEngine(blocksOn)
+			tbl := k.Sym("sys_call_table")
+			return func() (uint64, error) {
+				var total uint64
+				for i := 0; i < leakBatch; i++ {
+					c, err := timed(k.Syscall(kernel.SysLeak, tbl+uint64(i%kernel.NumSyscalls)*8), "sys_leak")
+					if err != nil {
+						return 0, err
+					}
+					total += c
+				}
+				return total, nil
+			}, nil
+		},
+	}
+}
+
 // measureEmu times one workload in all three modes and enforces the
 // bit-identical-cycles invariant across every pair. Each mode is measured
 // emuReps times — each repetition rebuilding the workload from scratch, so
@@ -397,7 +435,8 @@ func perBoot(boot func() error) (time.Duration, error) {
 
 // EmuBench measures the emulator's host performance with the decode cache
 // on and off: the Table 1 micro-op suite under vanilla and a fully
-// protected column, a fuzzing iteration (restore + program execution), the
+// protected column, a fuzzing iteration (restore + program execution), a
+// batch of sys_leak round trips (the attack ladder's read primitive), the
 // fork rows (golden-fork boot vs fresh construction), and the store
 // rows (cold-link boot vs a boot served from the persistent artifact store).
 func EmuBench(iters int) (*EmuReport, error) {
@@ -411,6 +450,8 @@ func EmuBench(iters int) (*EmuReport, error) {
 		table1Workload(full),
 		fuzzWorkload(core.Vanilla, 42),
 		fuzzWorkload(full, 42),
+		leakWorkload(core.Vanilla),
+		leakWorkload(full),
 	}
 	rep := &EmuReport{
 		Schema:        "krx-emubench",
