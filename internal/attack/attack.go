@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/kernel"
 )
 
@@ -143,9 +144,7 @@ func DirectROP(target, ref *kernel.Kernel) Result {
 	a := &Attacker{K: target}
 
 	// Offline: gadget discovery on the attacker's own copy.
-	refText := ref.Img.Text
-	gs := ScanGadgets(refText, ref.Sym("_text"))
-	pop, ok := FindPopRet(gs, 7 /* %rdi */)
+	pop, ok := FirstPopRet(ref.Img.Text, ref.Sym("_text"), isa.RDI)
 	if !ok {
 		res.Detail = "no pop %rdi gadget in reference image"
 		return res

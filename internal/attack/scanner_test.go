@@ -7,6 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/diversify"
 	"repro/internal/isa"
+	"repro/internal/kernel"
+	"repro/internal/sfi"
 )
 
 // appendingDecodesTo is the gadget window decoder as it was before
@@ -69,6 +71,42 @@ func TestScanGadgetsMatchesAppendingDecoder(t *testing.T) {
 				t.Fatalf("%s: gadget %d is %#x %q, the appending decoder's is %#x %q",
 					cfg.Name(), i, got[i].Addr, got[i], want[i].Addr, want[i])
 			}
+		}
+	}
+}
+
+// TestFirstPopRetMatchesFullScan: DirectROP's first-match scan returns the
+// gadget FindPopRet picks from the full scan, on the reference image of
+// every krxattack ladder target at seeds 101..132 (Vanilla ignores the
+// seed, so it runs once).
+func TestFirstPopRetMatchesFullScan(t *testing.T) {
+	prog, err := kernel.BuildCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := []core.Config{core.Vanilla}
+	for seed := int64(101); seed < 133; seed++ {
+		for _, cfg := range []core.Config{
+			{Diversify: true, RAProt: diversify.RAEncrypt},
+			{XOM: core.XOMSFI, SFILevel: sfi.O3, Diversify: true},
+			{XOM: core.XOMSFI, SFILevel: sfi.O3, Diversify: true, RAProt: diversify.RAEncrypt},
+			{XOM: core.XOMSFI, SFILevel: sfi.O3, Diversify: true, RAProt: diversify.RADecoy},
+			{XOM: core.XOMMPX, Diversify: true, RAProt: diversify.RAEncrypt},
+		} {
+			cfg.Seed = seed + 7919 // DirectROP's reference: the target's seed + 7919
+			refs = append(refs, cfg)
+		}
+	}
+	for _, cfg := range refs {
+		b, err := core.Build(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, base := b.Image.Text, b.Image.Symbols["_text"]
+		want, wok := FindPopRet(ScanGadgets(text, base), isa.RDI)
+		got, ok := FirstPopRet(text, base, isa.RDI)
+		if ok != wok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s seed %d: first match %v (%v), full scan %v (%v)", cfg.Name(), cfg.Seed, got, ok, want, wok)
 		}
 	}
 }

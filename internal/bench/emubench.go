@@ -250,6 +250,36 @@ func leakWorkload(cfg core.Config) emuWorkload {
 	}
 }
 
+// selectNfds is the descriptor count of one syscall-select op. The fuzzer
+// passes sys_select counts up to 1<<20 and beyond (fuzz.ArgCount); 1<<16
+// runs the fd loop's 65,536 passes to their end, well inside the watchdog.
+const selectNfds = 1 << 16
+
+// selectWorkload times one sys_select(selectNfds) per op: the register
+// loop that dominates a fuzz campaign's emulated instructions. The
+// compiled mode fast-forwards the loop's passes once its bitmap register
+// has drained (fixpoint.go in internal/cpu); the other two modes run every
+// pass, so block_speedup on these rows is what the fast-forward buys.
+func selectWorkload(cfg core.Config) emuWorkload {
+	return emuWorkload{
+		name: "syscall-select/" + cfg.Name(),
+		// One warm-up op suffices: the loop's first passes take its entry
+		// past the hotness gate. An uncached op is over 500K instructions.
+		warm: 1,
+		make: func(cacheOn, blocksOn bool) (func() (uint64, error), error) {
+			k, err := kernel.Boot(cfg, kernel.WithCache())
+			if err != nil {
+				return nil, err
+			}
+			k.CPU.SetDecodeCache(cacheOn)
+			k.CPU.SetBlockEngine(blocksOn)
+			return func() (uint64, error) {
+				return timed(k.Syscall(kernel.SysSelect, selectNfds), "sys_select")
+			}, nil
+		},
+	}
+}
+
 // measureEmu times one workload in all three modes and enforces the
 // bit-identical-cycles invariant across every pair. Each mode is measured
 // emuReps times — each repetition rebuilding the workload from scratch, so
@@ -257,7 +287,11 @@ func leakWorkload(cfg core.Config) emuWorkload {
 // per-op time is the minimum over repetitions (the min-of-N convention the
 // KRX_PERF_GATE tests use): the min converges on the noise-free cost,
 // where a single-sample mean folds whatever GC pauses and scheduler
-// preemptions happened to land in the timed window into the baseline.
+// preemptions happened to land in the timed window into the baseline. The
+// repetitions interleave the modes (rep 1 of each mode, then rep 2 of
+// each, ...), so a ratio of two modes compares timings taken at the same
+// moments of the host's load rather than one mode's quiet minute with the
+// other's busy one.
 func measureEmu(w emuWorkload, iters int) (EmuResult, error) {
 	iters *= max(w.mult, 1)
 	res := EmuResult{Name: w.name, Iters: iters, Reps: emuReps}
@@ -271,8 +305,8 @@ func measureEmu(w emuWorkload, iters int) (EmuResult, error) {
 	}
 	var cycles [3]uint64
 	var host [3]time.Duration
-	for m, mode := range modes {
-		for rep := 0; rep < emuReps; rep++ {
+	for rep := 0; rep < emuReps; rep++ {
+		for m, mode := range modes {
 			run, err := w.make(mode.cacheOn, mode.blocksOn)
 			if err != nil {
 				return res, fmt.Errorf("bench: %s: %w", w.name, err)
@@ -436,9 +470,10 @@ func perBoot(boot func() error) (time.Duration, error) {
 // EmuBench measures the emulator's host performance with the decode cache
 // on and off: the Table 1 micro-op suite under vanilla and a fully
 // protected column, a fuzzing iteration (restore + program execution), a
-// batch of sys_leak round trips (the attack ladder's read primitive), the
-// fork rows (golden-fork boot vs fresh construction), and the store
-// rows (cold-link boot vs a boot served from the persistent artifact store).
+// batch of sys_leak round trips (the attack ladder's read primitive), one
+// long sys_select (the fuzzer's dominant loop), the fork rows (golden-fork
+// boot vs fresh construction), and the store rows (cold-link boot vs a boot
+// served from the persistent artifact store).
 func EmuBench(iters int) (*EmuReport, error) {
 	if iters <= 0 {
 		iters = 20
@@ -452,6 +487,8 @@ func EmuBench(iters int) (*EmuReport, error) {
 		fuzzWorkload(full, 42),
 		leakWorkload(core.Vanilla),
 		leakWorkload(full),
+		selectWorkload(core.Vanilla),
+		selectWorkload(full),
 	}
 	rep := &EmuReport{
 		Schema:        "krx-emubench",
@@ -503,8 +540,8 @@ func BlockEngineReport(k *kernel.Kernel) string {
 	}
 	s := k.CPU.BlockStats()
 	return fmt.Sprintf(
-		"block-engine: blocks=%d formed=%d adopted=%d compiled=%d fused=%d dispatches=%d instrs=%d aborts=%d side_exits=%d loop_iters=%d chained=%d severed=%d cold=%d",
-		s.Blocks, s.Formed, s.Adopted, s.Compiled, s.Fused, s.Dispatches, s.Instrs, s.Aborts, s.SideExits, s.LoopIters, s.Chained, s.Severed, s.Cold)
+		"block-engine: blocks=%d formed=%d adopted=%d compiled=%d fused=%d dispatches=%d instrs=%d aborts=%d side_exits=%d loop_iters=%d loop_skipped=%d chained=%d severed=%d cold=%d",
+		s.Blocks, s.Formed, s.Adopted, s.Compiled, s.Fused, s.Dispatches, s.Instrs, s.Aborts, s.SideExits, s.LoopIters, s.LoopSkipped, s.Chained, s.Severed, s.Cold)
 }
 
 // DataTLBReport formats the kernel address space's data-TLB counters.

@@ -70,6 +70,52 @@ import (
 // page reads the shared zero frame instead of materializing one, and a load
 // that faults returns a trap, which leaves the loop before the loop-back.
 //
+// Fixpoint fast-forward. Some lean self-loops are counted register loops
+// whose passes, once their other registers stop changing, differ only in
+// the counter. sys_select's fd loop is one: its bitmap register drains to
+// zero within 64 passes, and every later pass, up to the exit or the
+// watchdog, only increments %rcx. Formation marks such a loop fixpoint-
+// eligible (fixpointLoop in fixpoint.go, kept in blockXlat.fix) when:
+//
+//   - every entry is a trap-free register op from a fixed list (moves, ALU
+//     and shift ops, cmp/test, jmp, jcc): no load, store, call, string op
+//     or nil thunk;
+//   - its only JCC, fed by the cmp reg,reg or cmp reg,imm right before it,
+//     leaves the loop on one outcome and goes round it on the other, under
+//     an ordering or equality condition. Both rotations qualify: the IR's
+//     head shape (fused cmp+jcc first, jmp last) and the rotated one that
+//     forms once the jcc has been seen taken (body first, cmp; jcc last,
+//     falling through to the entry);
+//   - each induction register is written once a pass, by inc, dec, or an
+//     add or sub of 1 or -1, and read by nothing but that update and the
+//     cmp. One of the cmp's operands is an induction register (the
+//     counter), the other an immediate or a register the block never
+//     writes.
+//
+// After each completed pass but a dispatch's first, the runner compares the
+// block's other written registers with their values before the pass (the
+// first only records them: what the CPU held from before belongs to another
+// run). If none changed, every later pass repeats that one except for the
+// induction registers, because:
+//
+//   - the other registers start each pass from the same values and read
+//     nothing that changes (no induction register, no memory);
+//   - the flags a pass starts with are dead. The JCC reads the cmp's flags,
+//     and the only other flag readers, INC and DEC, carry CF into flags
+//     that the cmp overwrites before anything observes them.
+//
+// So the runner skips N passes at once. N is the number of passes that
+// certainly continue: the counter's value at each one's cmp stays within
+// the run of values that satisfy the continue condition, in the cmp's
+// signed or unsigned order and without wrapping around. N is capped at
+// left/count - 1, so one real pass still fits the budget, which already
+// carries the Run limit and the ticker's deadline. The skip adds N to the
+// passes and N times its step to each induction register, and the batched
+// accounting below charges Instrs, Cycles, decode-cache hits, coverage and
+// LoopIters from the passes exactly as if they had run. A real pass always
+// follows, so the flags, the exit, a budget stop and a tick all come from
+// real execution. LoopSkipped counts the skipped passes.
+//
 // Three layers keep the dispatch cost amortized:
 //
 //   - Hotness-gated formation. Forming a block is not free: it decodes
@@ -185,20 +231,21 @@ import (
 // toggles, and SetDecodeCache toggles (the counters live on the CPU, not on
 // the cache they describe). Blocks is the current live footprint.
 type BlockStats struct {
-	Formed     uint64 // blocks ever formed (cumulative, survives flushes)
-	Adopted    uint64 // blocks taken from a SharedBlocks table instead of formed
-	Dispatches uint64 // block executions entered via the Run fast path or a chain
-	Instrs     uint64 // instructions executed inside dispatched blocks
-	Aborts     uint64 // mid-block self-modification resyncs
-	SideExits  uint64 // runs that left a block early through a taken side-exit JCC
-	LoopIters  uint64 // extra passes self-loops ran inside one dispatch
-	Chained    uint64 // block-to-block transitions that bypassed the dispatcher
-	Severed    uint64 // successor links invalidated by the generation checks
-	Cold       uint64 // block dispatch attempts deferred by the hotness gate
-	Compiled   uint64 // blocks lowered to specialized thunks (cumulative; equals Formed)
-	Fused      uint64 // block entries whose flag computation the liveness pass elided
-	Merged     uint64 // block entries compiled into multi-entry calls (run merging)
-	Blocks     uint64 // blocks currently live (on pages that would still validate)
+	Formed      uint64 // blocks ever formed (cumulative, survives flushes)
+	Adopted     uint64 // blocks taken from a SharedBlocks table instead of formed
+	Dispatches  uint64 // block executions entered via the Run fast path or a chain
+	Instrs      uint64 // instructions executed inside dispatched blocks
+	Aborts      uint64 // mid-block self-modification resyncs
+	SideExits   uint64 // runs that left a block early through a taken side-exit JCC
+	LoopIters   uint64 // extra passes self-loops ran inside one dispatch
+	LoopSkipped uint64 // of LoopIters, passes fast-forwarded at a fixpoint instead of run
+	Chained     uint64 // block-to-block transitions that bypassed the dispatcher
+	Severed     uint64 // successor links invalidated by the generation checks
+	Cold        uint64 // block dispatch attempts deferred by the hotness gate
+	Compiled    uint64 // blocks lowered to specialized thunks (cumulative; equals Formed)
+	Fused       uint64 // block entries whose flag computation the liveness pass elided
+	Merged      uint64 // block entries compiled into multi-entry calls (run merging)
+	Blocks      uint64 // blocks currently live (on pages that would still validate)
 }
 
 // DefaultBlockHotThreshold is the default number of times an entry offset
@@ -367,6 +414,7 @@ type blockXlat struct {
 	count uint64   // len(ents): the Run fast path's limit guard
 	cost  uint64   // cumulative static cycle cost of the block
 	lean  bool     // store-free and fully thunked (see above)
+	fix   *fixLoop // non-nil: a fixpoint-eligible self-loop (fixpoint.go)
 }
 
 // dcBlock is one superblock as a CPU runs it: its translation, held by
@@ -526,6 +574,9 @@ func (p *dcPage) formBlock(rip uint64, c *CPU) int16 {
 	be := slices.Clone(ents)
 	comp, fused, merged := compileBlock(be)
 	x := blockXlat{ents: be, comp: comp, lean: leanBlock(be, comp), count: uint64(len(be)), cost: cost}
+	if x.lean {
+		x.fix = fixpointLoop(be)
+	}
 	if p.shared != nil {
 		p.shared.publish(start, x)
 	}
@@ -698,8 +749,9 @@ func leanBlock(ents []blkEnt, comp []cthunk) bool {
 // a successor is allowed. A completed pass that returns to the block entry
 // runs again here (a self-loop, see the top of this file) while room still
 // covers a full pass; between passes a lean block checks only its RIP and
-// that budget. With a coverage sink installed, the entries that began
-// executing are marked once the run ends.
+// that budget, and a fixpoint-eligible one skips the passes that repeat the
+// last (fixpoint fast-forward, same place). With a coverage sink installed,
+// the entries that began executing are marked once the run ends.
 func (c *CPU) runBlock(p *dcPage, b *dcBlock, room uint64) (stop StopReason, trap *Trap, exit blockExit) {
 	fgen := p.fgen
 	frame := p.frame
@@ -734,6 +786,11 @@ func (c *CPU) runBlock(p *dcPage, b *dcBlock, room uint64) (stop StopReason, tra
 				frame.Gen() != fgen || c.AS.MapGen() != p.mgen) {
 				exit = exitEnd
 				break
+			}
+			if b.fix != nil {
+				k := c.fastForward(b, left, passes)
+				left -= k * b.count
+				passes += k
 			}
 			left -= b.count
 			passes++
@@ -784,6 +841,26 @@ func (c *CPU) runBlock(p *dcPage, b *dcBlock, room uint64) (stop StopReason, tra
 		c.coverBlock(b, ran)
 	}
 	return stop, trap, exit
+}
+
+// fastForward is runBlock's fixpoint check after a completed pass of a
+// fixpoint-eligible self-loop b, with left instructions of budget to spare
+// and passes loop-backs before this one in the dispatch (see the top of
+// this file). If the pass left every non-induction register as the one
+// before it did, it skips the passes that certainly continue, leaving at
+// least one within left to run, and returns how many it skipped;
+// otherwise 0. The first pass of a dispatch only records the registers:
+// what the CPU recorded before it belongs to another run. fastForward
+// stays out of runBlock's loop, so that loop is what it was for every
+// other block.
+func (c *CPU) fastForward(b *dcBlock, left, passes uint64) uint64 {
+	if !b.fix.repeat(c) || passes == 0 || left < 2*b.count {
+		return 0
+	}
+	k := b.fix.span(c, left/b.count-1)
+	b.fix.advance(c, k)
+	c.bstats.LoopSkipped += k
+	return k
 }
 
 // sideExit books a run leaving its block through the taken JCC at rip, on

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -475,7 +476,10 @@ func (a *asmProg) encode() []byte {
 // land on its own page, and a store-free self-loop whose load pointer walks
 // by a stride and may leave its page mid-loop (a lean block that faults).
 // Loop counters live in registers the random operations never write, so
-// most loops end; the Run limit bounds the rest.
+// most loops end; the Run limit bounds the rest. The program ends with a
+// counted register loop (genLoopSpec), drawn from a stream of its own so
+// that everything before it is what earlier versions of this generator
+// built from the same input.
 func genBlockProgram(rng *rand.Rand) []byte {
 	work := []isa.Reg{isa.RAX, isa.RBX, isa.RDX, isa.RDI, isa.R8, isa.R9}
 	wr := func() isa.Reg { return work[rng.Intn(len(work))] }
@@ -599,8 +603,64 @@ func genBlockProgram(rng *rand.Rand) []byte {
 			a.bind(exit)
 		}
 	}
+	genLoopSpec(rand.New(rand.NewSource(rng.Int63()))).emit(a)
 	a.emit(isa.Ret())
 	return a.encode()
+}
+
+// genLoopSpec draws a counted register loop for genBlockProgram, mostly
+// fixpoint-eligible (fixpoint.go) and sometimes a near miss: a random bound
+// near zero, -1 or either end of the signed range, held in an invariant
+// register or an immediate, a start near it or far from it (the Run limit
+// then caps the loop, like the kernel's watchdog), a ±1 step (sometimes 2),
+// any condition (six of the sixteen are not eligible), any of the three
+// shapes, with or without a first visit that rotates later formations, and
+// a body of register ops that settle at once, settle after a while (shifts
+// draining a register), never settle, step a second induction register, or
+// read the counter.
+func genLoopSpec(rng *rand.Rand) loopSpec {
+	work := []isa.Reg{isa.RAX, isa.RBX, isa.RDX, isa.RDI, isa.R8, isa.R9}
+	wr := func() isa.Reg { return work[rng.Intn(len(work))] }
+	l := loopSpec{shape: rng.Intn(3), ctr: isa.R11, bnd: isa.R10, exit: isa.Cond(rng.Intn(isa.NumCond)),
+		twice: rng.Intn(2) == 0, swap: rng.Intn(2) == 0}
+	bounds := []int64{int64(rng.Intn(300)) - 20, -1 - int64(rng.Intn(50)),
+		math.MaxInt64 - int64(rng.Intn(300)), math.MinInt64 + int64(rng.Intn(300))}
+	l.bound = bounds[rng.Intn(len(bounds))]
+	l.imm = l.bound == int64(int32(l.bound)) && rng.Intn(2) == 0
+	near := func() int64 { return l.bound + int64(rng.Intn(600)) - 300 }
+	l.init, l.pre = near(), near()
+	if rng.Intn(6) == 0 {
+		l.init = int64(rng.Uint64())
+	}
+	steps := []isa.Instr{isa.Inc(l.ctr), isa.Dec(l.ctr), isa.AddRI(l.ctr, 1), isa.AddRI(l.ctr, -1),
+		isa.SubRI(l.ctr, 1), isa.SubRI(l.ctr, -1), isa.AddRI(l.ctr, 2)}
+	l.step = steps[rng.Intn(len(steps))]
+	for n := rng.Intn(5); n > 0; n-- {
+		r := wr()
+		switch rng.Intn(10) {
+		case 0:
+			l.body = append(l.body, isa.MovRI(r, int64(rng.Intn(16))))
+		case 1:
+			l.body = append(l.body, isa.MovRR(r, wr()))
+		case 2:
+			l.body = append(l.body, isa.AndRI(r, int32(rng.Intn(16))))
+		case 3:
+			l.body = append(l.body, isa.OrRI(r, int32(rng.Intn(16))))
+		case 4:
+			l.body = append(l.body, isa.ShrRI(r, uint8(1+rng.Intn(63))))
+		case 5:
+			l.body = append(l.body, isa.XorRR(r, r))
+		case 6:
+			l.body = append(l.body, isa.AddRR(r, wr()))
+		case 7:
+			l.body = append(l.body, isa.Dec(isa.R12))
+		case 8:
+			l.body = append(l.body, isa.MovRR(r, l.ctr))
+		default:
+			l.body = append(l.body, isa.NotR(r))
+		}
+	}
+	return l
 }
 
 // FuzzBlockEquivalence is the block-engine bit-identity oracle, the probe-
@@ -610,93 +670,153 @@ func genBlockProgram(rng *rand.Rand) []byte {
 // coverage sink, which must equal the set an exec probe records on the
 // uncached reference. Each input is checked twice:
 //
-//   - as raw bytes executed as code, which do overwrite themselves;
+//   - as raw bytes executed as code, which do overwrite themselves, at a
+//     Run limit of 512 and at a long one;
 //   - as a structured program genBlockProgram derives from the input, full
-//     of side exits, self-loops and followed jumps, run with the Run limit
-//     at every position and then with a ticker deadline at every position,
-//     so a limit or a tick can cut a multi-pass dispatch anywhere. Besides
-//     the engine modes, each position also runs on a fork of a frozen copy
-//     of the machine whose SharedBlocks table a sibling fork filled first
-//     (newSharedCase): adopted blocks, shaped by another run's branches,
-//     next to blocks the fork forms and publishes itself, and private ones
-//     on pages its stores copied.
+//     of side exits, self-loops, followed jumps and a closing counted loop
+//     that fixpoint fast-forward may skip through, run with the Run limit
+//     at a set of positions and then with a ticker deadline at each of
+//     them, so a limit or a tick can cut a multi-pass dispatch anywhere, a
+//     skipped span included. Besides the engine modes, each position also
+//     runs on a fork of a frozen copy of the machine whose SharedBlocks
+//     table a sibling fork filled first (newSharedCase): adopted blocks,
+//     shaped by another run's branches, next to blocks the fork forms and
+//     publishes itself, and private ones on pages its stores copied.
+//
+// Inputs of the seed corpus below are swept exhaustively: the long raw
+// limit is 1<<20, and the structured program runs at every position up to
+// a limit of 256. An input the fuzzer made replays a seeded sample instead
+// (the long raw limit drawn below 1<<16, and fuzzSample positions up to a
+// limit of 4096), so that the fuzzer spends its time on new programs
+// rather than on every position of each.
 func FuzzBlockEquivalence(f *testing.F) {
-	f.Add([]byte{byte(isa.NOP), byte(isa.RET)}, uint64(1))
-	f.Add(encodeProgF(isa.MovRI(isa.RAX, 5), isa.AddRI(isa.RAX, 7), isa.Ret()), uint64(2))
-	// Self-modifying seed: store a RET over our own first instruction.
-	f.Add(encodeProgF(
-		isa.MovRI(isa.RBX, int64(isa.RET)),
-		isa.MovRI(isa.RCX, dcCodeVA),
-		isa.StoreSz(isa.Mem(isa.RCX, 0), isa.RBX, 1),
-		isa.Nop(),
-	), uint64(3))
-	// Same-block self-modification: the store rewrites the instruction
-	// right after it (the TestBlockSelfModAbort shape).
-	f.Add(encodeProgF(
-		isa.MovRI(isa.RBX, 9),
-		isa.MovRI(isa.RCX, dcCodeVA+32),
-		isa.StoreSz(isa.Mem(isa.RCX, 0), isa.RBX, 1),
-		isa.MovRI(isa.RAX, 1),
-		isa.Ret(),
-	), uint64(4))
-	// A self-loop whose last entry stores into its own page: jmp X; Y:
-	// store [rcx],bl; X: sub rdx,1; jle out; add rcx,-0x100; jmp Y; out:
-	// ret. rcx walks down the second code page while the block compiles
-	// and loops, then onto the loop's own page.
-	f.Add(encodeProgF(
-		isa.MovRI(isa.RDX, 20),
-		isa.MovRI(isa.RCX, dcCodeVA+0x1f00),
-		isa.Instr{Op: isa.JMP, Imm: 10},
-		isa.StoreSz(isa.Mem(isa.RCX, 0), isa.RBX, 1),
-		isa.SubRI(isa.RDX, 1),
-		isa.Instr{Op: isa.JCC, CC: isa.CondLE, Imm: 11},
-		isa.AddRI(isa.RCX, -0x100),
-		isa.Instr{Op: isa.JMP, Imm: -33},
-		isa.Ret(),
-	), uint64(5))
-	f.Add([]byte("structured"), uint64(6))
+	type input struct {
+		code []byte
+		seed uint64
+	}
+	seeds := []input{
+		{[]byte{byte(isa.NOP), byte(isa.RET)}, 1},
+		{encodeProgF(isa.MovRI(isa.RAX, 5), isa.AddRI(isa.RAX, 7), isa.Ret()), 2},
+		// Self-modifying seed: store a RET over our own first instruction.
+		{encodeProgF(
+			isa.MovRI(isa.RBX, int64(isa.RET)),
+			isa.MovRI(isa.RCX, dcCodeVA),
+			isa.StoreSz(isa.Mem(isa.RCX, 0), isa.RBX, 1),
+			isa.Nop(),
+		), 3},
+		// Same-block self-modification: the store rewrites the instruction
+		// right after it (the TestBlockSelfModAbort shape).
+		{encodeProgF(
+			isa.MovRI(isa.RBX, 9),
+			isa.MovRI(isa.RCX, dcCodeVA+32),
+			isa.StoreSz(isa.Mem(isa.RCX, 0), isa.RBX, 1),
+			isa.MovRI(isa.RAX, 1),
+			isa.Ret(),
+		), 4},
+		// A self-loop whose last entry stores into its own page: jmp X; Y:
+		// store [rcx],bl; X: sub rdx,1; jle out; add rcx,-0x100; jmp Y; out:
+		// ret. rcx walks down the second code page while the block compiles
+		// and loops, then onto the loop's own page.
+		{encodeProgF(
+			isa.MovRI(isa.RDX, 20),
+			isa.MovRI(isa.RCX, dcCodeVA+0x1f00),
+			isa.Instr{Op: isa.JMP, Imm: 10},
+			isa.StoreSz(isa.Mem(isa.RCX, 0), isa.RBX, 1),
+			isa.SubRI(isa.RDX, 1),
+			isa.Instr{Op: isa.JCC, CC: isa.CondLE, Imm: 11},
+			isa.AddRI(isa.RCX, -0x100),
+			isa.Instr{Op: isa.JMP, Imm: -33},
+			isa.Ret(),
+		), 5},
+		{[]byte("structured"), 6},
+	}
 	// sys_select's pure register loop: a lean self-loop whose body after
 	// the fused cmp+jae runs as one merged call.
 	code, _ := selectLoopProg(40)
-	f.Add(code, uint64(7))
+	seeds = append(seeds, input{code, 7})
 	// A lean self-loop whose load walks off the data page on pass 4.
 	code, _ = walkingLoadProg(dcDataVA+mem.PageSize-3*64, 64, 20)
-	f.Add(code, uint64(8))
+	seeds = append(seeds, input{code, 8})
 	// A structured program that rewrites its own code page: a fork's
-	// private copy of the page must never publish its blocks to the shared
-	// table (a table keyed by page address alone, not frame, fails here).
-	f.Add([]byte("\x05,\x00\x10\x00"), uint64(2))
+	// private copy of the page must never publish its blocks to the
+	// shared table (a table keyed by page address alone, not frame, fails
+	// here).
+	seeds = append(seeds, input{[]byte("\x05,\x00\x10\x00"), 2})
+	// The fuzzer's select: 1<<16 passes, nearly all of them skipped once
+	// the bitmap drains, ending inside the long raw limit; and one the
+	// limit caps, as the kernel's watchdog caps a huge nfds.
+	code, _ = selectLoopProg(1 << 16)
+	seeds = append(seeds, input{code, 9})
+	code, _ = selectLoopProg(1 << 62)
+	seeds = append(seeds, input{code, 10})
+
+	corpus := map[string]bool{}
+	key := func(code []byte, seed uint64) string { return fmt.Sprintf("%x/%d", code, seed) }
+	for _, in := range seeds {
+		f.Add(in.code, in.seed)
+		corpus[key(in.code, in.seed)] = true
+	}
 
 	f.Fuzz(func(t *testing.T, code []byte, seed uint64) {
+		exhaustive := corpus[key(code, seed)]
 		if len(code) > 2*mem.PageSize {
 			code = code[:2*mem.PageSize]
 		}
+		h := fnv.New64a()
+		h.Write(code)
+		sum := int64(h.Sum64() ^ seed)
+		sample := rand.New(rand.NewSource(sum ^ 0x5bd1e995))
+
 		// The reference is the fully uncached interpreter; against it run
 		// cached single-step and compiled blocks, eager and behind the
 		// default hotness gate (which mixes single-step and block dispatch
 		// of the same code).
-		ref := &ripProbe{rips: map[uint64]struct{}{}}
 		uncached := covModes[0]
-		off := runBlockCase(t, code, seed, uncached, 512, 0, false, ref)
-		if want := ref.sorted(); !slices.Equal(off.cover, want) {
-			t.Fatalf("uncached coverage %#x, probe saw %#x", off.cover, want)
+		rawLimits := []uint64{512, 1 << 20}
+		if !exhaustive {
+			rawLimits[1] = 513 + uint64(sample.Intn(1<<16))
 		}
-		for _, m := range covModes[1:4] {
-			on := runBlockCase(t, code, seed, m, 512, 0, false, nil)
-			if d := on.diff(&off); d != "" {
-				t.Fatalf("raw code: %s vs uncached diverge in %s", m.name, d)
+		for i, limit := range rawLimits {
+			var ref *ripProbe
+			if i == 0 {
+				ref = &ripProbe{rips: map[uint64]struct{}{}}
+			}
+			off := runBlockCase(t, code, seed, uncached, limit, 0, false, ref)
+			if ref != nil {
+				if want := ref.sorted(); !slices.Equal(off.cover, want) {
+					t.Fatalf("uncached coverage %#x, probe saw %#x", off.cover, want)
+				}
+			}
+			for _, m := range covModes[1:4] {
+				on := runBlockCase(t, code, seed, m, limit, 0, false, nil)
+				if d := on.diff(&off); d != "" {
+					t.Fatalf("raw code, limit %d: %s vs uncached diverge in %s", limit, m.name, d)
+				}
 			}
 		}
 
-		h := fnv.New64a()
-		h.Write(code)
-		prog := genBlockProgram(rand.New(rand.NewSource(int64(h.Sum64() ^ seed))))
-		const progLimit = 256
+		prog := genBlockProgram(rand.New(rand.NewSource(sum)))
+		progLimit := uint64(256)
+		if !exhaustive {
+			progLimit = 4096
+		}
 		full := runBlockCase(t, prog, seed, uncached, progLimit, 0, false, nil)
+		last := min(full.instrs+1, progLimit)
+		var positions []uint64
+		if exhaustive {
+			for pos := uint64(1); pos <= last; pos++ {
+				positions = append(positions, pos)
+			}
+		} else {
+			positions = append(positions, last)
+			for i := 0; i < fuzzSample; i++ {
+				positions = append(positions, 1+uint64(sample.Int63n(int64(last))))
+			}
+		}
 		// Shared-translation mode: each run forks a frozen machine whose
 		// table already holds a sibling's blocks, and publishes its own.
 		golden := newSharedCase(t, prog, seed, progLimit)
-		for pos := uint64(1); pos <= full.instrs+1 && pos <= progLimit; pos++ {
+		for _, pos := range positions {
 			want := runBlockCase(t, prog, seed, uncached, pos, 0, false, nil)
 			tickWant := runBlockCase(t, prog, seed, uncached, progLimit, pos, pos%2 == 0, nil)
 			for _, m := range covModes[2:4] {
@@ -720,6 +840,11 @@ func FuzzBlockEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// fuzzSample is how many sampled Run limits and ticker strides
+// FuzzBlockEquivalence replays a fuzzed input's structured program at,
+// besides the position just past its end.
+const fuzzSample = 12
 
 // TestForkAdoptsSiblingBlocks: a fork of a frozen machine with a
 // SharedBlocks table runs on the blocks a sibling fork published, with no

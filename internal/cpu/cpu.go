@@ -224,6 +224,11 @@ type CPU struct {
 	shared   *SharedBlocks
 	bstats   BlockStats
 	dstats   DecodeCacheStats
+
+	// loopPrev is runBlock's scratch for a fixpoint-eligible self-loop: the
+	// values its non-induction registers had when the current pass began
+	// (fixLoop.repeat).
+	loopPrev [isa.NumGPR]uint64
 }
 
 // New creates a CPU over the given address space. The decode cache and the

@@ -144,6 +144,7 @@ func RegisterBlockEngine(r *Registry, prefix string, c *cpu.CPU) {
 	r.Gauge(prefix+".aborts", stat(func(s cpu.BlockStats) uint64 { return s.Aborts }))
 	r.Gauge(prefix+".side_exits", stat(func(s cpu.BlockStats) uint64 { return s.SideExits }))
 	r.Gauge(prefix+".loop_iters", stat(func(s cpu.BlockStats) uint64 { return s.LoopIters }))
+	r.Gauge(prefix+".loop_skipped", stat(func(s cpu.BlockStats) uint64 { return s.LoopSkipped }))
 	r.Gauge(prefix+".chained", stat(func(s cpu.BlockStats) uint64 { return s.Chained }))
 	r.Gauge(prefix+".severed", stat(func(s cpu.BlockStats) uint64 { return s.Severed }))
 	r.Gauge(prefix+".cold", stat(func(s cpu.BlockStats) uint64 { return s.Cold }))

@@ -247,7 +247,8 @@ func TestRegisterBlockEngine(t *testing.T) {
 	want := map[string]uint64{
 		"block_engine.compiled": s.Compiled, "block_engine.fused": s.Fused,
 		"block_engine.merged": 9, "block_engine.loop_iters": s.LoopIters,
-		"block_engine.instrs": s.Instrs, "block_engine.adopted": s.Adopted,
+		"block_engine.loop_skipped": s.LoopSkipped,
+		"block_engine.instrs":       s.Instrs, "block_engine.adopted": s.Adopted,
 	}
 	for k, v := range want {
 		if got[k] != v {
