@@ -1,57 +1,38 @@
-// Observability acceptance gates (ISSUE 4): the profiler's conservation
-// invariant and the observer-neutrality of tracing/profiling, verified over
-// the Table 1 suite, the paper's three attack scenarios, and a seeded fuzz
-// campaign — under the decode cache on and off, at -workers 1 and 4.
+// The profiler's conservation invariant, verified over the Table 1 suite,
+// the paper's three attack scenarios, and a seeded fuzz campaign — under
+// the decode cache on and off, at -workers 1 and 4. That tracing and
+// profiling change nothing they observe is the oracle's observers axis
+// (internal/oracle).
 package bench
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/fuzz"
 	"repro/internal/inject"
-	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/obs"
 )
 
-// digestProbe folds the exec stream (rip, opcode, cycle delta) and the trap
-// stream (kind, addr, rip) into separate order-sensitive hashes. It is the
-// probe-API successor of hookDigest: installable several times over via
-// AddProbe, alongside legacy OnExec, tracers, and profilers.
-type digestProbe struct {
-	exec, trap uint64
+// equivConfigs: the unprotected baseline and the most protected preset
+// column (diversification, RA protection, the works).
+func equivConfigs() []core.Config {
+	presets := core.Presets()
+	return []core.Config{core.Vanilla, presets[len(presets)-1]}
 }
 
-func newDigestProbe() *digestProbe {
-	return &digestProbe{exec: fnv1aSeed, trap: fnv1aSeed}
-}
-
-const (
-	fnv1aSeed  = 14695981039346656037
-	fnv1aPrime = 1099511628211
-)
-
-func mix(h uint64, words ...uint64) uint64 {
-	var buf [8]byte
-	for _, w := range words {
-		binary.LittleEndian.PutUint64(buf[:], w)
-		for _, b := range buf {
-			h = (h ^ uint64(b)) * fnv1aPrime
-		}
+// bootEquiv boots a fork of cfg's golden kernel with the decode cache on
+// or off.
+func bootEquiv(t *testing.T, cfg core.Config, cacheOn bool) *kernel.Kernel {
+	t.Helper()
+	k, err := kernel.Boot(cfg, kernel.WithCache())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return h
-}
-
-func (d *digestProbe) OnExec(rip uint64, in *isa.Instr, cycles uint64) {
-	d.exec = mix(d.exec, rip, uint64(in.Op), cycles)
-}
-
-func (d *digestProbe) OnTrap(t *cpu.Trap, cycles uint64) {
-	d.trap = mix(d.trap, uint64(t.Kind), t.Addr, t.RIP)
+	k.CPU.SetDecodeCache(cacheOn)
+	return k
 }
 
 // TestProfilerConservationTable1Suite: over the full micro-op suite, every
@@ -152,151 +133,5 @@ func TestProfilerConservationFuzz(t *testing.T) {
 	}
 	if rep.String() != baseline {
 		t.Error("profiled campaign report diverges from unprofiled campaign")
-	}
-}
-
-// TestTracedTable1SuiteBitIdentical: arming the tracer and the profiler must
-// not change the emulated Instrs/Cycles or the exec/trap streams, with the
-// decode cache on and off.
-func TestTracedTable1SuiteBitIdentical(t *testing.T) {
-	for _, cfg := range equivConfigs() {
-		for _, cacheOn := range []bool{true, false} {
-			type outcome struct {
-				cycles, instrs, exec, trap uint64
-			}
-			run := func(traced bool) outcome {
-				var bootOpts []kernel.BootOption
-				bootOpts = append(bootOpts, kernel.WithCache())
-				tr := obs.NewTracer(1 << 15)
-				if traced {
-					bootOpts = append(bootOpts, kernel.WithTracer(tr))
-				}
-				k, err := kernel.Boot(cfg, bootOpts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				k.CPU.SetDecodeCache(cacheOn)
-				d := newDigestProbe()
-				k.CPU.AddProbe(d)
-				if traced {
-					p := obs.NewProfiler(k.Img)
-					p.Attach(k.CPU)
-					defer func() {
-						if err := p.CheckConservation(); err != nil {
-							t.Errorf("%s cache=%v: %v", cfg.Name(), cacheOn, err)
-						}
-					}()
-				}
-				cycles, err := RunTable1Suite(k)
-				if err != nil {
-					t.Fatalf("%s: %v", cfg.Name(), err)
-				}
-				return outcome{cycles: cycles, instrs: k.CPU.Instrs, exec: d.exec, trap: d.trap}
-			}
-			plain, traced := run(false), run(true)
-			if plain != traced {
-				t.Errorf("%s cache=%v: traced run diverges: %+v vs %+v", cfg.Name(), cacheOn, plain, traced)
-			}
-		}
-	}
-}
-
-// TestAttackScenariosTracedBitIdentical: attack outcomes and the targets'
-// counters are unchanged by an attached tracer.
-func TestAttackScenariosTracedBitIdentical(t *testing.T) {
-	cfg := equivConfigs()[1] // the fully protected column
-	run := func(traced bool) (attack.Result, uint64, uint64) {
-		var bootOpts []kernel.BootOption
-		bootOpts = append(bootOpts, kernel.WithCache())
-		if traced {
-			bootOpts = append(bootOpts, kernel.WithTracer(obs.NewTracer(1<<15)))
-		}
-		target, err := kernel.Boot(cfg, bootOpts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return attack.JITROP(target), target.CPU.Instrs, target.CPU.Cycles
-	}
-	r1, i1, c1 := run(false)
-	r2, i2, c2 := run(true)
-	if r1 != r2 || i1 != i2 || c1 != c2 {
-		t.Errorf("traced attack diverges: %v/%d/%d vs %v/%d/%d", r1, i1, c1, r2, i2, c2)
-	}
-}
-
-// TestFuzzTraceWorkerInvariance: the merged campaign event stream —
-// snapshot/restore, syscall enter/exit, traps, injected faults — is
-// byte-identical at -workers 1 and 4, and unchanged by the decode cache.
-func TestFuzzTraceWorkerInvariance(t *testing.T) {
-	plan := inject.DefaultPlan(17)
-	run := func(workers int, cacheOn bool) (string, string) {
-		f, err := fuzz.New(fuzz.Options{
-			Iters: 64, Seed: 17, Config: core.Vanilla,
-			Plan: &plan, Workers: workers, Trace: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ks, err := f.Kernels()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range ks {
-			k.CPU.SetDecodeCache(cacheOn)
-		}
-		rep, err := f.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Trace) == 0 {
-			t.Fatal("traced campaign produced no events")
-		}
-		return obs.TraceText(rep.Trace), rep.String()
-	}
-	baseTrace, baseReport := run(1, true)
-	for _, tc := range []struct {
-		workers int
-		cacheOn bool
-	}{{4, true}, {1, false}, {4, false}} {
-		gotTrace, gotReport := run(tc.workers, tc.cacheOn)
-		if gotTrace != baseTrace {
-			t.Errorf("workers=%d cache=%v: trace stream diverges from workers=1 cache=on",
-				tc.workers, tc.cacheOn)
-		}
-		if gotReport != baseReport {
-			t.Errorf("workers=%d cache=%v: report diverges", tc.workers, tc.cacheOn)
-		}
-	}
-}
-
-// TestMultiProbeCacheEquivalence extends the PR 3 cache-equivalence gate to
-// multi-probe configurations: a func-adapted probe and two struct probes
-// installed via AddProbe all observe the identical stream, cache on and off.
-func TestMultiProbeCacheEquivalence(t *testing.T) {
-	cfg := equivConfigs()[1]
-	type outcome struct {
-		fn, a, b, trap uint64
-	}
-	run := func(cacheOn bool) outcome {
-		k, err := kernel.Boot(cfg, kernel.WithCache())
-		if err != nil {
-			t.Fatal(err)
-		}
-		k.CPU.SetDecodeCache(cacheOn)
-		fn := hookDigest(k.CPU)
-		a, b := newDigestProbe(), newDigestProbe()
-		k.CPU.AddProbe(a)
-		k.CPU.AddProbe(b)
-		if _, err := RunTable1Suite(k); err != nil {
-			t.Fatal(err)
-		}
-		return outcome{fn: *fn, a: a.exec, b: b.exec, trap: a.trap}
-	}
-	on, off := run(true), run(false)
-	if on != off {
-		t.Errorf("multi-probe streams diverge with cache on/off: %+v vs %+v", on, off)
-	}
-	if on.a != on.b {
-		t.Errorf("co-installed probes saw different streams: %#x vs %#x", on.a, on.b)
 	}
 }

@@ -1,10 +1,11 @@
 // Shared translations at system scale: the forks of one golden kernel adopt
 // the blocks their siblings formed over the golden's frozen code (see
-// cpu.SharedBlocks), and nothing a fork computes may depend on it.
+// cpu.SharedBlocks). That nothing a fork computes depends on it, forks
+// racing to publish included, is the oracle's boot and workers axes
+// (internal/oracle).
 package bench
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -38,15 +39,6 @@ func bootFork(t *testing.T, cfg core.Config) *kernel.Kernel {
 		t.Fatal(err)
 	}
 	return k
-}
-
-// uncachedSuite runs the suite on a fork stepping without a decode cache:
-// the reference every shared-translation run must match.
-func uncachedSuite(t *testing.T, cfg core.Config) suiteRun {
-	t.Helper()
-	k := bootFork(t, cfg)
-	k.CPU.SetDecodeCache(false)
-	return runSuiteOn(t, k)
 }
 
 // TestSecondForkAdoptsBlocks: on a fresh golden with two forks besides
@@ -86,54 +78,6 @@ func TestSecondForkAdoptsBlocks(t *testing.T) {
 		if second.bs.Cold*2 > first.bs.Cold {
 			t.Errorf("%s: adoption must skip the hotness gate: cold %d, want at most half the first fork's %d",
 				cfg.Name(), second.bs.Cold, first.bs.Cold)
-		}
-	}
-}
-
-// TestConcurrentForksShareTranslations: four goroutines fork one fresh
-// golden and run the Table 1 suite at once, racing to publish and adopt
-// each other's translations. Every column must match an uncached fork's
-// totals. Under -race this is the publication race check.
-func TestConcurrentForksShareTranslations(t *testing.T) {
-	defer kernel.SetBuildCache(kernel.SetBuildCache(core.NewImageCache(nil)))
-	for _, cfg := range equivConfigs() {
-		want := uncachedSuite(t, cfg)
-		const workers = 4
-		got := make([]suiteRun, workers)
-		kernels := make([]*kernel.Kernel, workers)
-		for i := range kernels {
-			kernels[i] = bootFork(t, cfg)
-		}
-		var wg sync.WaitGroup
-		for i := range kernels {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for pass := 0; pass < 2; pass++ {
-					instrs0 := kernels[i].CPU.Instrs
-					cycles, err := RunTable1Suite(kernels[i])
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					got[i].cycles += cycles
-					got[i].instrs += kernels[i].CPU.Instrs - instrs0
-				}
-				got[i].bs = kernels[i].CPU.BlockStats()
-			}(i)
-		}
-		wg.Wait()
-		var formed, adopted uint64
-		for i, g := range got {
-			if g.cycles != 2*want.cycles || g.instrs != 2*want.instrs {
-				t.Errorf("%s: worker %d ran two passes in %d cycles / %d instrs, uncached fork %d / %d per pass",
-					cfg.Name(), i, g.cycles, g.instrs, want.cycles, want.instrs)
-			}
-			formed += g.bs.Formed
-			adopted += g.bs.Adopted
-		}
-		if formed == 0 || adopted == 0 {
-			t.Errorf("%s: four forks formed %d and adopted %d blocks: nothing was shared", cfg.Name(), formed, adopted)
 		}
 	}
 }

@@ -23,46 +23,6 @@ func campaignOpts(iters int) Options {
 	}
 }
 
-// TestDeterministicReport is the acceptance property: two campaigns under
-// identical options — fresh kernels, fresh PRNGs — render byte-identical
-// reports, crash buckets and minimized reproducers included.
-func TestDeterministicReport(t *testing.T) {
-	r1, err := Fuzz(campaignOpts(150))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Fuzz(campaignOpts(150))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.String() != r2.String() {
-		t.Fatalf("reports differ across same-seed campaigns:\n--- run 1 ---\n%s--- run 2 ---\n%s", r1, r2)
-	}
-}
-
-// TestWorkerCountInvariance is the sharding acceptance property: the same
-// campaign executed by 1, 2, 3, and 4 workers renders byte-identical
-// reports — parallelism must never change what the fuzzer finds.
-func TestWorkerCountInvariance(t *testing.T) {
-	var want string
-	for _, workers := range []int{1, 2, 3, 4} {
-		opts := campaignOpts(150)
-		opts.Workers = workers
-		r, err := Fuzz(opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if workers == 1 {
-			want = r.String()
-			continue
-		}
-		if got := r.String(); got != want {
-			t.Fatalf("workers=%d report diverges from workers=1:\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
-				workers, want, workers, got)
-		}
-	}
-}
-
 // TestCrashTriage checks the triage pipeline end to end on a campaign large
 // enough to crash: buckets are deduplicated, sorted, and every minimized
 // reproducer is no longer than what it minimizes.

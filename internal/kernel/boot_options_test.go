@@ -40,47 +40,6 @@ func TestBootOptionConflicts(t *testing.T) {
 	}
 }
 
-// TestBootOptionSourcesEquivalent: the three image sources (fresh compile,
-// cached compile, pre-built image) produce kernels that execute
-// identically.
-func TestBootOptionSourcesEquivalent(t *testing.T) {
-	cfg := core.Config{XOM: core.XOMSFI, Seed: 3}
-	prog, err := sharedCorpus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Build(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boots := map[string][]BootOption{
-		"default":   nil,
-		"WithCache": {WithCache()},
-		"WithImage": {WithImage(res)},
-	}
-	type outcome struct {
-		ret    uint64
-		cycles uint64
-	}
-	var want *outcome
-	for name, opts := range boots {
-		k, err := Boot(cfg, opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		r := k.Syscall(SysGetpid)
-		if r.Failed {
-			t.Fatalf("%s: getpid failed: %v", name, r.Run.Reason)
-		}
-		got := &outcome{ret: r.Ret, cycles: k.CPU.Cycles}
-		if want == nil {
-			want = got
-		} else if *got != *want {
-			t.Errorf("%s: outcome %+v, want %+v", name, got, want)
-		}
-	}
-}
-
 func TestBootWithProbes(t *testing.T) {
 	p := &countingProbe{}
 	k, err := Boot(core.Vanilla, WithCache(), WithProbes(p))

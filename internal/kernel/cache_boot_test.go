@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -10,60 +9,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sfi"
 )
-
-// cacheTestConfigs spans the install paths that diverge at boot time: the
-// SFI accessor path, the MPX bound registers, and the HideM shadow pages.
-func cacheTestConfigs() []core.Config {
-	return []core.Config{
-		{XOM: core.XOMSFI, SFILevel: sfi.O3, Diversify: true, RAProt: diversify.RAEncrypt, Seed: 1},
-		{XOM: core.XOMMPX, Diversify: true, RAProt: diversify.RADecoy, Seed: 1},
-		{XOM: core.XOMHideM, Seed: 1},
-	}
-}
-
-// TestBootCachedEquivalentToBoot is the cache acceptance property: a kernel
-// booted through the cache must be indistinguishable from one built from
-// scratch — identical image bytes, symbol table, pass statistics, boot-time
-// xkeys, and syscall behavior.
-func TestBootCachedEquivalentToBoot(t *testing.T) {
-	for _, cfg := range cacheTestConfigs() {
-		direct, err := Boot(cfg)
-		if err != nil {
-			t.Fatalf("%s: uncached boot: %v", cfg.Name(), err)
-		}
-		cached, err := Boot(cfg, WithCache())
-		if err != nil {
-			t.Fatalf("%s: cached boot: %v", cfg.Name(), err)
-		}
-		if !bytes.Equal(direct.Img.Text, cached.Img.Text) {
-			t.Errorf("%s: image text differs between cached and uncached boots", cfg.Name())
-		}
-		if len(direct.Img.Symbols) != len(cached.Img.Symbols) {
-			t.Errorf("%s: symbol table sizes differ", cfg.Name())
-		}
-		for name, addr := range direct.Img.Symbols {
-			if cached.Img.Symbols[name] != addr {
-				t.Errorf("%s: symbol %s: %#x uncached vs %#x cached", cfg.Name(), name, addr, cached.Img.Symbols[name])
-			}
-		}
-		if direct.Build.SFIStats != cached.Build.SFIStats {
-			t.Errorf("%s: SFI stats differ", cfg.Name())
-		}
-		if direct.Build.DivStats != cached.Build.DivStats {
-			t.Errorf("%s: diversification stats differ", cfg.Name())
-		}
-		if len(direct.Keys) != len(cached.Keys) {
-			t.Errorf("%s: xkey counts differ", cfg.Name())
-		}
-		for sym, v := range direct.Keys {
-			if cached.Keys[sym] != v {
-				t.Errorf("%s: xkey %s differs (seeded replenishment broke)", cfg.Name(), sym)
-			}
-		}
-		exerciseSyscalls(t, direct)
-		exerciseSyscalls(t, cached)
-	}
-}
 
 // TestBootCachedBuildsOnce: many boots of one configuration — sequential
 // and racing — compile exactly once; a different configuration compiles

@@ -76,62 +76,6 @@ func TestRestoreForeignSnapshot(t *testing.T) {
 	}
 }
 
-// TestForkEquivalence is the core determinism claim: a syscall sequence run
-// in a fork of a warmed golden kernel retires the same instruction and cycle
-// counts, and returns the same values, as the identical sequence run on a
-// kernel that booted and warmed up on its own.
-func TestForkEquivalence(t *testing.T) {
-	cfgs := []core.Config{core.Vanilla, core.Presets()[len(core.Presets())-1]}
-	for _, cfg := range cfgs {
-		t.Run(cfg.Name(), func(t *testing.T) {
-			golden, err := Boot(cfg, WithCache())
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := Boot(cfg, WithCache())
-			if err != nil {
-				t.Fatal(err)
-			}
-			warmup(t, golden)
-			warmup(t, fresh)
-
-			child, err := golden.Fork()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c, f := child.CPU.Cycles, fresh.CPU.Cycles; c != f {
-				t.Fatalf("post-warmup cycles diverge before sequence: fork %d, fresh %d", c, f)
-			}
-
-			seq := func(k *Kernel) []uint64 {
-				var out []uint64
-				if err := k.WriteUser(0, append([]byte("forkfile"), 0)); err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, sysOK(t, k, SysOpen, UserBuf))
-				out = append(out, sysOK(t, k, SysRead, out[0], UserBuf+1024, 32))
-				out = append(out, sysOK(t, k, SysFork))
-				out = append(out, sysOK(t, k, SysMmap, 4))
-				out = append(out, sysOK(t, k, SysUname, UserBuf+2048))
-				out = append(out, sysOK(t, k, SysGetdents, UserBuf+3072, 256))
-				return out
-			}
-			got, want := seq(child), seq(fresh)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("syscall %d: fork ret %#x, fresh ret %#x", i, got[i], want[i])
-				}
-			}
-			if child.CPU.Instrs != fresh.CPU.Instrs {
-				t.Errorf("instrs: fork %d, fresh %d", child.CPU.Instrs, fresh.CPU.Instrs)
-			}
-			if child.CPU.Cycles != fresh.CPU.Cycles {
-				t.Errorf("cycles: fork %d, fresh %d", child.CPU.Cycles, fresh.CPU.Cycles)
-			}
-		})
-	}
-}
-
 // TestForkWarmCache: a fork of a kernel with a warm decode cache starts
 // with an empty one — the cache is host state, not machine state — and
 // still replays the warm-up exactly as the warm parent does: same retired

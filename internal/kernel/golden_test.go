@@ -8,9 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/inject"
 	"repro/internal/mem"
-	"repro/internal/sfi"
 )
 
 // goldenOf returns the golden kernel behind Boot(cfg, WithCache()) for the
@@ -107,78 +105,6 @@ func memoryDiff(a, b *mem.AddressSpace) string {
 		}
 	}
 	return ""
-}
-
-// TestGoldenBootEquivalence: a WithCache boot (a fork of the image's golden
-// kernel) and a WithImage boot (a fresh construction from the same image)
-// run the same syscall ladder, roll back to a snapshot, run it again, and
-// end in the same state: the same outcomes, counters, registers and bytes.
-func TestGoldenBootEquivalence(t *testing.T) {
-	cfgs := core.Presets()
-	cfgs = append(cfgs,
-		core.Config{XOM: core.XOMEPT, Seed: 1},
-		core.Config{XOM: core.XOMHideM, Seed: 1},
-		core.Config{XOM: core.XOMSFI, SFILevel: sfi.O3, KASLR: true, Seed: 3},
-		core.Config{XOM: core.XOMSFI, SFILevel: sfi.O3, Seed: 1, FaultPlan: &inject.Plan{
-			Seed: 11, Every: 64, MaxFaults: -1, ByteFlip: 0.3, PermFlip: 0.05, KeyClobber: 0.05, SpuriousTrap: 0.05,
-		}},
-	)
-	for _, cfg := range cfgs {
-		name := cfg.Name()
-		if cfg.KASLR {
-			name += "+KASLR"
-		}
-		if cfg.FaultPlan != nil {
-			name += "+faults"
-		}
-		t.Run(name, func(t *testing.T) {
-			forked, err := Boot(cfg, WithCache())
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := Boot(cfg, WithImage(forked.Build))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (forked.Inj != nil) != (cfg.FaultPlan != nil) {
-				t.Fatalf("injector armed = %v with FaultPlan %v", forked.Inj != nil, cfg.FaultPlan)
-			}
-			if forked.Cfg != cfg {
-				t.Errorf("forked kernel's Cfg is not the caller's")
-			}
-			if s := forked.CPU.BlockStats(); s != (fresh.CPU.BlockStats()) || s.Dispatches != 0 {
-				t.Errorf("block stats at boot: forked %+v, fresh %+v", s, fresh.CPU.BlockStats())
-			}
-			if s := forked.CPU.DecodeCacheStats(); s != fresh.CPU.DecodeCacheStats() || s.Hits+s.Misses != 0 {
-				t.Errorf("decode-cache stats at boot: forked %+v, fresh %+v", s, fresh.CPU.DecodeCacheStats())
-			}
-			if d := memoryDiff(forked.Space.AS, fresh.Space.AS); d != "" {
-				t.Fatalf("at boot: %s", d)
-			}
-			var runs [2][][]sysOutcome
-			for i, k := range []*Kernel{forked, fresh} {
-				snap := k.Snapshot()
-				first := syscallLadder(t, k)
-				if err := k.Restore(snap); err != nil {
-					t.Fatal(err)
-				}
-				runs[i] = [][]sysOutcome{first, syscallLadder(t, k)}
-			}
-			if !reflect.DeepEqual(runs[0], runs[1]) {
-				t.Errorf("syscall outcomes differ:\nforked %+v\nfresh  %+v", runs[0], runs[1])
-			}
-			if forked.CPU.Instrs != fresh.CPU.Instrs || forked.CPU.Cycles != fresh.CPU.Cycles {
-				t.Errorf("instrs/cycles: forked %d/%d, fresh %d/%d",
-					forked.CPU.Instrs, forked.CPU.Cycles, fresh.CPU.Instrs, fresh.CPU.Cycles)
-			}
-			if fs, ff := forked.CPU.SaveState(), fresh.CPU.SaveState(); !reflect.DeepEqual(fs, ff) {
-				t.Errorf("CPU state differs:\nforked %+v\nfresh  %+v", fs, ff)
-			}
-			if d := memoryDiff(forked.Space.AS, fresh.Space.AS); d != "" {
-				t.Errorf("after the ladder: %s", d)
-			}
-		})
-	}
 }
 
 // TestGoldenBootConcurrent: kernels booted at once from one golden, the

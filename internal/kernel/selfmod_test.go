@@ -149,117 +149,6 @@ func TestModuleReloadOnWarmCache(t *testing.T) {
 	}
 }
 
-// TestSelfModBlockEngineParity re-runs the text-rewrite ladder — kprobe,
-// livepatch, module reload over a warm region, Snapshot/Restore — with the
-// superblock engine (and its chaining) on and off, requiring identical
-// syscall returns and identical Instrs/Cycles — and proving the engine was
-// actually in the loop: the warm path dispatches AND chains through blocks,
-// and every text rewrite invalidates cached blocks mid-flight.
-func TestSelfModBlockEngineParity(t *testing.T) {
-	run := func(blocksOn bool) (rets []uint64, instrs, cycles uint64, bs cpu.BlockStats) {
-		k := bootK(t)
-		k.CPU.SetBlockEngine(blocksOn)
-		// Form on first dispatch so a single pass over each rewritten path
-		// exercises the engine deterministically.
-		k.CPU.SetBlockHotThreshold(1)
-		warm(t, k)
-
-		// kprobe plant + remove.
-		orig, addr, err := patch.InstallProbe(k, "sys_getpid")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := k.Syscall(kernel.SysGetpid)
-		if !r.Failed || r.Run.Trap == nil || r.Run.Trap.Kind != cpu.TrapBreakpoint {
-			t.Fatalf("blocks=%v: probe did not trap: %v %v", blocksOn, r.Run.Reason, r.Run.Trap)
-		}
-		if err := patch.RemoveProbe(k, addr, orig); err != nil {
-			t.Fatal(err)
-		}
-		rets = append(rets, k.Syscall(kernel.SysGetpid).Ret)
-
-		// livepatch + revert through a loaded module.
-		v2, err := ir.NewBuilder("sys_getpid_v2").
-			I(isa.MovRI(isa.RAX, 42), isa.Ret()).Func()
-		if err != nil {
-			t.Fatal(err)
-		}
-		loader := module.NewLoader(k)
-		m, err := loader.Load(&module.Object{
-			Name: "getpid-v2",
-			Prog: &ir.Program{Funcs: []*ir.Function{v2}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		revert, err := patch.Livepatch(k, "sys_getpid", m.Symbols["sys_getpid_v2"])
-		if err != nil {
-			t.Fatal(err)
-		}
-		rets = append(rets, k.Syscall(kernel.SysGetpid).Ret)
-		if err := patch.Revert(k, "sys_getpid", revert); err != nil {
-			t.Fatal(err)
-		}
-		rets = append(rets, k.Syscall(kernel.SysGetpid).Ret)
-
-		// Module reload over the warm region: mod2's code must execute, not
-		// mod1's cached blocks (or a stale chain link into them).
-		mkMod := func(name string, ret int64) *module.Object {
-			f, err := ir.NewBuilder(name+"_fn").
-				I(isa.MovRI(isa.RAX, ret), isa.Ret()).Func()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return &module.Object{Name: name, Prog: &ir.Program{Funcs: []*ir.Function{f}}}
-		}
-		m1, err := loader.Load(mkMod("mod1", 111))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rets = append(rets, callAddr(t, k, m1.Symbols["mod1_fn"]))
-		if err := loader.Unload("mod1"); err != nil {
-			t.Fatal(err)
-		}
-		m2, err := loader.Load(mkMod("mod2", 222))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rets = append(rets, callAddr(t, k, m2.Symbols["mod2_fn"]))
-
-		// Snapshot/Restore: rollback bumps the map generation, so every
-		// cached chain link severs and re-validates; the restored machine
-		// must behave exactly like the snapshot.
-		snap := k.Snapshot()
-		rets = append(rets, k.Syscall(kernel.SysGetpid).Ret)
-		if err := k.Restore(snap); err != nil {
-			t.Fatal(err)
-		}
-		rets = append(rets, k.Syscall(kernel.SysGetpid).Ret)
-		return rets, k.CPU.Instrs, k.CPU.Cycles, k.CPU.BlockStats()
-	}
-
-	retsOn, iOn, cOn, bsOn := run(true)
-	retsOff, iOff, cOff, bsOff := run(false)
-	want := []uint64{1, 42, 1, 111, 222, 1, 1}
-	for i := range want {
-		if retsOn[i] != want[i] || retsOff[i] != want[i] {
-			t.Fatalf("returns diverge: on=%v off=%v want %v", retsOn, retsOff, want)
-		}
-	}
-	if iOn != iOff || cOn != cOff {
-		t.Errorf("counters diverge: instrs %d/%d cycles %d/%d", iOn, iOff, cOn, cOff)
-	}
-	if bsOn.Dispatches == 0 || bsOn.Instrs == 0 {
-		t.Errorf("blocks=on must dispatch through the engine: %+v", bsOn)
-	}
-	if bsOn.Chained == 0 {
-		t.Errorf("the syscall path must chain block-to-block: %+v", bsOn)
-	}
-	if bsOff.Dispatches != 0 || bsOff.Chained != 0 {
-		t.Errorf("blocks=off must not dispatch: %+v", bsOff)
-	}
-}
-
 // callAddr calls a kernel address directly on the CPU with a sentinel
 // return address and returns RAX.
 func callAddr(t *testing.T, k *kernel.Kernel, addr uint64) uint64 {
