@@ -25,8 +25,10 @@ func setCovMode(c *CPU, mode int) {
 
 // tickLog is a Ticker that records every deadline into a log it shares
 // with a trap probe, so the log is the interleaved tick/trap stream. With
-// act set it perturbs the machine the way the fault injector does: a data
-// byte flip, a bound-register corruption, or a forced spurious trap.
+// act set it perturbs the machine the way the fault injector does — a data
+// byte flip, a bound-register corruption, or a forced spurious trap — and
+// re-protects the data page, read-only or back to read-write, as an
+// mprotect between two instructions would.
 type tickLog struct {
 	c      *CPU
 	stride uint64
@@ -48,6 +50,14 @@ func (l *tickLog) Tick(rip uint64) uint64 {
 			}
 		case 2:
 			c.Bnd[1] = Bound{LB: uint64(l.ticks), UB: rip}
+		case 3:
+			perm := mem.PermRW
+			if l.ticks%10 == 3 {
+				perm = mem.PermR
+			}
+			if err := c.AS.Protect(dcDataVA, 1, perm); err != nil {
+				panic(err)
+			}
 		case 4:
 			c.Pending = &Trap{Kind: TrapUndefined, Addr: rip, RIP: rip, Mode: c.Mode}
 		}

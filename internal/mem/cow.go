@@ -199,7 +199,7 @@ func (as *AddressSpace) breakCoW(v uint64) *Frame {
 			}
 			// Data-only breaks do not bump mapGen, so the data TLB cannot
 			// self-invalidate; shoot the affected slots down directly.
-			if sl := &as.dtlb[av&(dtlbSize-1)]; sl.pg != nil && sl.vpn == av {
+			if sl := &as.dtlb[av&(dtlbSize-1)]; sl.frame != nil && sl.vpn == av {
 				*sl = dtlbEntry{}
 			}
 		}
