@@ -11,7 +11,7 @@ import (
 // (isa.Jmp takes a label and cannot Encode; raw Imm displacements can).
 func jmpOver(t *testing.T, skip ...isa.Instr) isa.Instr {
 	t.Helper()
-	return isa.Instr{Op: isa.JMP, Imm: int64(len(encodeProg(t, skip...)))}
+	return isa.Instr{Op: isa.JMP, Imm: int64(len(mustEncode(skip...)))}
 }
 
 // TestBlockHotnessGate pins the formation gate: with the default threshold,
@@ -57,7 +57,7 @@ func TestBlockHotnessGate(t *testing.T) {
 // fallthrough is on the next page: the first pass resolves the taken and
 // fallthrough links lazily, the second follows them from the cache with no
 // severs and no re-formation, and every instruction still dispatches through
-// blocks at single-step-identical results.
+// blocks; two passes match the uncached stepper in every engine.
 func TestBlockChainStraightLine(t *testing.T) {
 	dead := isa.Nop()
 	merged := []isa.Instr{
@@ -87,30 +87,25 @@ func TestBlockChainStraightLine(t *testing.T) {
 	const page1 uint64 = dcCodeVA + mem.PageSize
 	q := page1 + 0x40
 	jcc := isa.Instr{Op: isa.JCC, CC: isa.CondE}
-	jAt := page1 - uint64(len(encodeProg(t, isa.CmpRI(isa.RAX, 0), jcc)))
+	jAt := page1 - uint64(len(mustEncode(isa.CmpRI(isa.RAX, 0), jcc)))
 	a := []isa.Instr{isa.MovRI(isa.RAX, 5), {Op: isa.CALL}, isa.AddRI(isa.RAX, 7), {Op: isa.JMP}, isa.MovRI(isa.RBX, 3), isa.Ret()}
-	rips := ripsOf(t, dcCodeVA, a...)
-	a[1] = branchTo(t, a[1], rips[1], rips[4])
-	a[3] = branchTo(t, a[3], rips[3], q)
+	rips := ripsOf(dcCodeVA, a...)
+	a[1] = branchTo(a[1], rips[1], rips[4])
+	a[3] = branchTo(a[3], rips[3], q)
 	j := []isa.Instr{isa.CmpRI(isa.RAX, 0), jcc}
-	j[1] = branchTo(t, jcc, ripsOf(t, jAt, j...)[1], q)
+	j[1] = branchTo(jcc, ripsOf(jAt, j...)[1], q)
 	qp := []isa.Instr{isa.SubRI(isa.RAX, 2), {Op: isa.JMP}}
-	qp[1] = branchTo(t, qp[1], ripsOf(t, q, qp...)[1], jAt)
-	build := func() *CPU {
-		c := rawCPU(t, mem.PermX, a...)
-		pokeProg(t, c, jAt, j...)
-		pokeProg(t, c, page1, isa.MovRI(isa.RCX, 1), isa.Ret())
-		pokeProg(t, c, q, qp...)
-		return c
-	}
+	qp[1] = branchTo(qp[1], ripsOf(q, qp...)[1], jAt)
+	code := make([]byte, q-dcCodeVA)
+	copy(code, mustEncode(a...))
+	copy(code[jAt-dcCodeVA:], mustEncode(j...))
+	copy(code[mem.PageSize:], mustEncode(isa.MovRI(isa.RCX, 1), isa.Ret()))
+	p := &program{name: "chain/cross-page", code: append(code, mustEncode(qp...)...), perm: mem.PermX}
+	sweep(t, p, nil, points(space{engines: allEngines, passes: []int{2}, limits: []uint64{100}}))
 
-	ref := build()
-	ref.SetBlockEngine(false)
-	refRes := mustReturn(t, ref, 100)
-
-	c = build()
-	c.SetBlockHotThreshold(1)
-	res1 := mustReturn(t, c, 100)
+	c = newMachine(t, p, hot1)
+	resetRaw(t, c)
+	mustReturn(t, c, 100)
 	s1 := c.BlockStats()
 	// A, S, R, Q, J, C: six blocks, five chained edges.
 	if s1.Formed != 6 || s1.Dispatches != 6 || s1.Chained != 5 || s1.Severed != 0 {
@@ -145,21 +140,13 @@ func TestBlockChainStraightLine(t *testing.T) {
 	}
 
 	resetRaw(t, c)
-	res2 := mustReturn(t, c, 100)
+	mustReturn(t, c, 100)
 	s2 := c.BlockStats()
 	if s2.Chained != 10 || s2.Severed != 0 || s2.Formed != s1.Formed {
 		t.Fatalf("second pass must follow cached links without re-forming: %+v", s2)
 	}
 	if s2.Instrs != c.Instrs {
 		t.Fatalf("all %d instructions should dispatch via blocks, got %d", c.Instrs, s2.Instrs)
-	}
-	if c.Regs != ref.Regs {
-		t.Fatalf("chained run diverged: regs %x, want %x", c.Regs, ref.Regs)
-	}
-	for _, res := range []*RunResult{res1, res2} {
-		if res.Instrs != refRes.Instrs || res.Cycles != refRes.Cycles {
-			t.Fatalf("counters diverge: %+v vs reference %+v", res, refRes)
-		}
 	}
 }
 
@@ -177,7 +164,7 @@ func TestBlockChainStaleSuccessor(t *testing.T) {
 	c.SetBlockHotThreshold(1)
 	install := func(imm int64) {
 		t.Helper()
-		if err := c.AS.Poke(succVA, encodeProg(t, isa.MovRI(isa.RAX, imm), isa.Ret())); err != nil {
+		if err := c.AS.Poke(succVA, mustEncode(isa.MovRI(isa.RAX, imm), isa.Ret())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +259,7 @@ func TestBlockStatsConsistency(t *testing.T) {
 	}
 
 	// A frame rewrite kills the formed blocks (live count) but no history.
-	if err := c.AS.Poke(dcCodeVA, encodeProg(t, prog...)); err != nil {
+	if err := c.AS.Poke(dcCodeVA, mustEncode(prog...)); err != nil {
 		t.Fatal(err)
 	}
 	s2 := c.BlockStats()
@@ -336,8 +323,8 @@ func TestBlockStatsConsistency(t *testing.T) {
 	}
 	s8 := c.BlockStats()
 	mono("default threshold", s7, s8)
-	if s8.Formed <= s7.Formed || s8.Blocks == 0 || s8.Compiled != s8.Formed {
-		t.Fatalf("every formed block must be compiled: %+v", s8)
+	if s8.Formed <= s7.Formed || s8.Blocks == 0 {
+		t.Fatalf("the entry must form on the threshold-th run: %+v", s8)
 	}
 	for _, p := range c.dc.pages {
 		for i := range p.blocks {

@@ -8,256 +8,43 @@ import (
 	"repro/internal/mem"
 )
 
-// ripProbe records the distinct RIPs an exec probe observes: the reference
-// coverage set that block-granularity coverage must reproduce.
-type ripProbe struct{ rips map[uint64]struct{} }
-
-func (p *ripProbe) OnExec(rip uint64, in *isa.Instr, cycles uint64) { p.rips[rip] = struct{}{} }
-
-func (p *ripProbe) sorted() []uint64 {
-	out := make([]uint64, 0, len(p.rips))
-	for rip := range p.rips {
-		out = append(out, rip)
-	}
-	slices.Sort(out)
-	return out
-}
-
 func sortedRIPs(cv *Coverage) []uint64 {
 	out := cv.RIPs()
 	slices.Sort(out)
 	return out
 }
 
-// covRegions are the bitmap regions every coverage case runs under: one
-// holding all code, and one with unaligned edges that leaves RIPs on both
-// sides of it, so edge words and the outside set are exercised.
-var covRegions = []struct {
-	name       string
-	base, span uint64
-}{
-	{"whole", dcCodeVA, 2 * mem.PageSize},
-	{"partial", dcCodeVA + 5, 50},
-}
-
-// engineMode is one engine configuration the equivalence tests compare.
-type engineMode struct {
-	name          string
-	cache, blocks bool
-	hot           int
-	probed        bool
-}
-
-// covModes are the engine modes a coverage sink must agree across:
-// covModes[0] is the uncached stepper, [2:4] the block engine modes. The
-// probed mode keeps an exec probe armed, so Run single-steps and the sink
-// is marked by Step.
-var covModes = []engineMode{
-	{"uncached", false, false, 1, false},
-	{"cache-only", true, false, 1, false},
-	{"compiled(hot=1)", true, true, 1, false},
-	{"compiled(hot=default)", true, true, DefaultBlockHotThreshold, false},
-	{"compiled+probe", true, true, 1, true},
-}
-
-// loopTo returns a raw JNE back to the start of body, which must end just
-// before the branch.
-func loopTo(t *testing.T, body ...isa.Instr) isa.Instr {
-	t.Helper()
-	j := isa.Instr{Op: isa.JCC, CC: isa.CondNE}
-	jlen := len(encodeProg(t, j))
-	j.Imm = -int64(len(encodeProg(t, body...)) + jlen)
-	return j
-}
-
 // undefinedOpcode returns a byte that does not decode.
-func undefinedOpcode(t *testing.T) byte {
-	t.Helper()
+func undefinedOpcode() byte {
 	for b := 0xFF; b >= 0; b-- {
 		if !isa.Opcode(b).Valid() {
 			return byte(b)
 		}
 	}
-	t.Fatal("every opcode byte is valid")
-	return 0
+	panic("every opcode byte is valid")
 }
 
-// covCase is one program run several passes; limits, when set, bound pass i
-// at limits[i%len(limits)] instructions.
-type covCase struct {
-	name   string
-	code   []byte
-	passes int
-	limits []uint64
-	check  func(t *testing.T, s BlockStats) // optional, on the compiled(hot=1) run
-}
+// cutLimits are Run limits that cut the coverage rows' passes short at
+// many positions, shorter than their first block among them.
+var cutLimits = []uint64{1, 2, 3, 5, 7, 9, 11, 13, 17, 29, 37, 61, 100}
 
-func coverageCases(t *testing.T) []covCase {
-	// Trap mid-block: the loop's load walks off the data page on the ninth
-	// iteration, long after the block has formed and compiled.
-	trapBody := []isa.Instr{
-		isa.MovRI(isa.RAX, 1),
-		isa.Load(isa.RBX, isa.Mem(isa.RDX, 0)),
-		isa.AddRI(isa.RDX, 0x200),
-		isa.SubRI(isa.RCX, 1),
-		isa.CmpRI(isa.RCX, 0),
-	}
-	trap := encodeProg(t, append(append([]isa.Instr{
-		isa.MovRI(isa.RDX, dcDataVA),
-		isa.MovRI(isa.RCX, 12),
-	}, trapBody...), loopTo(t, trapBody...), isa.Ret())...)
-
-	// A trap that always cuts the same block short: the entries after the
-	// faulting load never execute, in any pass.
-	trapTail := encodeProg(t,
-		isa.MovRI(isa.RDX, dcDataVA+mem.PageSize),
-		isa.MovRI(isa.RAX, 1),
-		isa.Load(isa.RBX, isa.Mem(isa.RDX, 0)),
-		isa.MovRI(isa.RCX, 2),
-		isa.Ret(),
-	)
-
-	// Self-modification abort: each iteration's store rewrites the
-	// immediate of a later instruction in the same block.
-	head := []isa.Instr{isa.MovRI(isa.RCX, 6)}
-	smc := []isa.Instr{
-		isa.MovRR(isa.RBX, isa.RCX),
-		isa.MovRI(isa.RSI, 0), // victim address, patched below
-		isa.StoreSz(isa.Mem(isa.RSI, 0), isa.RBX, 1),
-		isa.MovRI(isa.RAX, 1), // victim
-		isa.SubRI(isa.RCX, 1),
-		isa.CmpRI(isa.RCX, 0),
-	}
-	victim := dcCodeVA + uint64(len(encodeProg(t, head...))+len(encodeProg(t, smc[:3]...))) + 2
-	smc[1] = isa.MovRI(isa.RSI, int64(victim))
-	selfMod := encodeProg(t, append(append(head, smc...), loopTo(t, smc...), isa.Ret())...)
-
-	// A counted loop ending in cmp+jcc, the pair the compiler fuses.
-	loopBody := []isa.Instr{
-		isa.AddRR(isa.RAX, isa.RCX),
-		isa.SubRI(isa.RCX, 1),
-		isa.CmpRI(isa.RCX, 0),
-	}
-	loop := encodeProg(t, append(append([]isa.Instr{isa.MovRI(isa.RCX, 10)}, loopBody...),
-		loopTo(t, loopBody...), isa.Ret())...)
-
-	// The loop falls through into an undefined opcode: a cached #UD.
-	ud := append(encodeProg(t, append(append([]isa.Instr{isa.MovRI(isa.RCX, 10)}, loopBody...),
-		loopTo(t, loopBody...))...), undefinedOpcode(t))
-
-	// A kR^X-style range check inside a counted loop: the ja is not taken
-	// while the loop forms (the block continues past it) and taken on the
-	// eleventh iteration, leaving through the side exit to a handler. The
-	// loop's jne back edge makes the block its own successor.
-	rcBody := []isa.Instr{
-		isa.AddRI(isa.RDX, 1),
-		isa.CmpRI(isa.RDX, 10),
-		{Op: isa.JCC, CC: isa.CondA},
-		isa.SubRI(isa.RCX, 1),
-	}
-	rcHead := []isa.Instr{isa.MovRI(isa.RCX, 12), isa.MovRI(isa.RDX, 0)}
-	rcLoop := append(append(append([]isa.Instr{}, rcHead...), rcBody...), loopTo(t, rcBody...), isa.Ret())
-	handler := dcCodeVA + uint64(len(encodeProg(t, rcLoop...)))
-	rips := ripsOf(t, dcCodeVA, rcLoop...)
-	rcLoop[4] = branchTo(t, rcLoop[4], rips[4], handler)
-	rangeCheck := encodeProg(t, append(rcLoop, isa.MovRI(isa.RAX, 7), isa.Ret())...)
-
-	// The IR's loop shape: one block that runs many passes per dispatch.
-	selfLoop := encodeProg(t, irLoop(t, 40)...)
-
-	return []covCase{
-		{name: "side-exit", code: rangeCheck, passes: 6, check: func(t *testing.T, s BlockStats) {
-			if s.SideExits == 0 || s.LoopIters == 0 {
-				t.Errorf("range-check loop never left through a side exit or looped: %+v", s)
-			}
-		}},
-		{name: "self-loop", code: selfLoop, passes: 6, check: func(t *testing.T, s BlockStats) {
-			if s.LoopIters == 0 || s.SideExits == 0 {
-				t.Errorf("loop never ran several passes in one dispatch: %+v", s)
-			}
-		}},
-		// Limits that cut a multi-pass dispatch short at many positions.
-		{name: "self-loop-limits", code: selfLoop, passes: 12, limits: []uint64{9, 37, 61, 13, 100, 29}},
-		{name: "trap-mid-block", code: trap, passes: 6},
-		{name: "trap-tail-unreached", code: trapTail, passes: 6},
-		{name: "self-mod-abort", code: selfMod, passes: 6, check: func(t *testing.T, s BlockStats) {
-			if s.Aborts == 0 {
-				t.Errorf("self-modifying loop never aborted a block: %+v", s)
-			}
-		}},
-		{name: "cmp-jcc-fused", code: loop, passes: 6, check: func(t *testing.T, s BlockStats) {
-			if s.Compiled == 0 || s.Instrs == 0 {
-				t.Errorf("loop never ran compiled blocks: %+v", s)
-			}
-		}},
-		// Every limit is shorter than the first block, so only the single
-		// steps the engine falls back to ever run it.
-		{name: "limit-short", code: loop, passes: 6, limits: []uint64{1, 2, 3}},
-		{name: "limit-mixed", code: loop, passes: 12, limits: []uint64{3, 7, 11, 2, 17, 5}},
-		{name: "cached-ud", code: ud, passes: 6},
-	}
-}
-
-// runCovCase runs cs under one engine mode and bitmap region, with a sink
-// and optionally a recording probe installed.
-func runCovCase(t *testing.T, cs covCase, cache, blocks bool, hot int, base, span uint64, probe *ripProbe) (*Coverage, *CPU) {
-	t.Helper()
-	c := rawCPU(t, mem.PermRWX)
-	if err := c.AS.Poke(dcCodeVA, cs.code); err != nil {
-		t.Fatal(err)
-	}
-	c.SetDecodeCache(cache)
-	c.SetBlockEngine(blocks)
-	c.SetBlockHotThreshold(hot)
-	cv := NewCoverage(base, span)
-	c.SetCoverage(cv)
-	if probe != nil {
-		c.AddProbe(probe)
-	}
-	for i := 0; i < cs.passes; i++ {
-		resetRaw(t, c)
-		var limit uint64 = 1000
-		if len(cs.limits) > 0 {
-			limit = cs.limits[i%len(cs.limits)]
-		}
-		c.Run(limit)
-	}
-	return cv, c
-}
-
-// TestCoverageEquivalence is the coverage differential oracle: in every
-// engine mode, the sink's RIP set equals the set an exec probe records on
-// the uncached stepper, across side exits, self-loops that run several
-// passes in one dispatch (and limits that cut them short), traps mid-block,
-// self-modification aborts, fused cmp+jcc entries, limits shorter than a
-// block, cached #UD slots, and RIPs outside the bitmap.
+// TestCoverageEquivalence is the coverage differential oracle over the
+// coverage rows — side exits, self-loops that run several passes in one
+// dispatch, traps mid-block and with an unreached tail, self-modification
+// aborts, fused cmp+jcc entries and cached #UD slots — in every engine,
+// with and without an exec probe (whose RIP set the sink must equal), over
+// a bitmap holding all code and a window with RIPs on both sides, and at
+// Run limits that cut passes short.
 func TestCoverageEquivalence(t *testing.T) {
-	for _, cs := range coverageCases(t) {
-		for _, r := range covRegions {
-			ref := &ripProbe{rips: map[uint64]struct{}{}}
-			runCovCase(t, cs, false, false, 1, r.base, r.span, ref)
-			want := ref.sorted()
-			if len(want) == 0 {
-				t.Fatalf("%s: reference executed nothing", cs.name)
+	for _, p := range rows("coverage/") {
+		full := point{engine: hot1, region: whole, passes: 6, limit: 1000}
+		sweep(t, p, func(pt point, _ *outcome, c *CPU) {
+			if pt == full {
+				must(t, p.name, c, p.reach)
 			}
-			for _, m := range covModes {
-				var p *ripProbe
-				if m.probed {
-					p = &ripProbe{rips: map[uint64]struct{}{}}
-				}
-				cv, c := runCovCase(t, cs, m.cache, m.blocks, m.hot, r.base, r.span, p)
-				if got := sortedRIPs(cv); !slices.Equal(got, want) {
-					t.Errorf("%s/%s/%s: coverage %#x, want %#x", cs.name, r.name, m.name, got, want)
-				}
-				s := c.BlockStats()
-				if m.probed && s.Dispatches != 0 {
-					t.Errorf("%s/%s: probed run dispatched blocks: %+v", cs.name, m.name, s)
-				}
-				if m.name == "compiled(hot=1)" && r.name == "whole" && cs.check != nil {
-					cs.check(t, s)
-				}
-			}
-		}
+		}, points(space{engines: allEngines, regions: []int{whole, window}, passes: []int{6}, limits: []uint64{1000}},
+			space{engines: []int{hot1}, probe: []bool{true}, regions: []int{whole, window}, passes: []int{6}, limits: []uint64{1000}},
+			space{engines: blockEngines, passes: []int{12}, limits: cutLimits}))
 	}
 }
 
@@ -265,41 +52,28 @@ func TestCoverageEquivalence(t *testing.T) {
 // parent's. It starts with an empty decode cache, so the blocks it runs are
 // ones it forms itself.
 func TestCoverageForkSharedBlocks(t *testing.T) {
-	var cs covCase
-	for _, c := range coverageCases(t) {
-		if c.name == "cmp-jcc-fused" {
-			cs = c
-		}
-	}
-	ref := &ripProbe{rips: map[uint64]struct{}{}}
-	runCovCase(t, covCase{code: cs.code, passes: 1}, false, false, 1, dcCodeVA, mem.PageSize, ref)
-	want := ref.sorted()
+	p := row(t, "coverage/cmp-jcc-fused")
+	want, _ := runPoint(t, p, point{region: whole}, nil)
+	parentOut, parent := runPoint(t, p, point{engine: hot1, region: whole, passes: 6, limit: 1000}, nil)
+	parent.cov.Reset()
 
-	parentCov, parent := runCovCase(t, cs, true, true, 1, dcCodeVA, mem.PageSize, nil)
-	before := sortedRIPs(parentCov)
-	parentCov.Reset()
-
-	as, err := parent.AS.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	child := parent.Fork(as)
+	child := forkOf(t, parent)
 	if child.cov != nil {
 		t.Fatal("Fork must not carry the coverage sink")
 	}
-	childCov := NewCoverage(dcCodeVA, mem.PageSize)
+	childCov := NewCoverage(dcCodeVA, 2*mem.PageSize)
 	child.SetCoverage(childCov)
-	resetRaw(t, child)
+	startPass(t, child, p.seed, 0)
 	child.Run(1000)
 
-	if got := sortedRIPs(childCov); !slices.Equal(got, want) {
-		t.Errorf("child coverage %#x, want %#x", got, want)
+	if got := sortedRIPs(childCov); !slices.Equal(got, want.cover) {
+		t.Errorf("child coverage %#x, want %#x", got, want.cover)
 	}
-	if got := parentCov.RIPs(); len(got) != 0 {
+	if got := parent.cov.RIPs(); len(got) != 0 {
 		t.Errorf("child run marked the parent's sink: %#x", got)
 	}
-	if !slices.Equal(before, want) {
-		t.Errorf("parent coverage %#x, want %#x", before, want)
+	if !slices.Equal(parentOut.cover, want.cover) {
+		t.Errorf("parent coverage %#x, want %#x", parentOut.cover, want.cover)
 	}
 	if s := child.BlockStats(); s.Formed == 0 || s.Dispatches == 0 {
 		t.Errorf("child must form and dispatch its own blocks: %+v", s)

@@ -461,8 +461,8 @@ func (c *CPU) Run(limit uint64) *RunResult {
 	return res
 }
 
-// stepStop is an internal "keep going" sentinel distinct from the exported
-// stop reasons.
+// StepContinue is the stop reason Step returns to mean "keep going": no
+// stop reason Run reports has its value.
 const StepContinue StopReason = 0xFF
 
 // Step executes one instruction. It returns a stop reason (StepContinue to

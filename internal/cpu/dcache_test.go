@@ -1,10 +1,6 @@
 package cpu
 
 import (
-	"bytes"
-	"encoding/binary"
-	"hash/fnv"
-	"math/rand"
 	"testing"
 
 	"repro/internal/isa"
@@ -20,29 +16,11 @@ const (
 	dcStackVA = 0x300000
 )
 
-// rawCPU maps two code pages (perm as given), a data page, and a stack
-// page, installs the encoded program at dcCodeVA, and returns a kernel-mode
-// CPU ready to Run until the sentinel RET.
+// rawCPU is newMachine's machine for prog at the default engine, with code
+// pages of perm codePerm, rewound to the program entry by resetRaw.
 func rawCPU(t *testing.T, codePerm mem.Perm, prog ...isa.Instr) *CPU {
 	t.Helper()
-	as := mem.NewAddressSpace()
-	for _, m := range []struct {
-		va   uint64
-		n    int
-		perm mem.Perm
-	}{
-		{dcCodeVA, 2, codePerm},
-		{dcDataVA, 1, mem.PermRW},
-		{dcStackVA, 1, mem.PermRW},
-	} {
-		if _, err := as.Map(m.va, m.n, m.perm); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := as.Poke(dcCodeVA, encodeProg(t, prog...)); err != nil {
-		t.Fatal(err)
-	}
-	c := New(as)
+	c := newMachine(t, &program{code: mustEncode(prog...), perm: codePerm}, gated)
 	resetRaw(t, c)
 	return c
 }
@@ -56,18 +34,6 @@ func resetRaw(t *testing.T, c *CPU) {
 	if f := c.AS.Write(c.Regs[isa.RSP], StopMagic, 8); f != nil {
 		t.Fatal(f)
 	}
-}
-
-func encodeProg(t *testing.T, prog ...isa.Instr) []byte {
-	t.Helper()
-	var b []byte
-	var err error
-	for _, in := range prog {
-		if b, err = in.Encode(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return b
 }
 
 func mustReturn(t *testing.T, c *CPU, limit uint64) *RunResult {
@@ -121,7 +87,7 @@ func TestDecodeCachePokeInvalidation(t *testing.T) {
 		t.Fatalf("rax = %d, want 1", c.Reg(isa.RAX))
 	}
 
-	if err := c.AS.Poke(dcCodeVA, encodeProg(t, isa.MovRI(isa.RAX, 2))); err != nil {
+	if err := c.AS.Poke(dcCodeVA, mustEncode(isa.MovRI(isa.RAX, 2))); err != nil {
 		t.Fatal(err)
 	}
 	resetRaw(t, c)
@@ -168,29 +134,15 @@ func TestDecodeCacheAliasInvalidation(t *testing.T) {
 // as a #UD slot and replayed without Instrs/Cycles side effects —
 // bit-identical to the slow path's trap.
 func TestDecodeCacheCachedUD(t *testing.T) {
-	mkCPU := func(cacheOn bool) *CPU {
-		as := mem.NewAddressSpace()
-		if _, err := as.Map(dcCodeVA, 1, mem.PermX); err != nil {
-			t.Fatal(err)
-		}
-		bad := byte(0x01)
-		if isa.Opcode(bad).Valid() {
-			t.Fatalf("test assumes 0x%02x is undefined", bad)
-		}
-		if err := as.Poke(dcCodeVA, []byte{bad}); err != nil {
-			t.Fatal(err)
-		}
-		c := New(as)
-		c.SetDecodeCache(cacheOn)
-		c.Mode = Kernel
-		c.RIP = dcCodeVA
+	p := &program{code: []byte{undefinedOpcode()}}
+	mkCPU := func(e int) *CPU {
+		c := newMachine(t, p, e)
+		c.Mode, c.RIP = Kernel, dcCodeVA
 		return c
 	}
 
-	ref := mkCPU(false)
-	_, want := ref.Step()
-
-	c := mkCPU(true)
+	_, want := mkCPU(uncached).Step()
+	c := mkCPU(cacheOnly)
 	for i := 0; i < 2; i++ { // cold (fill -> -1 slot) then cached replay
 		stop, trap := c.Step()
 		if stop != StepContinue || trap == nil {
@@ -212,45 +164,13 @@ func TestDecodeCacheCachedUD(t *testing.T) {
 // never cached — its bytes extend past the frame — so a write to the second
 // page alone must still be observed.
 func TestDecodeCachePageTail(t *testing.T) {
-	run := func(cacheOn bool) (*CPU, *RunResult) {
-		as := mem.NewAddressSpace()
-		if _, err := as.Map(dcCodeVA, 2, mem.PermX); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := as.Map(dcStackVA, 1, mem.PermRW); err != nil {
-			t.Fatal(err)
-		}
-		// Pad with NOPs so a MOVri [op][reg][imm64] starts 3 bytes before
-		// the boundary: 3 bytes on page 0, 7 bytes on page 1.
-		code := bytes.Repeat([]byte{byte(isa.NOP)}, mem.PageSize-3)
-		code, err := isa.MovRI(isa.RBX, 0x1122334455667788).Encode(code)
-		if err != nil {
-			t.Fatal(err)
-		}
-		code, err = isa.Ret().Encode(code)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := as.Poke(dcCodeVA, code); err != nil {
-			t.Fatal(err)
-		}
-		c := New(as)
-		c.SetDecodeCache(cacheOn)
-		resetRaw(t, c)
-		res := c.Run(2 * mem.PageSize)
-		if res.Reason != StopReturn {
-			t.Fatalf("run: %v trap=%v", res.Reason, res.Trap)
-		}
-		return c, res
-	}
-
-	on, resOn := run(true)
-	_, resOff := run(false)
+	// A mov [op][reg][imm64] starts 3 bytes before the page boundary: 3
+	// bytes on page 0, 7 on page 1.
+	p := row(t, "block/page-tail-straddler")
+	sweep(t, p, nil, points(space{engines: allEngines, limits: []uint64{2 * mem.PageSize}}))
+	_, on := runPoint(t, p, point{engine: cacheOnly, limit: 2 * mem.PageSize}, nil)
 	if on.Reg(isa.RBX) != 0x1122334455667788 {
 		t.Fatalf("straddling mov: rbx = %#x", on.Reg(isa.RBX))
-	}
-	if resOn.Instrs != resOff.Instrs || resOn.Cycles != resOff.Cycles {
-		t.Fatalf("cache on/off diverge: %+v vs %+v", resOn, resOff)
 	}
 
 	// Rewrite ONLY the second page's bytes (the straddling instruction's
@@ -259,7 +179,7 @@ func TestDecodeCachePageTail(t *testing.T) {
 	if err := on.AS.Poke(dcCodeVA+mem.PageSize, make([]byte, 7)); err != nil {
 		t.Fatal(err)
 	}
-	resetRaw(t, on)
+	startPass(t, on, p.seed, 0)
 	if res := on.Run(2 * mem.PageSize); res.Reason != StopReturn {
 		t.Fatalf("rerun: %v trap=%v", res.Reason, res.Trap)
 	}
@@ -313,7 +233,7 @@ func TestDecodeCacheRollback(t *testing.T) {
 	c.AS.Checkpoint()
 	mustReturn(t, c, 100)
 
-	if err := c.AS.Poke(dcCodeVA, encodeProg(t, isa.MovRI(isa.RAX, 2))); err != nil {
+	if err := c.AS.Poke(dcCodeVA, mustEncode(isa.MovRI(isa.RAX, 2))); err != nil {
 		t.Fatal(err)
 	}
 	resetRaw(t, c)
@@ -419,129 +339,33 @@ func TestCacheStatsResetUnification(t *testing.T) {
 	}
 }
 
-// dcDigest installs an exec probe folding the callback stream — rip,
-// opcode, and cycle delta of every executed instruction, in order — into a
-// hash readable through the returned pointer.
-func dcDigest(c *CPU) *uint64 {
-	h := fnv.New64a()
-	out := new(uint64)
-	var buf [17]byte
-	c.AddProbe(ExecProbeFunc(func(rip uint64, in *isa.Instr, cycles uint64) {
-		binary.LittleEndian.PutUint64(buf[0:], rip)
-		buf[8] = byte(in.Op)
-		binary.LittleEndian.PutUint64(buf[9:], cycles)
-		h.Write(buf[:])
-		*out = h.Sum64()
-	}))
-	return out
+// mustEncode encodes prog, which must encode.
+func mustEncode(prog ...isa.Instr) []byte {
+	var b []byte
+	for _, in := range prog {
+		var err error
+		if b, err = in.Encode(b); err != nil {
+			panic(err)
+		}
+	}
+	return b
 }
 
-// FuzzDecodeCacheEquivalence is the bit-identical-semantics oracle: random
-// bytes execute as code on a writable+executable page (so programs can and
-// do overwrite themselves), and every architecturally visible outcome —
-// stop reason, trap, Instrs, Cycles, registers, flags, memory, and the
-// OnExec stream — must match between cache-on and cache-off.
+// FuzzDecodeCacheEquivalence fuzzes the decode cache alone: random bytes
+// run as code on read-write-execute pages (so programs can and do
+// overwrite themselves) in the cache-only engine at Run limit 512, with and
+// without an exec probe, each point swept against the uncached stepper.
+// Its seeds are FuzzBlockEquivalence's first three, which sweeps the same
+// points among those of the compiled engines.
 func FuzzDecodeCacheEquivalence(f *testing.F) {
-	f.Add([]byte{byte(isa.NOP), byte(isa.RET)}, uint64(1))
-	f.Add(encodeProgF(isa.MovRI(isa.RAX, 5), isa.AddRI(isa.RAX, 7), isa.Ret()), uint64(2))
-	// A self-modifying seed: store %rbx over our own first instruction.
-	f.Add(encodeProgF(
-		isa.MovRI(isa.RBX, int64(isa.RET)),
-		isa.MovRI(isa.RCX, dcCodeVA),
-		isa.StoreSz(isa.Mem(isa.RCX, 0), isa.RBX, 1),
-		isa.Nop(),
-	), uint64(3))
-
+	for _, p := range rows("fuzz/")[:3] {
+		f.Add(p.code, p.seed)
+	}
+	pts := points(space{engines: []int{cacheOnly}, probe: both, limits: []uint64{512}})
 	f.Fuzz(func(t *testing.T, code []byte, seed uint64) {
 		if len(code) > 2*mem.PageSize {
 			code = code[:2*mem.PageSize]
 		}
-		type outcome struct {
-			res       RunResult
-			trap      Trap
-			faultKind mem.FaultKind
-			faultAddr uint64
-			regs      [isa.NumGPR]uint64
-			rip       uint64
-			flags     uint64
-			digest    uint64
-			memory    []byte
-		}
-		run := func(cacheOn bool) outcome {
-			as := mem.NewAddressSpace()
-			for _, m := range []struct {
-				va   uint64
-				n    int
-				perm mem.Perm
-			}{
-				{dcCodeVA, 2, mem.PermRWX}, // writable code: self-modification in play
-				{dcDataVA, 1, mem.PermRW},
-				{dcStackVA, 1, mem.PermRW},
-			} {
-				if _, err := as.Map(m.va, m.n, m.perm); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := as.Poke(dcCodeVA, code); err != nil {
-				t.Fatal(err)
-			}
-			c := New(as)
-			c.SetDecodeCache(cacheOn)
-			c.Mode = Kernel
-			c.RIP = dcCodeVA
-			// Deterministically seed registers with addresses into the
-			// mapped regions so loads/stores/branches sometimes land.
-			rng := rand.New(rand.NewSource(int64(seed)))
-			bases := []uint64{dcCodeVA, dcDataVA, dcStackVA}
-			for i := range c.Regs {
-				c.Regs[i] = bases[rng.Intn(len(bases))] + uint64(rng.Intn(mem.PageSize))
-			}
-			c.Regs[isa.RSP] = dcStackVA + mem.PageSize - 64
-			if f := as.Write(c.Regs[isa.RSP], StopMagic, 8); f != nil {
-				t.Fatal(f)
-			}
-			digest := dcDigest(c)
-			res := c.Run(512)
-			o := outcome{res: *res, regs: c.Regs, rip: c.RIP, flags: c.RFlags, digest: *digest}
-			if res.Trap != nil {
-				o.trap = *res.Trap
-				o.trap.Fault = nil // pointer field: compared via the two fields below
-				o.res.Trap = nil
-				if f := res.Trap.Fault; f != nil {
-					o.faultKind, o.faultAddr = f.Kind, f.Addr
-				}
-			}
-			for _, r := range []struct {
-				va uint64
-				n  int
-			}{{dcCodeVA, 2 * mem.PageSize}, {dcDataVA, mem.PageSize}, {dcStackVA, mem.PageSize}} {
-				b, err := as.Peek(r.va, r.n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				o.memory = append(o.memory, b...)
-			}
-			return o
-		}
-
-		on, off := run(true), run(false)
-		if on.res != off.res || on.trap != off.trap ||
-			on.faultKind != off.faultKind || on.faultAddr != off.faultAddr ||
-			on.regs != off.regs ||
-			on.rip != off.rip || on.flags != off.flags || on.digest != off.digest {
-			t.Fatalf("cache on/off diverge:\n on: %+v trap=%+v rip=%#x digest=%#x\noff: %+v trap=%+v rip=%#x digest=%#x",
-				on.res, on.trap, on.rip, on.digest, off.res, off.trap, off.rip, off.digest)
-		}
-		if !bytes.Equal(on.memory, off.memory) {
-			t.Fatal("cache on/off diverge in final memory")
-		}
+		sweep(t, &program{name: "raw", code: code, seed: seed}, nil, pts)
 	})
-}
-
-func encodeProgF(prog ...isa.Instr) []byte {
-	var b []byte
-	for _, in := range prog {
-		b, _ = in.Encode(b)
-	}
-	return b
 }

@@ -168,7 +168,7 @@ func TestRepStosUserKernelBoundary(t *testing.T) {
 	if _, err := as.Map(lastUser, 1, mem.PermRW); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.Poke(codeVA, encodeProg(t, isa.Stos(8, true), isa.Ret())); err != nil {
+	if err := as.Poke(codeVA, mustEncode(isa.Stos(8, true), isa.Ret())); err != nil {
 		t.Fatal(err)
 	}
 	c := New(as)

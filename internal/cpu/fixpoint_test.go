@@ -103,7 +103,7 @@ func (l loopSpec) emit(a *asmProg) loopLabels {
 // prog returns the loop as a program that returns after it, and its labels'
 // code offsets.
 func (l loopSpec) prog() (code []byte, top, after, jcc uint64) {
-	a := &asmProg{refs: map[int]int{}}
+	a := &asmProg{}
 	lb := l.emit(a)
 	a.emit(isa.Ret())
 	return a.encode(), a.labelOff(lb.top), a.labelOff(lb.after), a.labelOff(lb.jcc)
@@ -228,101 +228,24 @@ func TestFixpointClassification(t *testing.T) {
 	}
 }
 
-// fixCases are the loops TestFixpointMatchesStepper runs, with the Run
-// limits each is replayed at (0: unlimited, for loops that end).
-func fixCases() []struct {
-	name   string
-	l      loopSpec
-	limits []uint64
-	skips  bool
-} {
-	sel := selectSpec(1<<16, selectBitmap)
-	with := func(l loopSpec, f func(*loopSpec)) loopSpec {
-		l.body = slices.Clone(l.body)
-		f(&l)
-		return l
-	}
-	short := []uint64{37, 1000, 20000, 0}
-	return []struct {
-		name   string
-		l      loopSpec
-		limits []uint64
-		skips  bool
-	}{
-		{"select(1<<16)", sel, []uint64{37, 1000, 20000, 524288, 524290, 524291, 0}, true},
-		{"select/rotated", with(sel, func(l *loopSpec) { l.twice, l.pre = true, 1<<16 }), short, true},
-		{"select/watchdog", with(sel, func(l *loopSpec) { l.bound = 1 << 62 }), []uint64{37, 20000, 100000}, true},
-		// Only the top and bottom bits set: %rax stops changing after the
-		// first pass while %r9 is still shifting its top bit down.
-		{"select/sparse-bitmap", with(sel, func(l *loopSpec) { l.setup[0] = isa.MovRI(isa.R9, -1<<63|1) }), short, true},
-		{"select/step-before-cmp", with(sel, func(l *loopSpec) { l.shape = fixMid }), short, true},
-		// The counter feeds %r10, which is 0 for 256 passes and then 1, 2,
-		// 3: a loop that looks settled and is not.
-		{"counter-feeds-register", with(sel, func(l *loopSpec) {
-			l.bound = 1000
-			l.body[0], l.body[1] = isa.MovRR(isa.R10, isa.RCX), isa.ShrRI(isa.R10, 8)
-		}), short, false},
-		{"signed-up", loopSpec{body: []isa.Instr{isa.ShrRI(isa.RBX, 3), isa.OrRI(isa.RDX, 0x10)},
-			ctr: isa.R11, init: -300, step: isa.AddRI(isa.R11, 1), bound: 200, imm: true, exit: isa.CondGE}, short, true},
-		{"signed-down-right-operand", loopSpec{body: []isa.Instr{isa.MovRI(isa.RBX, 9)},
-			ctr: isa.R11, init: 500, step: isa.Dec(isa.R11), bound: -100, bnd: isa.R10, swap: true, exit: isa.CondGE}, short, true},
-		// Counts up through 2^64-1 and wraps to 0 on its way to 50.
-		{"unsigned-wrap", loopSpec{body: []isa.Instr{isa.XorRR(isa.RDX, isa.RDX)},
-			ctr: isa.R11, init: -100, step: isa.Inc(isa.R11), bound: 50, imm: true, exit: isa.CondE}, short, true},
-		// Counts up through the largest signed value, where ctr > -5 fails.
-		{"signed-wrap", loopSpec{body: []isa.Instr{isa.AndRI(isa.RBX, 0)},
-			ctr: isa.R11, init: 1<<63 - 128, step: isa.Inc(isa.R11), bound: -5, bnd: isa.R10, exit: isa.CondLE}, short, true},
-		{"bottom-tested", loopSpec{body: []isa.Instr{isa.MovRR(isa.RDX, isa.R8), isa.AddRI(isa.R12, 1)},
-			shape: fixBottom, ctr: isa.R11, init: 400, step: isa.SubRI(isa.R11, 1), bound: 3, bnd: isa.R10, exit: isa.CondB}, short, true},
-		{"never-settles", loopSpec{body: []isa.Instr{isa.AddRI(isa.RAX, 3)},
-			ctr: isa.R11, init: 0, step: isa.Inc(isa.R11), bound: 300, imm: true, exit: isa.CondAE}, short, false},
-		// %rbx toggles every pass, so the loop never settles. Its second
-		// visit's first pass leaves %rbx as the first visit's last pass
-		// did: a skip that compared with what an earlier dispatch recorded
-		// would fire here.
-		{"toggle/second-visit", loopSpec{setup: []isa.Instr{isa.MovRI(isa.RBX, 0)},
-			body: []isa.Instr{{Op: isa.XORri, Dst: isa.RBX, Imm: 1}}, twice: true, pre: 290,
-			ctr: isa.R11, init: 0, step: isa.Inc(isa.R11), bound: 300, imm: true, exit: isa.CondAE}, short, false},
-	}
-}
-
-// TestFixpointMatchesStepper runs each fixpoint loop, eagerly formed and
+// TestFixpointMatchesStepper runs each fixpoint row, eagerly formed and
 // behind the default hotness gate, against the uncached stepper: at Run
 // limits that land before, inside and after the skipped span, and with a
 // ticker whose deadlines land inside it, with and without injector-style
-// perturbations. Registers, flags, Instrs, Cycles, coverage and the tick
-// stream must all match. It catches a skip of one pass too many, a skip
-// past the budget or the tick deadline, a skip before every non-induction
-// register has settled, and a classifier that lets an induction register
-// feed another register.
+// perturbations. It catches a skip of one pass too many, a skip past the
+// budget or the tick deadline, a skip before every non-induction register
+// has settled, and a classifier that lets an induction register feed
+// another register. The rows whose reach names LoopSkipped must skip
+// passes; the others must never.
 func TestFixpointMatchesStepper(t *testing.T) {
-	for _, tc := range fixCases() {
-		code, _, _, _ := tc.l.prog()
+	for _, p := range rows("fixpoint/") {
 		skipped := false
-		for _, limit := range tc.limits {
-			want := runBlockCase(t, code, 1, covModes[0], limit, 0, false, nil)
-			for _, m := range covModes[2:4] {
-				c, cv := newBlockCaseCPU(t, code, 1, m)
-				got := runCaseOn(t, c, cv, limit, 0, false, nil)
-				if d := got.diff(&want); d != "" {
-					t.Fatalf("%s, limit %d: %s vs uncached diverge in %s", tc.name, limit, m.name, d)
-				}
-				skipped = skipped || c.BlockStats().LoopSkipped > 0
-			}
-		}
-		if skipped != tc.skips {
-			t.Errorf("%s: skipped passes %v, want %v", tc.name, skipped, tc.skips)
-		}
-		for _, stride := range []uint64{3, 1000, 4099} {
-			for _, act := range []bool{false, true} {
-				want := runBlockCase(t, code, 1, covModes[0], 20000, stride, act, nil)
-				for _, m := range covModes[2:4] {
-					got := runBlockCase(t, code, 1, m, 20000, stride, act, nil)
-					if d := got.diff(&want); d != "" {
-						t.Fatalf("%s, tick stride %d act=%v: %s vs uncached diverge in %s", tc.name, stride, act, m.name, d)
-					}
-				}
-			}
+		sweep(t, p, func(_ point, _ *outcome, c *CPU) {
+			skipped = skipped || c.BlockStats().LoopSkipped > 0
+		}, points(space{engines: blockEngines, limits: p.limits},
+			space{engines: blockEngines, limits: []uint64{20000}, strides: []uint64{3, 1000, 4099}, act: both}))
+		if want := p.reach != ""; skipped != want {
+			t.Errorf("%s: skipped passes %v, want %v", p.name, skipped, want)
 		}
 	}
 }
@@ -333,18 +256,14 @@ func TestFixpointMatchesStepper(t *testing.T) {
 // skipped (3 dispatches, 65535 loop passes, every instruction a block
 // instruction and a decode-cache hit), while nearly all passes are skipped.
 func TestFixpointSelectAccounting(t *testing.T) {
-	code, _, _, _ := selectSpec(1<<16, selectBitmap).prog()
-	want := runBlockCase(t, code, 1, covModes[0], 0, 0, false, nil)
-	c, cv := newBlockCaseCPU(t, code, 1, covModes[2])
-	if got := runCaseOn(t, c, cv, 0, 0, false, nil); got.diff(&want) != "" {
-		t.Fatalf("diverges from the uncached stepper in %s", got.diff(&want))
-	}
-	s := c.BlockStats()
-	if hits := c.DecodeCacheStats().Hits; s.Dispatches != 3 || s.LoopIters != 1<<16-1 || s.Instrs != want.instrs || hits != want.instrs {
-		t.Errorf("dispatches %d, loop_iters %d, block instrs %d, dcache hits %d; want 3, %d, %d, %d",
-			s.Dispatches, s.LoopIters, s.Instrs, hits, 1<<16-1, want.instrs, want.instrs)
-	}
-	if s.LoopSkipped < s.LoopIters-80 || s.LoopSkipped > s.LoopIters {
-		t.Errorf("skipped %d of %d passes, want all but the ~66 before the bitmap drains", s.LoopSkipped, s.LoopIters)
-	}
+	sweep(t, row(t, "fixpoint/select(1<<16)"), func(_ point, o *outcome, c *CPU) {
+		s, n := c.BlockStats(), o.passes[0].Instrs
+		if hits := c.DecodeCacheStats().Hits; s.Dispatches != 3 || s.LoopIters != 1<<16-1 || s.Instrs != n || hits != n {
+			t.Errorf("dispatches %d, loop_iters %d, block instrs %d, dcache hits %d; want 3, %d, %d, %d",
+				s.Dispatches, s.LoopIters, s.Instrs, hits, 1<<16-1, n, n)
+		}
+		if s.LoopSkipped < s.LoopIters-80 || s.LoopSkipped > s.LoopIters {
+			t.Errorf("skipped %d of %d passes, want all but the ~66 before the bitmap drains", s.LoopSkipped, s.LoopIters)
+		}
+	}, []point{{engine: hot1}})
 }

@@ -21,79 +21,6 @@ import (
 // flags AT the trap point, not just at the final RET.
 const fusionUnmappedVA = 0x50000
 
-// fusionOutcome is everything architecturally visible after a program ran.
-type fusionOutcome struct {
-	res       RunResult
-	trap      Trap
-	faultKind mem.FaultKind
-	faultAddr uint64
-	regs      [isa.NumGPR]uint64
-	rip       uint64
-	flags     uint64
-	instrs    uint64
-	cycles    uint64
-}
-
-// runFusionProgram executes code (already encoded) 4 times on one CPU under
-// the given engine configuration — enough repeats to cross the default
-// hotness gate, so hot=DefaultBlockHotThreshold genuinely mixes stepped and
-// block-dispatched executions of the same bytes — and returns the outcome
-// of every repeat plus the CPU.
-func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn bool, hot int) ([]fusionOutcome, *CPU) {
-	t.Helper()
-	as := mem.NewAddressSpace()
-	for _, m := range []struct {
-		va   uint64
-		n    int
-		perm mem.Perm
-	}{
-		{dcCodeVA, 2, mem.PermX},
-		{dcDataVA, 1, mem.PermRW},
-		{dcStackVA, 1, mem.PermRW},
-	} {
-		if _, err := as.Map(m.va, m.n, m.perm); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := as.Poke(dcCodeVA, code); err != nil {
-		t.Fatal(err)
-	}
-	c := New(as)
-	c.SetDecodeCache(cacheOn)
-	c.SetBlockEngine(blocksOn)
-	c.SetBlockHotThreshold(hot)
-
-	var outs []fusionOutcome
-	for rep := 0; rep < 4; rep++ {
-		c.Mode = Kernel
-		c.RIP = dcCodeVA
-		// Deterministic register state per repeat (flags carry over from the
-		// previous repeat — more flag histories through the same blocks).
-		for i := range c.Regs {
-			c.Regs[i] = uint64(rep+1)*0x0101010101010101 + uint64(i)
-		}
-		c.Regs[isa.RSP] = dcStackVA + mem.PageSize - 64
-		if f := as.Write(c.Regs[isa.RSP], StopMagic, 8); f != nil {
-			t.Fatal(f)
-		}
-		res := c.Run(2048)
-		o := fusionOutcome{
-			res: *res, regs: c.Regs, rip: c.RIP, flags: c.RFlags,
-			instrs: c.Instrs, cycles: c.Cycles,
-		}
-		if res.Trap != nil {
-			o.trap = *res.Trap
-			o.trap.Fault = nil
-			o.res.Trap = nil
-			if f := res.Trap.Fault; f != nil {
-				o.faultKind, o.faultAddr = f.Kind, f.Addr
-			}
-		}
-		outs = append(outs, o)
-	}
-	return outs, c
-}
-
 // midBlockFusions counts the compiled cmp/test+jcc thunks of c's live blocks
 // whose jcc is a side exit rather than the block's last entry.
 func midBlockFusions(c *CPU) int {
@@ -200,47 +127,28 @@ func genFusionProgram(rng *rand.Rand) []isa.Instr {
 }
 
 // TestFusionFlagProperty is the fused-thunk flag-semantics property test:
-// for random straight-line ALU programs with injected flag observers, block
-// boundaries, side exits, and traps, every engine configuration — uncached
-// interpreter, cache-only, compiled blocks eager and hotness-gated — must agree on ALL of CF/OF/SF/ZF/PF (the full %rflags),
-// registers, Instrs, Cycles, and the trap, at every run boundary and at
-// every injected trap. The uncached interpreter is the semantic reference.
-// The corpus must reach cmp+jcc fusion mid-block and side exits taken by
-// compiled blocks (the repeats start from different registers, so a branch
-// untaken when its block formed is taken later).
+// over the fusion rows, random straight-line ALU programs with injected
+// flag observers, block boundaries, side exits and traps, run four passes
+// a machine (enough to cross the default hotness gate, so the gated engine
+// mixes stepped and block-dispatched executions of the same bytes), every
+// engine must agree with the uncached stepper on all of the flags at every
+// pass boundary and injected trap. The corpus must reach cmp+jcc fusion
+// mid-block and side exits taken by compiled blocks (each pass starts from
+// other registers, so a branch untaken when its block formed is taken
+// later).
 func TestFusionFlagProperty(t *testing.T) {
-	modes := []struct {
-		name          string
-		cache, blocks bool
-		hot           int
-	}{
-		{"cache-only", true, false, 1},
-		{"compiled-hot1", true, true, 1},
-		{"compiled-gated", true, true, DefaultBlockHotThreshold},
-	}
-	var totalFused, sideExits uint64
+	var fused, sideExits uint64
 	var midFused int
-	for seed := int64(0); seed < 120; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		prog := genFusionProgram(rng)
-		code := encodeProg(t, prog...)
-		ref, _ := runFusionProgram(t, code, false, false, 1)
-		for _, m := range modes {
-			got, c := runFusionProgram(t, code, m.cache, m.blocks, m.hot)
-			if m.name == "compiled-hot1" {
-				totalFused += c.BlockStats().Fused
+	for _, p := range rows("fusion/") {
+		sweep(t, p, func(pt point, _ *outcome, c *CPU) {
+			if pt.engine == hot1 {
+				fused += c.BlockStats().Fused
 				sideExits += c.BlockStats().SideExits
 				midFused += midBlockFusions(c)
 			}
-			for rep := range ref {
-				if got[rep] != ref[rep] {
-					t.Fatalf("seed %d rep %d: %s diverges from uncached reference:\n got: %+v\nwant: %+v\nprogram:\n%v",
-						seed, rep, m.name, got[rep], ref[rep], prog)
-				}
-			}
-		}
+		}, points(space{engines: allEngines, passes: []int{4}, limits: []uint64{2048}}))
 	}
-	if totalFused == 0 {
+	if fused == 0 {
 		t.Fatal("property corpus never exercised a fused thunk — generator or liveness pass is broken")
 	}
 	if midFused == 0 || sideExits == 0 {
@@ -348,8 +256,8 @@ func TestCompileFusionCounts(t *testing.T) {
 			if got := c.BlockStats().Fused; got != tc.fused {
 				t.Fatalf("Fused = %d, want %d (stats %+v)", got, tc.fused, c.BlockStats())
 			}
-			if c.BlockStats().Compiled == 0 {
-				t.Fatal("no block compiled")
+			if c.BlockStats().Formed == 0 {
+				t.Fatal("no block formed")
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -12,29 +11,19 @@ import (
 // ripsOf returns the address of each instruction of prog laid out at va.
 // Branch displacements do not change an encoding's length, so the result
 // holds before and after branchTo patches them.
-func ripsOf(t *testing.T, va uint64, prog ...isa.Instr) []uint64 {
-	t.Helper()
+func ripsOf(va uint64, prog ...isa.Instr) []uint64 {
 	rips := make([]uint64, len(prog))
 	for i, in := range prog {
 		rips[i] = va
-		va += uint64(len(encodeProg(t, in)))
+		va += uint64(len(mustEncode(in)))
 	}
 	return rips
 }
 
 // branchTo returns the rel32 branch in, encoded at va, retargeted at target.
-func branchTo(t *testing.T, in isa.Instr, va, target uint64) isa.Instr {
-	t.Helper()
-	in.Imm = int64(target - va - uint64(len(encodeProg(t, in))))
+func branchTo(in isa.Instr, va, target uint64) isa.Instr {
+	in.Imm = int64(target - va - uint64(len(mustEncode(in))))
 	return in
-}
-
-// pokeProg encodes prog at va.
-func pokeProg(t *testing.T, c *CPU, va uint64, prog ...isa.Instr) {
-	t.Helper()
-	if err := c.AS.Poke(va, encodeProg(t, prog...)); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestSuperblockFormation pins formBlock's rules: which instructions a block
@@ -51,8 +40,8 @@ func TestSuperblockFormation(t *testing.T) {
 		// cmp rax,rax sets ZF, so the jne is not taken.
 		prog := []isa.Instr{isa.MovRI(isa.RAX, 1), isa.CmpRR(isa.RAX, isa.RAX),
 			{Op: isa.JCC, CC: isa.CondNE}, isa.MovRI(isa.RBX, 2), isa.Ret()}
-		rips := ripsOf(t, dcCodeVA, prog...)
-		prog[2] = branchTo(t, prog[2], rips[2], rips[4])
+		rips := ripsOf(dcCodeVA, prog...)
+		prog[2] = branchTo(prog[2], rips[2], rips[4])
 		return prog
 	}
 	tail := mem.PageSize - 5 // a 10-byte mov here straddles into page 1
@@ -70,8 +59,8 @@ func TestSuperblockFormation(t *testing.T) {
 			at:   dcCodeVA,
 			prog: func(t *testing.T) []isa.Instr {
 				prog := []isa.Instr{isa.MovRI(isa.RAX, 1), {Op: isa.JMP}, isa.Nop(), isa.MovRI(isa.RBX, 2), isa.Ret()}
-				rips := ripsOf(t, dcCodeVA, prog...)
-				prog[1] = branchTo(t, prog[1], rips[1], rips[3])
+				rips := ripsOf(dcCodeVA, prog...)
+				prog[1] = branchTo(prog[1], rips[1], rips[3])
 				return prog
 			},
 			want: []int{0, 1, 3, 4},
@@ -100,7 +89,7 @@ func TestSuperblockFormation(t *testing.T) {
 			at:   dcCodeVA,
 			prog: func(t *testing.T) []isa.Instr {
 				prog := []isa.Instr{isa.MovRI(isa.RAX, 1), {Op: isa.JMP}, isa.Nop()}
-				prog[1] = branchTo(t, prog[1], ripsOf(t, dcCodeVA, prog...)[1], dcCodeVA+mem.PageSize)
+				prog[1] = branchTo(prog[1], ripsOf(dcCodeVA, prog...)[1], dcCodeVA+mem.PageSize)
 				return prog
 			},
 			want: []int{0, 1},
@@ -116,8 +105,8 @@ func TestSuperblockFormation(t *testing.T) {
 			at:   dcCodeVA,
 			prog: func(t *testing.T) []isa.Instr {
 				prog := []isa.Instr{isa.MovRI(isa.RAX, 1), isa.AddRI(isa.RAX, 1), {Op: isa.JMP}}
-				rips := ripsOf(t, dcCodeVA, prog...)
-				prog[2] = branchTo(t, prog[2], rips[2], rips[1])
+				rips := ripsOf(dcCodeVA, prog...)
+				prog[2] = branchTo(prog[2], rips[2], rips[1])
 				return prog
 			},
 			want: []int{0, 1, 2},
@@ -149,7 +138,7 @@ func TestSuperblockFormation(t *testing.T) {
 			name: "stops-at-cached-ud",
 			at:   dcCodeVA,
 			prog: func(*testing.T) []isa.Instr { return []isa.Instr{isa.MovRI(isa.RAX, 1)} },
-			raw:  []byte{undefinedOpcode(t)},
+			raw:  []byte{undefinedOpcode()},
 			want: []int{0},
 			post: func(t *testing.T, p *dcPage) {
 				if p.idx[10] != -1 {
@@ -162,9 +151,11 @@ func TestSuperblockFormation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := tc.prog(t)
 			c := rawCPU(t, mem.PermRWX)
-			pokeProg(t, c, tc.at, prog...)
+			if err := c.AS.Poke(tc.at, mustEncode(prog...)); err != nil {
+				t.Fatal(err)
+			}
 			if len(tc.raw) > 0 {
-				if err := c.AS.Poke(tc.at+uint64(len(encodeProg(t, prog...))), tc.raw); err != nil {
+				if err := c.AS.Poke(tc.at+uint64(len(mustEncode(prog...))), tc.raw); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -177,7 +168,7 @@ func TestSuperblockFormation(t *testing.T) {
 				t.Fatalf("no block formed: %d", bi)
 			}
 			b := &p.blocks[bi-1]
-			rips := ripsOf(t, tc.at, prog...)
+			rips := ripsOf(tc.at, prog...)
 			var want, got []uint64
 			for _, i := range tc.want {
 				want = append(want, rips[i])
@@ -235,127 +226,42 @@ func TestSuperblockFullPage(t *testing.T) {
 	}
 }
 
-// irLoop is the IR's loop shape: head: cmp rcx,n; jae exit / body; jmp head.
-// The block formed at head takes in the whole loop and exits to itself.
-func irLoop(t *testing.T, n int32) []isa.Instr {
-	t.Helper()
-	prog := []isa.Instr{
-		isa.MovRI(isa.RCX, 0),
-		isa.MovRI(isa.RAX, 0),
-		isa.CmpRI(isa.RCX, n), // head
-		{Op: isa.JCC, CC: isa.CondAE},
-		isa.AddRR(isa.RAX, isa.RCX),
-		isa.AddRI(isa.RCX, 1),
-		{Op: isa.JMP},
-		isa.Ret(), // exit
-	}
-	rips := ripsOf(t, dcCodeVA, prog...)
-	prog[3] = branchTo(t, prog[3], rips[3], rips[7])
-	prog[6] = branchTo(t, prog[6], rips[6], rips[2])
-	return prog
-}
-
-// runState renders everything architecturally visible after a run.
-func runState(c *CPU, res *RunResult) string {
-	return fmt.Sprintf("%v trap=%v rip=%#x regs=%x flags=%#x instrs=%d cycles=%d",
-		res.Reason, res.Trap, c.RIP, c.Regs, c.RFlags, c.Instrs, c.Cycles)
-}
-
 // TestSuperblockSelfLoop: an IR-shaped loop runs as one block that loops
 // inside its dispatch and leaves through its side exit, with the uncached
-// stepper's exact state at every Run limit — so a limit that cuts the
+// stepper's exact state at every Run limit, so a limit that cuts the
 // passes short lands on the same instruction.
 func TestSuperblockSelfLoop(t *testing.T) {
-	prog := irLoop(t, 50)
-	ref := rawCPU(t, mem.PermX, prog...)
-	ref.SetDecodeCache(false)
-	refRes := mustReturn(t, ref, 1000)
-	if ref.Reg(isa.RAX) != 49*50/2 {
-		t.Fatalf("reference sum %d", ref.Reg(isa.RAX))
+	p := row(t, "superblock/self-loop")
+	ref, c := runPoint(t, p, point{limit: 1000}, nil)
+	if c.Reg(isa.RAX) != 49*50/2 {
+		t.Fatalf("reference sum %d", c.Reg(isa.RAX))
 	}
-
-	c := rawCPU(t, mem.PermX, prog...)
-	c.SetBlockHotThreshold(1)
-	res := mustReturn(t, c, 1000)
-	if got, want := runState(c, res), runState(ref, refRes); got != want {
-		t.Fatalf("self-loop run diverges:\n got %s\nwant %s", got, want)
-	}
-	s := c.BlockStats()
-	if s.LoopIters < 40 || s.SideExits != 1 || s.Dispatches > 6 || s.Instrs != c.Instrs {
-		t.Fatalf("the loop must run as one self-looping block and leave by its side exit: %+v", s)
-	}
-
-	for limit := uint64(1); limit <= refRes.Instrs+1; limit++ {
-		ref := rawCPU(t, mem.PermX, prog...)
-		ref.SetDecodeCache(false)
-		want := runState(ref, ref.Run(limit))
-		for _, hot := range []int{1, DefaultBlockHotThreshold} {
-			c := rawCPU(t, mem.PermX, prog...)
-			c.SetBlockHotThreshold(hot)
-			if got := runState(c, c.Run(limit)); got != want {
-				t.Fatalf("limit %d hot %d:\n got %s\nwant %s", limit, hot, got, want)
-			}
+	full := point{engine: hot1, limit: 1000}
+	sweep(t, p, func(pt point, _ *outcome, c *CPU) {
+		if s := c.BlockStats(); pt == full && (s.LoopIters < 40 || s.SideExits != 1 || s.Dispatches > 6 || s.Instrs != c.Instrs) {
+			t.Fatalf("the loop must run as one self-looping block and leave by its side exit: %+v", s)
 		}
-	}
+	}, append(points(space{engines: blockEngines, limits: upTo(ref.passes[0].Instrs + 1)}), full))
 }
 
 // TestSuperblockSelfLoopStoresOwnPage: a self-loop whose last entry is a
-// store walks its target down a page per pass through five scratch pages
-// and the second code page, then onto the block's own page, where it
-// rewrites the immediate of the loop's sub. The block is looping inside one
-// dispatch by then; it must notice its page changed before running another
-// pass, so the next pass subtracts the new immediate.
+// store walks its target onto the block's own page, where it rewrites the
+// immediate of the loop's sub. The block is looping inside one dispatch by
+// then; it must notice its page changed before running another pass, so
+// the next pass subtracts the new immediate.
 func TestSuperblockSelfLoopStoresOwnPage(t *testing.T) {
-	const y = dcCodeVA + 0x100
-	loop := []isa.Instr{
-		isa.StoreSz(isa.Mem(isa.RSI, 0), isa.RBX, 1), // Y
-		isa.SubRI(isa.RCX, 1),                        // X, the block entry
-		{Op: isa.JCC, CC: isa.CondLE},
-		isa.AddRR(isa.RSI, isa.RDX),
-		{Op: isa.JMP},
-		isa.Ret(), // out
-	}
-	rips := ripsOf(t, y, loop...)
-	x, out := rips[1], rips[5]
-	loop[2] = branchTo(t, loop[2], rips[2], out)
-	loop[4] = branchTo(t, loop[4], rips[4], y)
-	victim := x + 2 // the sub's imm32 low byte
-	setup := []isa.Instr{
-		isa.MovRI(isa.RCX, 20),
-		isa.MovRI(isa.RBX, 2),
-		isa.MovRI(isa.RDX, -mem.PageSize),
-		isa.MovRI(isa.RSI, int64(victim+6*mem.PageSize)),
-		{Op: isa.JMP},
-	}
-	setup[4] = branchTo(t, setup[4], ripsOf(t, dcCodeVA, setup...)[4], x)
-	build := func() *CPU {
-		c := rawCPU(t, mem.PermRWX, setup...)
-		pokeProg(t, c, y, loop...)
-		if _, err := c.AS.Map(dcCodeVA+2*mem.PageSize, 5, mem.PermRW); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-
-	ref := build()
-	ref.SetDecodeCache(false)
-	want := runState(ref, ref.Run(1000))
-	// Passes 1-6 subtract 1 (20 -> 14), pass 6's store patches the sub, and
-	// pass 7 subtracts 2 before its store faults below the code.
-	if ref.Reg(isa.RCX) != 12 {
-		t.Fatalf("reference rcx = %d, want 12 (%s)", ref.Reg(isa.RCX), want)
-	}
-	for _, m := range covModes[2:4] {
-		c := build()
-		c.SetBlockHotThreshold(m.hot)
-		if got := runState(c, c.Run(1000)); got != want {
-			t.Fatalf("%s:\n got %s\nwant %s", m.name, got, want)
+	p := row(t, "superblock/stores-own-page")
+	sweep(t, p, func(pt point, o *outcome, c *CPU) {
+		// Passes 1-6 subtract 1 (20 -> 14), pass 6's store patches the sub,
+		// and pass 7 subtracts 2 before its store faults below the code.
+		if rcx := o.passes[0].Regs[isa.RCX]; rcx != 12 {
+			t.Fatalf("rcx = %d, want 12", rcx)
 		}
 		// Under hot=1 pass 1 runs inside the setup block, which jumps into
-		// the loop; the loop's block forms, compiled, on its first dispatch
-		// (pass 2) and loops through passes 3-6 before the patch stops it.
-		if s := c.BlockStats(); m.name == "compiled(hot=1)" && s.LoopIters != 4 {
-			t.Fatalf("%s: the store loop never looped inside a dispatch: %+v", m.name, s)
+		// the loop; the loop's block forms on its first dispatch (pass 2)
+		// and loops through passes 3-6 before the patch stops it.
+		if s := c.BlockStats(); pt.engine == hot1 && s.LoopIters != 4 {
+			t.Fatalf("the store loop never looped inside a dispatch: %+v", s)
 		}
-	}
+	}, points(space{engines: blockEngines, limits: []uint64{1000}}))
 }
