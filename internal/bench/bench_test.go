@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -360,5 +364,34 @@ func TestSweepBuildsEachConfigOnce(t *testing.T) {
 	}
 	if kernel.BuildCache().Stats().Hits == 0 {
 		t.Fatal("the second sweep produced no cache hits")
+	}
+}
+
+// TestTablesDigestPinned pins the bytes `krxbench -table1 -table2` prints:
+// the SHA-256 of both tables at the default 10 iterations must equal
+// testdata/tables.sha256. Every cell is an emulated-cycle ratio, so any
+// change to the cycles an op consumes, or to how a column is measured,
+// shows here. A deliberate change regenerates the file with
+// `go run ./cmd/krxbench -table1 -table2 | sha256sum`.
+func TestTablesDigestPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full table sweep")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "tables.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, err := RunTable1(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := RunTable2(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := t1.Format() + "\n" + t2.Format() + "\n"
+	sum := sha256.Sum256([]byte(out))
+	if got := hex.EncodeToString(sum[:]); got != strings.TrimSpace(string(want)) {
+		t.Fatalf("tables digest %s, want %s; the tables now read:\n%s", got, strings.TrimSpace(string(want)), out)
 	}
 }

@@ -8,6 +8,7 @@ package bench
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/core"
@@ -328,9 +329,14 @@ func measureOps(cfg core.Config, ops []MicroOp, iters int) ([]float64, error) {
 	out := make([]float64, len(ops))
 	for i, op := range ops {
 		// Each op starts from a clean fd table (ops like fork()+/bin/sh
-		// leak descriptors by design, as the real workloads do).
-		for fd := uint64(0); fd < 64; fd++ {
-			k.Syscall(kernel.SysClose, fd)
+		// leak descriptors by design, as the real workloads do). Only open
+		// descriptors are closed: closing a closed one takes sys_close's
+		// fail path, which writes no kernel data, so skipping it leaves
+		// every op's cycles unchanged. RunTable1Suite and setupFDs keep
+		// closing all 64, because krxbench -funcs, -profile and -trace
+		// attribute every instruction of that suite.
+		for open := k.OpenFDs(); open != 0; open &= open - 1 {
+			k.Syscall(kernel.SysClose, uint64(bits.TrailingZeros64(open)))
 		}
 		if op.Setup != nil {
 			if err := op.Setup(k); err != nil {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -387,11 +388,22 @@ func (x *execLog) OnExec(rip uint64, in *isa.Instr, cycles uint64) {
 
 var memSeed = maphash.MakeSeed()
 
+// pointDeadline bounds one runPoint call. The slowest point (an uncached
+// select(1<<62) run to its 1M-instruction limit) takes about 1.5 s under
+// -race on a 2-CPU Xeon; the deadline leaves 20 times that.
+const pointDeadline = 30 * time.Second
+
 // runPoint runs p at pt on a new machine, or on a new fork of golden(), and
 // returns what it observed and the machine. A panic fails the test naming
-// the program and the point.
+// the program and the point. So does a point still running after
+// pointDeadline (a fast path that never stops), by a panic that ends the
+// test binary instead of leaving it hung until go test's timeout.
 func runPoint(t *testing.T, p *program, pt point, golden func() *CPU) (*outcome, *CPU) {
 	t.Helper()
+	watchdog := time.AfterFunc(pointDeadline, func() {
+		panic(fmt.Sprintf("%s [%v]: still running after %v", p.name, pt, pointDeadline))
+	})
+	defer watchdog.Stop()
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("%s [%v]: panic: %v", p.name, pt, r)

@@ -28,6 +28,21 @@ const (
 	numAuditNodes = 8
 )
 
+// OpenFDs returns the descriptors in use as a bitmask: bit fd is set when
+// fd_table[fd]'s in-use word (+0) is nonzero, the word sys_close tests, so
+// sys_close(fd) succeeds exactly when the bit is set. It reads guest memory
+// host-side, without running kernel code or allocating.
+func (k *Kernel) OpenFDs() uint64 {
+	base := k.Sym("fd_table")
+	var open uint64
+	for fd := uint64(0); fd < numFDs; fd++ {
+		if inuse, _ := k.Space.AS.PeekUint64(base + fd*fdEntrySize); inuse != 0 {
+			open |= 1 << fd
+		}
+	}
+	return open
+}
+
 func le64(vals ...uint64) []byte {
 	out := make([]byte, 8*len(vals))
 	for i, v := range vals {

@@ -466,3 +466,73 @@ func TestTenAccessorClones(t *testing.T) {
 		t.Fatalf("accessor clone count = %d, want 10", clones)
 	}
 }
+
+// TestOpenFDsMatchesClose checks the host-side OpenFDs mask against
+// sys_close itself on every preset, in three states: a fresh boot, after
+// 60 opens (dev_zero, inode 0, alternating with testfile, with two holes
+// closed), and after fork()+/bin/sh has leaked descriptors. In each,
+// closing fd 0..63 must return 0 exactly for the set bits and -1
+// otherwise, and leave OpenFDs empty.
+func TestOpenFDsMatchesClose(t *testing.T) {
+	open := func(t *testing.T, k *Kernel, name string) uint64 {
+		t.Helper()
+		if err := k.WriteUser(0, append([]byte(name), 0)); err != nil {
+			t.Fatal(err)
+		}
+		fd := sysOK(t, k, SysOpen, UserBuf)
+		if int64(fd) < 0 {
+			t.Fatalf("open %s: %d", name, int64(fd))
+		}
+		return fd
+	}
+	states := []struct {
+		name string
+		make func(t *testing.T, k *Kernel)
+	}{
+		{"fresh", nil},
+		{"60-opens", func(t *testing.T, k *Kernel) {
+			for i := 0; i < 60; i++ {
+				open(t, k, [2]string{"dev_zero", "testfile"}[i%2])
+			}
+			sysOK(t, k, SysClose, 7)
+			sysOK(t, k, SysClose, 32)
+		}},
+		{"fork-sh", func(t *testing.T, k *Kernel) {
+			for i := 0; i < 3; i++ {
+				sysOK(t, k, SysFork)
+				sysOK(t, k, SysExecve, UserBuf)
+				open(t, k, "testfile")
+				sysOK(t, k, SysExecve, UserBuf)
+			}
+		}},
+	}
+	for _, cfg := range core.Presets() {
+		t.Run(cfg.Name(), func(t *testing.T) {
+			k, err := Boot(cfg, WithCache())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range states {
+				if st.make != nil {
+					st.make(t, k)
+				}
+				mask := k.OpenFDs()
+				if st.make != nil && mask == 0 {
+					t.Fatalf("%s: no descriptor open", st.name)
+				}
+				for fd := uint64(0); fd < 64; fd++ {
+					want := int64(-1)
+					if mask>>fd&1 == 1 {
+						want = 0
+					}
+					if got := int64(sysOK(t, k, SysClose, fd)); got != want {
+						t.Errorf("%s: close(%d) = %d, OpenFDs bit says %d (mask %#x)", st.name, fd, got, want, mask)
+					}
+				}
+				if got := k.OpenFDs(); got != 0 {
+					t.Errorf("%s: OpenFDs = %#x after closing every fd", st.name, got)
+				}
+			}
+		})
+	}
+}
