@@ -8,6 +8,7 @@
 package attack
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -45,37 +46,45 @@ const scanChunkMin = 4096
 // instructions ending exactly at the ret — including sequences that start
 // inside the encoding of legitimate instructions (unaligned gadgets).
 //
-// The scan is sharded across goroutines: each ret byte is examined
-// independently (its gadget windows reach back at most maxGadgetBack bytes
-// into the shared, read-only code slice), so the ret-index range is split
-// into contiguous chunks scanned in parallel and the per-chunk results are
-// concatenated in chunk order — reproducing the sequential output exactly,
-// byte for byte, for any core count.
+// The scan is sharded across goroutines (see shard): each ret byte is
+// examined independently (its gadget windows reach back at most
+// maxGadgetBack bytes into the shared, read-only code slice), so the
+// per-chunk results, concatenated in chunk order, reproduce the sequential
+// output exactly, byte for byte, for any core count.
 func ScanGadgets(code []byte, base uint64) []Gadget {
-	nw := runtime.GOMAXPROCS(0)
-	if max := (len(code) + scanChunkMin - 1) / scanChunkMin; nw > max {
-		nw = max
+	chunks := shard(len(code), func(lo, hi int) []Gadget { return scanRange(code, base, lo, hi) })
+	if len(chunks) == 1 {
+		return chunks[0]
 	}
-	if nw <= 1 {
-		return scanRange(code, base, 0, len(code))
-	}
-	chunks := make([][]Gadget, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		lo := w * len(code) / nw
-		hi := (w + 1) * len(code) / nw
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			chunks[w] = scanRange(code, base, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 	var out []Gadget
 	for _, c := range chunks {
 		out = append(out, c...)
 	}
 	return out
+}
+
+// shard splits the ret-index range [0, n) into contiguous chunks, one per
+// core but none under scanChunkMin, runs scan on each in parallel and
+// returns the results in chunk order. A small range is scanned inline.
+func shard[T any](n int, scan func(lo, hi int) T) []T {
+	nw := runtime.GOMAXPROCS(0)
+	if max := (n + scanChunkMin - 1) / scanChunkMin; nw > max {
+		nw = max
+	}
+	if nw <= 1 {
+		return []T{scan(0, n)}
+	}
+	chunks := make([]T, nw)
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			chunks[w] = scan(lo, hi)
+		}(w, w*n/nw, (w+1)*n/nw)
+	}
+	wg.Wait()
+	return chunks
 }
 
 // scanRange scans the ret bytes whose index falls in [lo, hi). Gadget
@@ -98,29 +107,33 @@ func scanRange(code []byte, base uint64, lo, hi int) []Gadget {
 	return out
 }
 
-// decodesTo decodes b as a full instruction sequence whose final
-// instruction is ret, consuming exactly len(b) bytes. Most candidate
-// windows fail to decode, so a first pass only validates and counts the
-// instructions (isa.TryDecode builds no error it would discard), and only
-// a window that decodes gets its exact-size slice, filled by a second pass.
-func decodesTo(b []byte) ([]isa.Instr, bool) {
-	n := 0
+// gadgetWindow reports whether b decodes as a full instruction sequence
+// whose final instruction is ret, consuming exactly len(b) bytes, and how
+// many instructions it holds. It builds nothing: isa.TryDecode makes no
+// error it would discard, and most candidate windows fail.
+func gadgetWindow(b []byte) (n int, ok bool) {
 	for off := 0; ; {
 		in, sz, ok := isa.TryDecode(b[off:])
 		if !ok {
-			return nil, false
+			return 0, false
 		}
 		off += sz
 		n++
 		if in.Op == isa.RET {
-			if off != len(b) {
-				return nil, false
-			}
-			break
+			return n, off == len(b)
 		}
 		if in.IsTerminator() || in.Op == isa.INT3 || off == len(b) {
-			return nil, false
+			return 0, false
 		}
+	}
+}
+
+// decodesTo returns the instructions of a window gadgetWindow accepts, in
+// an exact-size slice filled by a second pass.
+func decodesTo(b []byte) ([]isa.Instr, bool) {
+	n, ok := gadgetWindow(b)
+	if !ok {
+		return nil, false
 	}
 	ins := make([]isa.Instr, n)
 	for i, off := 0, 0; i < n; i++ {
@@ -141,23 +154,28 @@ func FindPopRet(gs []Gadget, reg isa.Reg) (Gadget, bool) {
 	return Gadget{}, false
 }
 
-// FirstPopRet returns what FindPopRet(ScanGadgets(code, base), reg) returns,
-// but visits the windows in ScanGadgets' order (ret bytes ascending, then
-// windows from the shortest) and stops at the first match, building no
-// other gadget.
+// FirstPopRet returns what FindPopRet(ScanGadgets(code, base), reg) returns
+// without disassembling any other window. Every opcode has one fixed
+// length, so "pop %reg ; ret" has exactly one encoding: the first match in
+// the scan's order (ret bytes ascending) is the first occurrence of those
+// bytes, and only that one window is decoded.
 func FirstPopRet(code []byte, base uint64, reg isa.Reg) (Gadget, bool) {
-	for i, b := range code {
-		if b != 0xC3 {
-			continue
-		}
-		for back := 1; back <= maxGadgetBack && back <= i; back++ {
-			start := i - back
-			if ins, ok := decodesTo(code[start : i+1]); ok && isPopRet(ins, reg) {
-				return Gadget{Addr: base + uint64(start), Ins: ins}, true
-			}
-		}
+	pat, err := isa.Pop(reg).Encode(nil)
+	if err == nil {
+		pat, err = isa.Ret().Encode(pat)
 	}
-	return Gadget{}, false
+	if err != nil {
+		return Gadget{}, false // an invalid register has no encoding to find
+	}
+	i := bytes.Index(code, pat)
+	if i < 0 {
+		return Gadget{}, false
+	}
+	ins, ok := decodesTo(code[i : i+len(pat)])
+	if !ok {
+		return Gadget{}, false
+	}
+	return Gadget{Addr: base + uint64(i), Ins: ins}, true
 }
 
 // isPopRet reports whether ins is exactly "pop %reg ; ret".

@@ -75,10 +75,10 @@ func TestScanGadgetsMatchesAppendingDecoder(t *testing.T) {
 	}
 }
 
-// TestFirstPopRetMatchesFullScan: DirectROP's first-match scan returns the
-// gadget FindPopRet picks from the full scan, on the reference image of
-// every krxattack ladder target at seeds 101..132 (Vanilla ignores the
-// seed, so it runs once).
+// TestFirstPopRetMatchesFullScan: DirectROP's encoding search returns the
+// gadget FindPopRet picks from the full scan, for every register and one
+// out of range, on the reference image of every krxattack ladder target at
+// seeds 101..132 (Vanilla ignores the seed, so it runs once).
 func TestFirstPopRetMatchesFullScan(t *testing.T) {
 	prog, err := kernel.BuildCorpus()
 	if err != nil {
@@ -103,10 +103,60 @@ func TestFirstPopRetMatchesFullScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		text, base := b.Image.Text, b.Image.Symbols["_text"]
-		want, wok := FindPopRet(ScanGadgets(text, base), isa.RDI)
-		got, ok := FirstPopRet(text, base, isa.RDI)
-		if ok != wok || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s seed %d: first match %v (%v), full scan %v (%v)", cfg.Name(), cfg.Seed, got, ok, want, wok)
+		gs := ScanGadgets(text, base)
+		for reg := isa.Reg(0); reg <= isa.NumGPR; reg++ {
+			want, wok := FindPopRet(gs, reg)
+			got, ok := FirstPopRet(text, base, reg)
+			if ok != wok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d reg %d: encoding search %v (%v), full scan %v (%v)",
+					cfg.Name(), cfg.Seed, reg, got, ok, want, wok)
+			}
 		}
 	}
+}
+
+// encode concatenates the encodings of ins.
+func encode(t testing.TB, ins ...isa.Instr) []byte {
+	var b []byte
+	for _, in := range ins {
+		var err error
+		if b, err = in.Encode(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// FuzzFirstPopRet checks the encoding search against the full scan on
+// arbitrary bytes and register numbers, valid or not.
+func FuzzFirstPopRet(f *testing.F) {
+	rdi := byte(isa.RDI)
+	for _, s := range []struct {
+		data []byte
+		reg  byte
+	}{
+		{nil, rdi},
+		{encode(f, isa.Ret()), rdi},
+		{encode(f, isa.Pop(isa.RDI), isa.Ret(), isa.Nop(), isa.Ret()), rdi},                   // at offset 0
+		{encode(f, isa.Nop(), isa.Ret(), isa.Nop(), isa.Pop(isa.RDI), isa.Ret()), rdi},        // at the very end
+		{encode(f, isa.Pop(isa.RDI), isa.Ret(), isa.Ret(), isa.Pop(isa.RDI), isa.Ret()), rdi}, // both: the first wins
+		{encode(f, isa.Pop(isa.RDI)), rdi},                                                    // truncated, no ret
+		{encode(f, isa.Pop(isa.RSI), isa.Ret()), rdi},                                         // another register
+		{encode(f, isa.Pop(isa.RDI), isa.Pop(isa.RDI), isa.Ret()), rdi},
+		{[]byte{byte(isa.POP), isa.NumGPR, byte(isa.RET)}, isa.NumGPR}, // invalid register byte
+		// nop ; pop ; ret starts first but comes after pop ; ret in scan
+		// order, which tries a ret's shorter windows first.
+		{encode(f, isa.Nop(), isa.Pop(isa.RDI), isa.Ret()), rdi},
+	} {
+		f.Add(s.data, s.reg)
+	}
+	const base = 0xffffffff81000000
+	f.Fuzz(func(t *testing.T, data []byte, reg byte) {
+		want, wok := FindPopRet(ScanGadgets(data, base), isa.Reg(reg))
+		got, ok := FirstPopRet(data, base, isa.Reg(reg))
+		if ok != wok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("% x reg %d: encoding search %v at %#x (%v), full scan %v at %#x (%v)",
+				data, reg, got, got.Addr, ok, want, want.Addr, wok)
+		}
+	})
 }

@@ -1,8 +1,6 @@
 package attack
 
 import (
-	"bytes"
-
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/kernel"
@@ -10,31 +8,45 @@ import (
 )
 
 // GadgetSurvival quantifies the §7.3 byte-for-byte comparison ("under kR^X
-// no gadget remained at its original location"): it scans kernel a for
-// gadgets and counts how many still decode to identical bytes at the same
-// address in kernel b. The two kernels must be built from the same sources
-// (typically with different seeds).
+// no gadget remained at its original location"): it counts the gadgets
+// ScanGadgets finds in kernel a and how many of them still have identical
+// bytes at the same offset in kernel b. The two kernels must be built from
+// the same sources (typically with different seeds).
 func GadgetSurvival(a, b *kernel.Kernel) (total, surviving int) {
-	gs := ScanGadgets(a.Img.Text, a.Sym("_text"))
-	aStart := a.Sym("_text")
-	for _, g := range gs {
-		total++
-		off := g.Addr - aStart
-		end := off + uint64(gadgetLen(g))
-		if end > uint64(len(b.Img.Text)) {
-			continue
-		}
-		if bytes.Equal(a.Img.Text[off:end], b.Img.Text[off:end]) {
-			surviving++
-		}
+	return survival(a.Img.Text, b.Img.Text)
+}
+
+// survival counts ScanGadgets' windows over a, without building their
+// instructions, and those of them whose bytes b repeats at the same offset.
+// It shards like ScanGadgets.
+func survival(a, b []byte) (total, surviving int) {
+	for _, c := range shard(len(a), func(lo, hi int) [2]int { return survivalRange(a, b, lo, hi) }) {
+		total += c[0]
+		surviving += c[1]
 	}
 	return total, surviving
 }
 
-func gadgetLen(g Gadget) int {
-	n := 0
-	for _, in := range g.Ins {
-		n += in.Length()
+// survivalRange is survival over the ret bytes whose index falls in
+// [lo, hi). A window survives when b has its ret byte and every byte back
+// to its start, so the comparison extends one byte per window.
+func survivalRange(a, b []byte, lo, hi int) [2]int {
+	var n [2]int
+	for i := lo; i < hi; i++ {
+		if a[i] != 0xC3 {
+			continue
+		}
+		same := i < len(b) && b[i] == 0xC3
+		for back := 1; back <= maxGadgetBack && back <= i; back++ {
+			start := i - back
+			same = same && a[start] == b[start]
+			if _, ok := gadgetWindow(a[start : i+1]); ok {
+				n[0]++
+				if same {
+					n[1]++
+				}
+			}
+		}
 	}
 	return n
 }

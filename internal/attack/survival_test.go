@@ -1,10 +1,13 @@
 package attack
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/diversify"
+	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/sfi"
 )
@@ -32,6 +35,106 @@ func TestGadgetSurvivalDiversifiedIsNegligible(t *testing.T) {
 	frac := float64(surviving) / float64(total)
 	if frac > 0.02 {
 		t.Fatalf("gadget survival %.3f (%d/%d) too high under diversification", frac, surviving, total)
+	}
+}
+
+// scanSurvival is GadgetSurvival as a full scan: every gadget built, its
+// length summed from its instructions, its bytes compared with b's.
+func scanSurvival(a, b []byte) (total, surviving int) {
+	for _, g := range ScanGadgets(a, 0) {
+		total++
+		end := g.Addr
+		for _, in := range g.Ins {
+			end += uint64(in.Length())
+		}
+		if end <= uint64(len(b)) && bytes.Equal(a[g.Addr:end], b[g.Addr:end]) {
+			surviving++
+		}
+	}
+	return total, surviving
+}
+
+// TestSurvivalMatchesFullScan: counting windows gives the full scan's
+// (total, surviving) on the Vanilla pair and on the ladder's survival
+// pairs (Diversify at seed and seed+1) for seeds 101..132.
+func TestSurvivalMatchesFullScan(t *testing.T) {
+	prog, err := kernel.BuildCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := func(cfg core.Config) []byte {
+		b, err := core.Build(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Image.Text
+	}
+	pairs := [][2]core.Config{{core.Vanilla, core.Vanilla}}
+	for seed := int64(101); seed < 133; seed++ {
+		pairs = append(pairs, [2]core.Config{{Diversify: true, Seed: seed}, {Diversify: true, Seed: seed + 1}})
+	}
+	for _, p := range pairs {
+		a, b := text(p[0]), text(p[1])
+		wt, ws := scanSurvival(a, b)
+		gt, gs := survival(a, b)
+		if gt != wt || gs != ws {
+			t.Fatalf("%s seed %d vs %d: counted %d/%d survive, the full scan %d/%d",
+				p[0].Name(), p[0].Seed, p[1].Seed, gs, gt, ws, wt)
+		}
+	}
+}
+
+// TestSurvivalCountsEveryGadget: survival and ScanGadgets share one window
+// predicate, so an image compared with itself counts exactly the gadgets
+// the scan builds, all surviving, on every preset and on random bytes; a
+// random pair also matches the full scan's survivors.
+func TestSurvivalCountsEveryGadget(t *testing.T) {
+	prog, err := kernel.BuildCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range core.Presets() {
+		b, err := core.Build(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(ScanGadgets(b.Image.Text, 0))
+		if total, surviving := survival(b.Image.Text, b.Image.Text); total != n || surviving != n {
+			t.Fatalf("%s: %d/%d survive against itself, ScanGadgets finds %d", cfg.Name(), surviving, total, n)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	found := 0
+	for i := 0; i < 64; i++ {
+		// Bytes biased towards rets and register numbers, so windows
+		// decode; long enough, some of them, to shard.
+		a := make([]byte, r.Intn(3*scanChunkMin))
+		for j := range a {
+			switch r.Intn(8) {
+			case 0:
+				a[j] = 0xC3
+			case 1, 2:
+				a[j] = byte(r.Intn(isa.NumGPR))
+			default:
+				a[j] = byte(r.Intn(256))
+			}
+		}
+		n := len(ScanGadgets(a, 0))
+		if total, surviving := survival(a, a); total != n || surviving != n {
+			t.Fatalf("random slice %d (%d bytes): %d/%d survive against itself, ScanGadgets finds %d", i, len(a), surviving, total, n)
+		}
+		found += n
+		b := bytes.Clone(a[:r.Intn(len(a)+1)])
+		for k := 0; k < len(b)/64; k++ {
+			b[r.Intn(len(b))] ^= byte(1 + r.Intn(255))
+		}
+		wt, ws := scanSurvival(a, b)
+		if gt, gs := survival(a, b); gt != wt || gs != ws {
+			t.Fatalf("random pair %d: counted %d/%d survive, the full scan %d/%d", i, gs, gt, ws, wt)
+		}
+	}
+	if found == 0 {
+		t.Fatal("the random slices hold no gadget")
 	}
 }
 
