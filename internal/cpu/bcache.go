@@ -630,7 +630,7 @@ func inBlock(ents []blkEnt, rip uint64) bool {
 }
 
 // blockLookup resolves rip to a formed superblock, validating the page's
-// generations exactly as the per-instruction lookup does, and applying the
+// generations exactly as a single step does (resolvePage), and applying the
 // hotness gate: an offset with no block yet must accumulate BlockHotThreshold
 // dispatch attempts before formation happens; until then the caller single-
 // steps (through the decode cache — the bytes are still cached, only the
@@ -659,8 +659,11 @@ func (c *CPU) blockLookup(rip uint64) (*dcPage, *dcBlock) {
 // matters — the hotness gate makes cold single-stepping the common case on
 // short runs, and routing it through Step would pay the page resolution and
 // the fetch privilege checks (already done by Run's guard) a second time per
-// instruction, which is how the gate could cost more than it saves. The
-// caller guarantees probe-free execution and the block-entry privilege
+// instruction, which is how the gate could cost more than it saves. For the
+// same reason it spells out blockLookup's resolvePage / blkIdx / missBlock
+// sequence instead of calling it: blockLookup is not inlined, and the extra
+// call on every Run dispatch measured about 2% slower on the fuzz campaign.
+// The caller guarantees probe-free execution and the block-entry privilege
 // preconditions.
 func (c *CPU) blockStep(limit, done, startInstrs uint64) (StopReason, *Trap) {
 	p := c.dc.resolvePage(c.AS, c.RIP)
@@ -684,12 +687,12 @@ func (c *CPU) blockStep(limit, done, startInstrs uint64) (StopReason, *Trap) {
 	return c.runChain(p, b, limit, startInstrs)
 }
 
-// stepCached executes one instruction from a resolved, validated cache page
-// — Step's decode-cache hit path minus the redundant page resolution and
-// privilege checks the blockStep caller already performed. Only reached
-// probe-free (Run's fast-path guard), so no exec notification is needed;
-// coverage is marked as Step marks it. A JCC it takes gets its seen-taken
-// bit, so the block formed here later stops at that branch.
+// stepCached executes the instruction at RIP, page offset off, from a
+// resolved, validated cache page: the one single step over the decode cache,
+// shared by Step and blockStep's cold path. The caller has passed the fetch
+// privilege check. It marks coverage and notifies the exec probes as
+// stepSlow does, and a JCC it takes gets its seen-taken bit, so the block
+// formed here later stops at that branch.
 func (c *CPU) stepCached(p *dcPage, off int) (StopReason, *Trap) {
 	dc := c.dc
 	i := p.idx[off]
@@ -704,6 +707,7 @@ func (c *CPU) stepCached(p *dcPage, off int) (StopReason, *Trap) {
 	case i > 0:
 		e := &p.entries[i-1]
 		c.Instrs++
+		before := c.Cycles
 		c.Cycles += e.cost
 		rip := c.RIP
 		next := rip + uint64(e.ilen)
@@ -713,6 +717,9 @@ func (c *CPU) stepCached(p *dcPage, off int) (StopReason, *Trap) {
 		}
 		if c.cov != nil {
 			c.cov.mark(rip)
+		}
+		if c.probe != nil {
+			c.probe.OnExec(rip, &e.in, c.Cycles-before)
 		}
 		return stop, trap
 	case i < 0:
@@ -970,10 +977,7 @@ func (c *CPU) runChain(p *dcPage, b *dcBlock, limit, startInstrs uint64) (StopRe
 		}
 		// A terminator may have switched the mode (syscall/sysret/iret):
 		// re-establish the fetch privilege preconditions before chaining.
-		if c.Mode == User && c.RIP >= UpperHalf {
-			return stop, trap
-		}
-		if c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf {
+		if c.fetchDenied() {
 			return stop, trap
 		}
 		np, nb := c.chainNext(p, b, exit)

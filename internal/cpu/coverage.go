@@ -122,7 +122,6 @@ func (cv *Coverage) RIPs() []uint64 {
 // an ExecProbe, a sink keeps Run on the block fast path.
 func (c *CPU) SetCoverage(cv *Coverage) {
 	c.cov = cv
-	c.observed = c.probe != nil || c.cov != nil
 }
 
 // blockCovWords groups the RIPs of a block's entries into words. A

@@ -192,9 +192,6 @@ type CPU struct {
 
 	// cov is the installed coverage sink (coverage.go); nil when off.
 	cov *Coverage
-	// observed is probe != nil || cov != nil: the single-step paths' one
-	// check before notifyExec.
-	observed bool
 
 	// Pending is an externally forced exception: Run delivers it before the
 	// next instruction, exactly as if the current instruction had trapped.
@@ -264,9 +261,19 @@ func (c *CPU) effAddr(m isa.MemRef, next uint64) uint64 {
 	return ea
 }
 
+// fetchDenied is the fetch privilege rule at RIP: user mode may not fetch
+// from the upper half, and with SMEP kernel mode may not fetch below it
+// (supervisor-mode execution prevention, which blocks ret2usr).
+func (c *CPU) fetchDenied() bool {
+	return c.Mode == User && c.RIP >= UpperHalf || c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf
+}
+
+// dataOK is the data privilege rule: user mode may not access the upper half.
+func (c *CPU) dataOK(a uint64) bool { return c.Mode != User || a < UpperHalf }
+
 // checkDataAccess enforces the privilege rules for a data access at addr.
 func (c *CPU) checkDataAccess(addr uint64) *Trap {
-	if c.Mode == User && addr >= UpperHalf {
+	if !c.dataOK(addr) {
 		return &Trap{Kind: TrapProtection, Addr: addr, RIP: c.RIP, Mode: c.Mode}
 	}
 	return nil
@@ -420,9 +427,7 @@ func (c *CPU) Run(limit uint64) *RunResult {
 				}
 			}
 		} else {
-			if c.blocks && c.dc != nil && c.probe == nil &&
-				!(c.Mode == User && c.RIP >= UpperHalf) &&
-				!(c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf) {
+			if c.blocks && c.dc != nil && c.probe == nil && !c.fetchDenied() {
 				// Fetch privilege holds for the whole block: the mode cannot
 				// change mid-block (mode switches are terminators) and the
 				// block never leaves its page.
@@ -468,30 +473,12 @@ const StepContinue StopReason = 0xFF
 // Step executes one instruction. It returns a stop reason (StepContinue to
 // keep going) or a trap.
 func (c *CPU) Step() (StopReason, *Trap) {
-	// Fetch.
-	if c.Mode == User && c.RIP >= UpperHalf {
-		return StepContinue, &Trap{Kind: TrapProtection, Addr: c.RIP, RIP: c.RIP, Mode: c.Mode}
-	}
-	if c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf {
-		// SMEP: supervisor-mode execution prevention (blocks ret2usr).
+	if c.fetchDenied() {
 		return StepContinue, &Trap{Kind: TrapProtection, Addr: c.RIP, RIP: c.RIP, Mode: c.Mode}
 	}
 	if c.dc != nil {
-		if e, ud, ok := c.dc.lookup(c.AS, c.RIP); ok {
-			if ud {
-				// Cached deterministic decode failure: same #UD the slow
-				// path would raise, with no Instrs/Cycles side effects.
-				return StepContinue, &Trap{Kind: TrapUndefined, Addr: c.RIP, RIP: c.RIP, Mode: c.Mode}
-			}
-			c.Instrs++
-			rip := c.RIP
-			before := c.Cycles
-			c.Cycles += e.cost
-			stop, trap := c.exec(&e.in, c.RIP+uint64(e.ilen))
-			if c.observed {
-				c.notifyExec(rip, &e.in, c.Cycles-before)
-			}
-			return stop, trap
+		if p := c.dc.resolvePage(c.AS, c.RIP); p != nil {
+			return c.stepCached(p, int(c.RIP&uint64(mem.PageMask)))
 		}
 	}
 	return c.stepSlow()
@@ -516,8 +503,11 @@ func (c *CPU) stepSlow() (StopReason, *Trap) {
 	c.Cycles += in.Cost()
 	next := c.RIP + uint64(ilen)
 	stop, trap := c.exec(&in, next)
-	if c.observed {
-		c.notifyExec(rip, &in, c.Cycles-before)
+	if c.cov != nil {
+		c.cov.mark(rip)
+	}
+	if c.probe != nil {
+		c.probe.OnExec(rip, &in, c.Cycles-before)
 	}
 	return stop, trap
 }

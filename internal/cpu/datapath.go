@@ -86,14 +86,10 @@ func putLE[W word](p *[mem.PageSize]byte, a, v uint64) {
 	}
 }
 
-// hitOK reports whether a data access at a may try a hit accessor: not a
-// user-mode access to the upper half, whose trap only the slow path raises.
-func (c *CPU) hitOK(a uint64) bool { return c.Mode != User || a < UpperHalf }
-
 // rdHit is the hit path of an n-byte load at a: the page's data-read view,
 // or nil when the load must take CPU.load.
 func (c *CPU) rdHit(a, n uint64) *[mem.PageSize]byte {
-	if !c.hitOK(a) {
+	if !c.dataOK(a) {
 		return nil
 	}
 	return c.AS.ReadHits(a, n, 1)
@@ -142,7 +138,7 @@ func memThunk[W word](in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			if fromReg {
 				v = c.Regs[d]
 			}
-			if c.hitOK(a) {
+			if c.dataOK(a) {
 				if p := c.AS.WriteHit(a, wsize[W]()); p != nil {
 					putLE[W](p, a, v)
 					c.RIP = next
@@ -285,7 +281,7 @@ func stackThunk(in *isa.Instr, next uint64) thunk {
 			c.Regs[isa.RSP] -= 8
 			a := c.Regs[isa.RSP]
 			p := (*[mem.PageSize]byte)(nil)
-			if c.hitOK(a) {
+			if c.dataOK(a) {
 				p = c.AS.WriteHit(a, 8)
 			}
 			if p != nil {
@@ -407,7 +403,7 @@ func sumThunk(ents []blkEnt, solo []thunk, live bool) thunk {
 	offs = offs[:len(offs)-1]
 	return func(c *CPU) (StopReason, *Trap) {
 		a := c.Regs[base] + disp
-		if c.hitOK(a) {
+		if c.dataOK(a) {
 			if p := c.AS.ReadHits(a, size, n); p != nil {
 				o := a & mem.PageMask
 				var s uint64

@@ -182,9 +182,9 @@ func newDecodeCache(stats *DecodeCacheStats, shared *SharedBlocks) *decodeCache 
 // resolvePage returns the cache page for rip with its frame resolved and
 // both generations validated (flushing stale decodes), or nil when the
 // address is not executable — the slow path's Fetch produces the
-// authoritative fault. Shared by the per-instruction lookup and the
-// superblock lookup, so block entry revalidates exactly what a single-step
-// lookup would.
+// authoritative fault. Shared by the single step (Step, blockStep's cold
+// path) and the superblock lookup, so block entry revalidates exactly what a
+// single step would.
 func (dc *decodeCache) resolvePage(as *mem.AddressSpace, rip uint64) *dcPage {
 	base := rip &^ uint64(mem.PageMask)
 	sl := &dc.tlb[(rip>>mem.PageShift)&(dcTLBSize-1)]
@@ -222,33 +222,6 @@ func (dc *decodeCache) resolvePage(as *mem.AddressSpace, rip uint64) *dcPage {
 		dc.stats.Invalidations++
 	}
 	return p
-}
-
-// lookup resolves rip against the cache. It returns the entry to dispatch,
-// or ud=true for a cached deterministic #UD, or ok=false when the slow path
-// must run (page not executable, or uncacheable page-tail decode).
-func (dc *decodeCache) lookup(as *mem.AddressSpace, rip uint64) (e *dcEntry, ud bool, ok bool) {
-	p := dc.resolvePage(as, rip)
-	if p == nil {
-		return nil, false, false
-	}
-
-	off := int(rip & uint64(mem.PageMask))
-	i := p.idx[off]
-	if i != 0 {
-		dc.stats.Hits++
-	} else {
-		dc.stats.Misses++
-		p.fill(off, dc.stats)
-		i = p.idx[off]
-	}
-	switch {
-	case i > 0:
-		return &p.entries[i-1], false, true
-	case i < 0:
-		return nil, true, true
-	}
-	return nil, false, false
 }
 
 // SetDecodeCache enables or disables the predecoded translation cache.

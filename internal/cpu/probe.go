@@ -123,19 +123,6 @@ func (c *CPU) recompileProbes() {
 	default:
 		c.probe = &multiProbe{ps: append([]ExecProbe(nil), c.probes...)}
 	}
-	c.observed = c.probe != nil || c.cov != nil
-}
-
-// notifyExec delivers one executed instruction to the coverage sink and the
-// installed probes. Kept out of line behind the c.observed check so Step's
-// hot path only pays one branch when nothing is attached.
-func (c *CPU) notifyExec(rip uint64, in *isa.Instr, cycles uint64) {
-	if c.cov != nil {
-		c.cov.mark(rip)
-	}
-	if c.probe != nil {
-		c.probe.OnExec(rip, in, cycles)
-	}
 }
 
 // notifyTrap delivers a trap-delivery event to the registered trap probes.

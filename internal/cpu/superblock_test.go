@@ -36,22 +36,25 @@ func TestSuperblockFormation(t *testing.T) {
 		}
 		return out
 	}
-	cmpJne := func(t *testing.T) []isa.Instr {
-		// cmp rax,rax sets ZF, so the jne is not taken.
-		prog := []isa.Instr{isa.MovRI(isa.RAX, 1), isa.CmpRR(isa.RAX, isa.RAX),
-			{Op: isa.JCC, CC: isa.CondNE}, isa.MovRI(isa.RBX, 2), isa.Ret()}
-		rips := ripsOf(dcCodeVA, prog...)
-		prog[2] = branchTo(prog[2], rips[2], rips[4])
-		return prog
+	cmpJcc := func(cc isa.Cond) func(t *testing.T) []isa.Instr {
+		return func(t *testing.T) []isa.Instr {
+			// cmp rax,rax sets ZF: a jne is not taken, a je is.
+			prog := []isa.Instr{isa.MovRI(isa.RAX, 1), isa.CmpRR(isa.RAX, isa.RAX),
+				{Op: isa.JCC, CC: cc}, isa.MovRI(isa.RBX, 2), isa.Ret()}
+			rips := ripsOf(dcCodeVA, prog...)
+			prog[2] = branchTo(prog[2], rips[2], rips[4])
+			return prog
+		}
 	}
+	cmpJne := cmpJcc(isa.CondNE)
 	tail := mem.PageSize - 5 // a 10-byte mov here straddles into page 1
 	cases := []struct {
 		name string
 		at   uint64 // program address and block entry
 		prog func(t *testing.T) []isa.Instr
-		raw  []byte          // bytes placed right after prog
-		prep func(p *dcPage) // runs before formation
-		want []int           // indices into prog of the block's entries
+		raw  []byte                          // bytes placed right after prog
+		prep func(*testing.T, *CPU, *dcPage) // runs before formation
+		want []int                           // indices into prog of the block's entries
 		post func(*testing.T, *dcPage)
 	}{
 		{
@@ -81,7 +84,29 @@ func TestSuperblockFormation(t *testing.T) {
 			name: "stops-at-seen-taken-jcc",
 			at:   dcCodeVA,
 			prog: cmpJne,
-			prep: func(p *dcPage) { p.markTaken(10 + 3) }, // after the 10-byte mov and 3-byte cmp
+			prep: func(_ *testing.T, _ *CPU, p *dcPage) { p.markTaken(10 + 3) }, // after the 10-byte mov and 3-byte cmp
+			want: []int{0, 1, 2},
+		},
+		{
+			// Step under an exec probe takes the je: it must record the
+			// branch as the block engine's cold path does, so the block
+			// formed once the probe is gone stops there.
+			name: "stops-at-jcc-stepped-taken-under-probe",
+			at:   dcCodeVA,
+			prog: cmpJcc(isa.CondE),
+			prep: func(t *testing.T, c *CPU, p *dcPage) {
+				pr := &countProbe{}
+				c.AddProbe(pr)
+				for range 3 {
+					if _, trap := c.Step(); trap != nil {
+						t.Fatal(trap)
+					}
+				}
+				c.RemoveProbe(pr)
+				if pr.execs != 3 || !p.seenTaken(10+3) {
+					t.Fatalf("probe saw %d execs, seen-taken %v: want 3 and true", pr.execs, p.seenTaken(10+3))
+				}
+			},
 			want: []int{0, 1, 2},
 		},
 		{
@@ -161,7 +186,7 @@ func TestSuperblockFormation(t *testing.T) {
 			}
 			p := c.dc.resolvePage(c.AS, tc.at)
 			if tc.prep != nil {
-				tc.prep(p)
+				tc.prep(t, c, p)
 			}
 			bi := p.formBlock(tc.at, c)
 			if bi <= 0 {
