@@ -136,12 +136,7 @@ type emuWorkload struct {
 func RunTable1Suite(k *kernel.Kernel) (uint64, error) {
 	var total uint64
 	for _, op := range MicroOps() {
-		// All 64 closes, open or not, unlike measureOps: krxbench -funcs,
-		// -profile and -trace attribute every one, and -json counts their
-		// cycles.
-		for fd := uint64(0); fd < 64; fd++ {
-			k.Syscall(kernel.SysClose, fd)
-		}
+		closeOpenFDs(k)
 		if op.Setup != nil {
 			if err := op.Setup(k); err != nil {
 				return 0, fmt.Errorf("%s: %w", op.Name, err)

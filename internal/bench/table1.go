@@ -260,14 +260,12 @@ func MicroOps() []MicroOp {
 	return ops
 }
 
+// setupFDs opens n descriptors into the fd table its caller has just
+// emptied (closeOpenFDs).
 func setupFDs(n int) func(*kernel.Kernel) error {
 	return func(k *kernel.Kernel) error {
 		if err := k.WriteUser(0, append([]byte("testfile"), 0)); err != nil {
 			return err
-		}
-		// Start from a clean fd table.
-		for fd := uint64(0); fd < 64; fd++ {
-			k.Syscall(kernel.SysClose, fd)
 		}
 		for i := 0; i < n; i++ {
 			if r := k.Syscall(kernel.SysOpen, kernel.UserBuf); r.Failed || int64(r.Ret) < 0 {
@@ -275,6 +273,17 @@ func setupFDs(n int) func(*kernel.Kernel) error {
 			}
 		}
 		return nil
+	}
+}
+
+// closeOpenFDs gives the next op a clean fd table (ops like fork()+/bin/sh
+// leak descriptors by design, as the real workloads do). Only open
+// descriptors are closed: closing a closed one takes sys_close's fail path,
+// which writes no kernel data, so skipping it leaves every op's cycles
+// unchanged.
+func closeOpenFDs(k *kernel.Kernel) {
+	for open := k.OpenFDs(); open != 0; open &= open - 1 {
+		k.Syscall(kernel.SysClose, uint64(bits.TrailingZeros64(open)))
 	}
 }
 
@@ -328,16 +337,7 @@ func measureOps(cfg core.Config, ops []MicroOp, iters int) ([]float64, error) {
 	}
 	out := make([]float64, len(ops))
 	for i, op := range ops {
-		// Each op starts from a clean fd table (ops like fork()+/bin/sh
-		// leak descriptors by design, as the real workloads do). Only open
-		// descriptors are closed: closing a closed one takes sys_close's
-		// fail path, which writes no kernel data, so skipping it leaves
-		// every op's cycles unchanged. RunTable1Suite and setupFDs keep
-		// closing all 64, because krxbench -funcs, -profile and -trace
-		// attribute every instruction of that suite.
-		for open := k.OpenFDs(); open != 0; open &= open - 1 {
-			k.Syscall(kernel.SysClose, uint64(bits.TrailingZeros64(open)))
-		}
+		closeOpenFDs(k)
 		if op.Setup != nil {
 			if err := op.Setup(k); err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", op.Name, cfg.Name(), err)

@@ -265,7 +265,7 @@ func (c *CPU) effAddr(m isa.MemRef, next uint64) uint64 {
 // from the upper half, and with SMEP kernel mode may not fetch below it
 // (supervisor-mode execution prevention, which blocks ret2usr).
 func (c *CPU) fetchDenied() bool {
-	return c.Mode == User && c.RIP >= UpperHalf || c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf
+	return (c.Mode == User && c.RIP >= UpperHalf) || (c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf)
 }
 
 // dataOK is the data privilege rule: user mode may not access the upper half.

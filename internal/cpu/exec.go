@@ -528,7 +528,7 @@ func (c *CPU) execRepBulk(in *isa.Instr, w uint64, one func() (bool, *Trap)) *Tr
 		}
 		bytes := k * w
 		if k == 0 || // element straddles a page boundary
-			!c.dataOK(di) || in.Op == isa.MOVS && !c.dataOK(si) ||
+			!c.dataOK(di) || (in.Op == isa.MOVS && !c.dataOK(si)) ||
 			(in.Op == isa.MOVS && si < di+bytes && di < si+bytes) {
 			if _, t := one(); t != nil {
 				return t

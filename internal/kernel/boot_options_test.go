@@ -9,7 +9,7 @@ import (
 	"repro/internal/obs"
 )
 
-// countingProbe counts OnExec callbacks (boot-option plumbing test double).
+// countingProbe counts OnExec callbacks and the cycles they report.
 type countingProbe struct {
 	execs  int
 	cycles uint64
@@ -32,20 +32,15 @@ func TestBootOptionConflicts(t *testing.T) {
 	if _, err := Boot(core.Vanilla, WithImage(res), WithCache()); err == nil {
 		t.Error("WithImage+WithCache: want error")
 	}
-	if _, err := Boot(core.Vanilla, WithImage(res), WithProgram(prog)); err == nil {
-		t.Error("WithImage+WithProgram: want error")
-	}
-	if _, err := Boot(core.Vanilla, WithCache(), WithProgram(prog)); err == nil {
-		t.Error("WithCache+WithProgram: want error")
-	}
 }
 
 func TestBootWithProbes(t *testing.T) {
-	p := &countingProbe{}
-	k, err := Boot(core.Vanilla, WithCache(), WithProbes(p))
+	k, err := Boot(core.Vanilla, WithCache())
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := &countingProbe{}
+	k.CPU.AddProbe(p)
 	r := k.Syscall(SysNull)
 	if r.Failed {
 		t.Fatalf("sys_null failed: %v", r.Run.Reason)

@@ -60,8 +60,9 @@ func (k *Kernel) Fork() (*Kernel, error) {
 }
 
 // fork is the machine copy behind Fork and bootGolden: a copy-on-write
-// fork of the space, a fork of the CPU over it, and a copy of the keys.
-// The child has the parent's Cfg and no observers or injector.
+// fork of the space and a fork of the CPU over it. The child shares the
+// parent's Keys map, which nothing writes after boot, and has the parent's
+// Cfg and no observers or injector.
 func (k *Kernel) fork() (*Kernel, error) {
 	sp, err := k.Space.Fork()
 	if err != nil {
@@ -73,10 +74,7 @@ func (k *Kernel) fork() (*Kernel, error) {
 		Img:             k.Img,
 		Space:           sp,
 		KernelStackBase: k.KernelStackBase,
-		Keys:            make(map[string]uint64, len(k.Keys)),
-	}
-	for s, v := range k.Keys {
-		nk.Keys[s] = v
+		Keys:            k.Keys,
 	}
 	nk.CPU = k.CPU.Fork(sp.AS)
 	return nk, nil

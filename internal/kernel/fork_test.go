@@ -2,11 +2,15 @@ package kernel
 
 import (
 	"errors"
+	"maps"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/diversify"
 	"repro/internal/kas"
 	"repro/internal/mem"
+	"repro/internal/sfi"
 )
 
 // warmup drives a short, deterministic syscall mix — enough to touch the
@@ -217,5 +221,38 @@ func TestBootPhysmapDemandZero(t *testing.T) {
 			t.Fatalf("%s: restored physmap page reads %#x, %v; want demand-zero", cfg.Name(), v, f)
 		}
 		checkPhysmap(t, child, "after the parent's restore")
+	}
+}
+
+// TestGoldenForksShareKeys: the forks of one golden share the golden's Keys
+// map, which is read-only after boot, instead of each copying it, and the
+// map holds what a fresh boot's does.
+func TestGoldenForksShareKeys(t *testing.T) {
+	cfg := core.Config{
+		XOM: core.XOMSFI, SFILevel: sfi.O3,
+		Diversify: true, RAProt: diversify.RAEncrypt,
+		Seed: 99,
+	}
+	var forks [2]*Kernel
+	for i := range forks {
+		k, err := Boot(cfg, WithCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		forks[i] = k
+	}
+	goldenMu.Lock()
+	g := goldens[goldenKey{res: forks[0].Build, cfg: cfg}]
+	goldenMu.Unlock()
+	if g == nil || g.k == nil {
+		t.Fatal("no golden behind the cached boots")
+	}
+	if want := boot(t, cfg).Keys; len(want) == 0 || !maps.Equal(g.k.Keys, want) {
+		t.Fatalf("golden keys %v, want a fresh boot's %v", g.k.Keys, want)
+	}
+	for i, k := range forks {
+		if reflect.ValueOf(k.Keys).UnsafePointer() != reflect.ValueOf(g.k.Keys).UnsafePointer() {
+			t.Errorf("fork %d holds its own copy of the golden's keys", i)
+		}
 	}
 }

@@ -102,7 +102,8 @@ type Kernel struct {
 	KernelStackBase uint64
 	// Keys holds the boot-time xkey values (host-side ground truth for
 	// tests; emulated code can only reach them via the %rip-relative
-	// loads in prologues/epilogues).
+	// loads in prologues/epilogues). It is read-only after boot: every
+	// fork shares its parent's map.
 	Keys map[string]uint64
 
 	// Inj is the armed fault injector when Cfg.FaultPlan was set at boot
@@ -128,9 +129,7 @@ type BootOption func(*bootOptions)
 
 type bootOptions struct {
 	cached bool
-	prog   *ir.Program
 	image  *core.BuildResult
-	probes []cpu.ExecProbe
 	tracer *obs.Tracer
 }
 
@@ -142,15 +141,9 @@ type bootOptions struct {
 // every caller gets a copy-on-write fork of it (see bootGolden), which
 // executes bit-identically to a fresh boot. Safe for concurrent use:
 // multi-worker fuzzing campaigns and parallel benchmark sweeps boot their
-// kernels through here. Incompatible with WithProgram (the cache is keyed
-// to the shared corpus).
+// kernels through here.
 func WithCache() BootOption {
 	return func(o *bootOptions) { o.cached = true }
-}
-
-// WithProgram boots a caller-supplied corpus instead of the shared one.
-func WithProgram(prog *ir.Program) BootOption {
-	return func(o *bootOptions) { o.prog = prog }
 }
 
 // WithImage installs an already-built image into a freshly constructed
@@ -158,12 +151,6 @@ func WithProgram(prog *ir.Program) BootOption {
 // holds is only read.
 func WithImage(res *core.BuildResult) BootOption {
 	return func(o *bootOptions) { o.image = res }
-}
-
-// WithProbes installs execution probes on the booted CPU (in order), before
-// any instruction runs.
-func WithProbes(ps ...cpu.ExecProbe) BootOption {
-	return func(o *bootOptions) { o.probes = append(o.probes, ps...) }
 }
 
 // WithTracer wires an event tracer into the kernel: syscall enter/exit and
@@ -176,9 +163,10 @@ func WithTracer(t *obs.Tracer) BootOption {
 // Boot builds a kernel under cfg, installs it into a fresh machine,
 // performs the kR^X boot-time steps (xkey replenishment, physmap synonym
 // unmapping), and sets up a user process ready to issue syscalls. Options
-// select where the image comes from (WithCache, WithProgram, WithImage —
-// default: an uncached compile of the shared corpus) and what observers
-// ride along (WithProbes, WithTracer). Under WithCache the machine is a
+// select where the image comes from (WithCache, WithImage — default: an
+// uncached compile of the shared corpus) and whether a tracer rides along
+// (WithTracer). Boot runs no instruction, so exec probes added to the CPU
+// afterwards see every one. Under WithCache the machine is a
 // copy-on-write fork of the image's golden kernel rather than a fresh
 // construction; emulated code cannot tell the two apart.
 func Boot(cfg core.Config, opts ...BootOption) (*Kernel, error) {
@@ -189,15 +177,12 @@ func Boot(cfg core.Config, opts ...BootOption) (*Kernel, error) {
 	res := o.image
 	switch {
 	case res != nil:
-		// Pre-built image wins; a redundant WithCache/WithProgram is a
-		// caller bug worth surfacing.
-		if o.cached || o.prog != nil {
-			return nil, fmt.Errorf("kernel: WithImage is exclusive with WithCache/WithProgram")
+		// Pre-built image wins; a redundant WithCache is a caller bug worth
+		// surfacing.
+		if o.cached {
+			return nil, fmt.Errorf("kernel: WithImage is exclusive with WithCache")
 		}
 	case o.cached:
-		if o.prog != nil {
-			return nil, fmt.Errorf("kernel: WithCache builds the shared corpus; it cannot cache a caller-supplied program")
-		}
 		prog, err := sharedCorpus()
 		if err != nil {
 			return nil, fmt.Errorf("kernel: corpus: %w", err)
@@ -207,15 +192,10 @@ func Boot(cfg core.Config, opts ...BootOption) (*Kernel, error) {
 			return nil, err
 		}
 	default:
-		prog := o.prog
-		if prog == nil {
-			var err error
-			prog, err = BuildCorpus()
-			if err != nil {
-				return nil, fmt.Errorf("kernel: corpus: %w", err)
-			}
+		prog, err := BuildCorpus()
+		if err != nil {
+			return nil, fmt.Errorf("kernel: corpus: %w", err)
 		}
-		var err error
 		res, err = core.Build(prog, cfg)
 		if err != nil {
 			return nil, err
@@ -230,9 +210,6 @@ func Boot(cfg core.Config, opts ...BootOption) (*Kernel, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	for _, p := range o.probes {
-		k.CPU.AddProbe(p)
 	}
 	if o.tracer != nil {
 		k.Trace = o.tracer
