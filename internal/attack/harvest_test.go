@@ -44,7 +44,7 @@ func fullWindowJITROP(target *kernel.Kernel) Result {
 		res.Detail = err.Error()
 		return res
 	}
-	hits := FindPattern(code, pat)
+	hits := findPattern(code, pat)
 	if len(hits) == 0 {
 		res.Detail = "do_set_uid signature not found in harvested code"
 		return res
@@ -123,7 +123,7 @@ func (f *fakeText) leak(addr uint64) (uint64, bool) {
 }
 
 // fullWindowHarvest is harvest's oracle: it leaks the whole window, as
-// JIT-ROP did before it went on demand, searches it with FindPattern, and
+// JIT-ROP did before it went on demand, searches it with findPattern, and
 // derives what an on-demand harvest must report: the lowest hit, the
 // bytes read up to the end of the page in which that hit ends (or up to
 // the block, if it comes first), and whether that block was reached.
@@ -137,7 +137,7 @@ func fullWindowHarvest(leak func(uint64) (uint64, bool), start uint64, pat []byt
 		}
 		code = binary.LittleEndian.AppendUint64(code, v)
 	}
-	hits := FindPattern(code, pat)
+	hits := findPattern(code, pat)
 	if len(hits) == 0 {
 		return -1, len(code), blocked
 	}
@@ -146,6 +146,18 @@ func fullWindowHarvest(leak func(uint64) (uint64, bool), start uint64, pat []byt
 		return hits[0], end, false
 	}
 	return hits[0], len(code), blocked
+}
+
+// findPattern returns the offsets of every occurrence of pat in code, by
+// comparing pat at every offset: the reference the searches above rely on.
+func findPattern(code, pat []byte) []int {
+	var out []int
+	for i := 0; i+len(pat) <= len(code); i++ {
+		if bytes.Equal(code[i:i+len(pat)], pat) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // checkHarvest runs harvest and its oracle over the same fake window and

@@ -183,24 +183,6 @@ func isPopRet(ins []isa.Instr, reg isa.Reg) bool {
 	return len(ins) == 2 && ins[0].Op == isa.POP && ins[0].Dst == reg
 }
 
-// FindPattern returns the offsets of every occurrence of pat in code.
-func FindPattern(code, pat []byte) []int {
-	var out []int
-	for i := 0; i+len(pat) <= len(code); i++ {
-		match := true
-		for j := range pat {
-			if code[i+j] != pat[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // MovR8ImmPattern builds the byte pattern of "mov $imm, %r8" — the
 // signature used to locate do_set_uid (its first instruction loads the
 // well-known cred address, and data addresses are not randomized). An

@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/attack"
@@ -109,7 +110,7 @@ func TestProfilerConservationFuzz(t *testing.T) {
 			p.Attach(k.CPU)
 			profs = append(profs, p)
 		}
-		rep, err := f.Run()
+		rep, err := f.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +128,11 @@ func TestProfilerConservationFuzz(t *testing.T) {
 	// The profiled report must match an entirely unobserved campaign.
 	o := opts
 	o.Workers = 1
-	rep, err := fuzz.Fuzz(o)
+	f, err := fuzz.New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

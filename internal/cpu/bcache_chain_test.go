@@ -346,7 +346,7 @@ func TestBlockHotThresholdClamp(t *testing.T) {
 		{1000, 255},
 	} {
 		c.SetBlockHotThreshold(tc.in)
-		if got := c.BlockHotThreshold(); got != tc.want {
+		if got := int(c.blockHot); got != tc.want {
 			t.Errorf("SetBlockHotThreshold(%d): got %d, want %d", tc.in, got, tc.want)
 		}
 	}

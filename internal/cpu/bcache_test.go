@@ -79,9 +79,9 @@ func TestBlockStatsAndToggle(t *testing.T) {
 	if !c.BlockEngineEnabled() {
 		t.Fatal("block engine must default on")
 	}
-	if c.BlockHotThreshold() != DefaultBlockHotThreshold {
+	if int(c.blockHot) != DefaultBlockHotThreshold {
 		t.Fatalf("hot threshold must default to %d, got %d",
-			DefaultBlockHotThreshold, c.BlockHotThreshold())
+			DefaultBlockHotThreshold, int(c.blockHot))
 	}
 	c.SetBlockHotThreshold(1) // single pass must dispatch every instruction
 	mustReturn(t, c, 100)

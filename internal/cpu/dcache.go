@@ -19,7 +19,7 @@ import (
 // Correctness rests on two generation counters, validated on every lookup:
 //
 //   - mem.AddressSpace.MapGen() changes whenever the translation structure
-//     changes (Map/MapFrames, Unmap, Protect, ShadowData/Unshadow,
+//     changes (Map/MapFrames, Unmap, Protect, ShadowData,
 //     Rollback). A change forces re-resolution of the page's frame and
 //     permissions through ExecFrame; a frame swap or lost PermX is observed
 //     here. Cached *page pointers are never held across lookups — Rollback

@@ -33,8 +33,8 @@ type indVar struct {
 // loop on one outcome, and the block's last entry (that JCC, or a JMP)
 // returns to its entry on the other. Every entry must be a trap-free,
 // store-free register op from the list in regUse; among them only the JCC
-// and INC/DEC read flags, and INC/DEC's CF read feeds nothing but flags,
-// which the cmp overwrites before the JCC reads them.
+// and INC read flags, and INC's CF read feeds nothing but flags, which the
+// cmp overwrites before the JCC reads them.
 func fixpointLoop(ents []blkEnt) *fixLoop {
 	n := len(ents)
 	entry := ents[0].rip
@@ -152,18 +152,18 @@ func fixpointLoop(ents []blkEnt) *fixLoop {
 func regUse(in *isa.Instr) (r, w uint32, ok bool) {
 	d, s := uint32(1)<<in.Dst, uint32(1)<<in.Src
 	switch in.Op {
-	case isa.NOP, isa.JMP, isa.JCC:
+	case isa.JMP, isa.JCC:
 		return 0, 0, true
 	case isa.MOVri:
 		return 0, d, true
 	case isa.MOVrr:
 		return s, d, true
 	case isa.ADDri, isa.SUBri, isa.ANDri, isa.ORri, isa.XORri,
-		isa.SHLri, isa.SHRri, isa.SARri, isa.NOTr, isa.NEGr, isa.IMULri, isa.INCr, isa.DECr:
+		isa.SHLri, isa.SHRri, isa.NOTr, isa.IMULri, isa.INCr:
 		return d, d, true
-	case isa.ADDrr, isa.SUBrr, isa.ANDrr, isa.ORrr, isa.XORrr, isa.IMULrr:
+	case isa.ADDrr, isa.ANDrr, isa.ORrr, isa.XORrr:
 		return d | s, d, true
-	case isa.CMPri, isa.TESTri:
+	case isa.CMPri:
 		return d, 0, true
 	case isa.CMPrr, isa.TESTrr:
 		return d | s, 0, true
@@ -176,7 +176,7 @@ func unitStep(in *isa.Instr) (uint64, bool) {
 	switch {
 	case in.Op == isa.INCr, in.Op == isa.ADDri && in.Imm == 1, in.Op == isa.SUBri && in.Imm == -1:
 		return 1, true
-	case in.Op == isa.DECr, in.Op == isa.ADDri && in.Imm == -1, in.Op == isa.SUBri && in.Imm == 1:
+	case in.Op == isa.ADDri && in.Imm == -1, in.Op == isa.SUBri && in.Imm == 1:
 		return ^uint64(0), true
 	}
 	return 0, false

@@ -178,7 +178,7 @@ func TestFixpointClassification(t *testing.T) {
 			other: []uint8{uint8(isa.RAX), uint8(isa.R9), uint8(isa.R10)}},
 		{name: "step-before-cmp", l: mod(func(l *loopSpec) { l.shape = fixMid }), at: head, want: true,
 			ctr: isa.RCX, cond: isa.CondB, pre: true, other: []uint8{uint8(isa.RAX), uint8(isa.R9), uint8(isa.R10)}},
-		{name: "bottom-tested", l: mod(func(l *loopSpec) { l.shape, l.step, l.exit = fixBottom, isa.Dec(isa.RCX), isa.CondL }),
+		{name: "bottom-tested", l: mod(func(l *loopSpec) { l.shape, l.step, l.exit = fixBottom, isa.SubRI(isa.RCX, 1), isa.CondL }),
 			at: bottom, want: true, ctr: isa.RCX, cond: isa.CondGE, pre: true,
 			other: []uint8{uint8(isa.RAX), uint8(isa.R9), uint8(isa.R10)}},
 		{name: "counter-right-operand", l: mod(func(l *loopSpec) { l.swap, l.exit = true, isa.CondLE }), at: head, want: true,

@@ -210,12 +210,12 @@ func TestCompileFusionCounts(t *testing.T) {
 			// inc preserves CF — it READS flags, so the sub before it must
 			// stay live. The inc's own flag results die into the later cmp,
 			// so the inc itself fuses (to a bare increment, skipping both
-			// its CF read and its flag writes), as does the second sub.
+			// its CF read and its flag writes), as does the add after it.
 			name: "inc-dec-read-cf",
 			prog: []isa.Instr{
 				isa.SubRI(isa.RAX, 1),
 				isa.Inc(isa.RBX),
-				isa.SubRI(isa.RAX, 2),
+				isa.AddRI(isa.RAX, -2),
 				isa.CmpRI(isa.RAX, 5),
 				isa.Ret(),
 			},

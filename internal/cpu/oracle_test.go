@@ -743,7 +743,11 @@ var programs = sync.OnceValue(func() []*program {
 		{"signed-up", loopSpec{body: []isa.Instr{isa.ShrRI(isa.RBX, 3), isa.OrRI(isa.RDX, 0x10)},
 			ctr: isa.R11, init: -300, step: isa.AddRI(isa.R11, 1), bound: 200, imm: true, exit: isa.CondGE}, short, "LoopSkipped"},
 		{"signed-down-right-operand", loopSpec{body: []isa.Instr{isa.MovRI(isa.RBX, 9)},
-			ctr: isa.R11, init: 500, step: isa.Dec(isa.R11), bound: -100, bnd: isa.R10, swap: true, exit: isa.CondGE}, short, "LoopSkipped"},
+			ctr: isa.R11, init: 500, step: isa.SubRI(isa.R11, 1), bound: -100, bnd: isa.R10, swap: true, exit: isa.CondGE}, short, "LoopSkipped"},
+		// The same loop stepped by dec, which has no thunk: the block is
+		// not lean, so every pass runs, its dec through exec.
+		{"dec-runs-every-pass", loopSpec{body: []isa.Instr{isa.MovRI(isa.RBX, 9)},
+			ctr: isa.R11, init: 500, step: isa.Dec(isa.R11), bound: -100, bnd: isa.R10, swap: true, exit: isa.CondGE}, short, ""},
 		// Counts up through 2^64-1 and wraps to 0 on its way to 50.
 		{"unsigned-wrap", loopSpec{body: []isa.Instr{isa.XorRR(isa.RDX, isa.RDX)},
 			ctr: isa.R11, init: -100, step: isa.Inc(isa.R11), bound: 50, imm: true, exit: isa.CondE}, short, "LoopSkipped"},
@@ -840,8 +844,91 @@ var programs = sync.OnceValue(func() []*program {
 	a.branch(isa.Instr{Op: isa.JCC, CC: isa.CondNE}, body)
 	a.emit(isa.Ret())
 	add(program{name: "fuzz/bound-checks", code: a.encode(), seed: 12, reach: "LoopIters"})
+	add(program{name: "fuzz/exec-forms", code: execFormsProg(), seed: 13, reach: "ExecSlots LoopIters"})
 	return ps
 })
+
+// execFormsProg is a self-loop of six passes over one block that holds
+// every form the block compiler runs through exec for want of a thunk:
+// nop, swapgs, std, cld, bndmk, bndcl and, live and with dead flags, sar,
+// neg, imul reg,reg, dec and test reg,imm, sub reg,reg, the dead-flags sub
+// reg,imm, shr and compares, and the producer-jcc pairs it does not fuse
+// (test reg,imm, add, sub, inc and dec each before a jcc). A jmp through
+// %r14 closes the loop. No side exit is taken: each leads to a mov
+// rax,0xbad; ret. execFormsModel computes what the loop leaves.
+func execFormsProg() []byte {
+	a := &asmProg{}
+	head, bad, out := a.label(), a.label(), a.label()
+	patch := len(a.ins)
+	a.emit(isa.MovRI(isa.R14, 0), isa.MovRI(isa.RCX, 6), isa.MovRI(isa.R8, -0x100000), isa.MovRI(isa.R15, -800),
+		isa.MovRI(isa.R9, 5), isa.MovRI(isa.R10, 3), isa.MovRI(isa.R11, 2), isa.MovRI(isa.R12, 1000),
+		isa.MovRI(isa.R13, 500), isa.MovRI(isa.RDX, 7), isa.MovRI(isa.RBX, 1000), isa.MovRI(isa.RSI, 0x12345),
+		isa.MovRI(isa.RDI, 100), isa.MovRI(isa.RAX, 1), isa.MovRI(isa.RBP, 0))
+	jcc := func(cc isa.Cond, l int) { a.branch(isa.Instr{Op: isa.JCC, CC: cc}, l) }
+	sar := func(r isa.Reg, n int64) isa.Instr { return isa.Instr{Op: isa.SARri, Dst: r, Imm: n} }
+	neg := isa.Instr{Op: isa.NEGr, Dst: isa.R9}
+	imul := isa.Instr{Op: isa.IMULrr, Dst: isa.R10, Src: isa.R11}
+	testRI := func(r isa.Reg, n int64) isa.Instr { return isa.Instr{Op: isa.TESTri, Dst: r, Imm: n} }
+	a.bind(head)
+	a.emit(isa.Nop(), isa.Instr{Op: isa.SWAPGS}, isa.Instr{Op: isa.STD}, isa.Instr{Op: isa.CLD},
+		isa.Bndmk(isa.BND2, isa.Mem(isa.R14, 0x40)), isa.Instr{Op: isa.BNDCL, Bnd: isa.BND2, M: isa.Mem(isa.R14, 0)},
+		sar(isa.R8, 1))
+	jcc(isa.CondNS, bad)
+	// Up to the second neg, each flag result dies into the next
+	// instruction.
+	a.emit(sar(isa.R15, 3), neg, imul, isa.SubRI(isa.RBX, 3), isa.ShrRI(isa.RSI, 1), isa.CmpRI(isa.RDI, 5),
+		isa.CmpRR(isa.RDI, isa.R8), isa.TestRR(isa.RDI, isa.R8), testRI(isa.RDI, 0x10), isa.SubRR(isa.R13, isa.RDX),
+		neg)
+	jcc(isa.CondO, bad)
+	a.emit(imul)
+	jcc(isa.CondO, bad)
+	a.emit(isa.Dec(isa.R12), isa.SubRR(isa.R13, isa.RDX))
+	jcc(isa.CondE, bad)
+	a.emit(isa.Dec(isa.R12), isa.Inc(isa.RBP))
+	jcc(isa.CondE, bad)
+	a.emit(testRI(isa.RSI, 0))
+	jcc(isa.CondNE, bad)
+	a.emit(isa.AddRI(isa.RDI, 1))
+	jcc(isa.CondE, bad)
+	a.emit(isa.AddRR(isa.RAX, isa.RDX))
+	jcc(isa.CondE, bad)
+	a.emit(isa.SubRI(isa.RBX, 1))
+	jcc(isa.CondE, bad)
+	a.emit(isa.Dec(isa.RCX))
+	jcc(isa.CondE, out)
+	a.emit(isa.Instr{Op: isa.JMPR, Dst: isa.R14})
+	a.bind(bad)
+	a.emit(isa.MovRI(isa.RAX, 0xbad), isa.Ret())
+	a.bind(out)
+	a.emit(isa.Ret())
+	a.ins[patch] = isa.MovRI(isa.R14, int64(dcCodeVA+a.labelOff(head)))
+	return a.encode()
+}
+
+// execFormsModel returns the registers execFormsProg writes, as its loop
+// leaves them, computed here rather than by exec.
+func execFormsModel() map[isa.Reg]uint64 {
+	r := map[isa.Reg]int64{isa.RCX: 6, isa.R8: -0x100000, isa.R15: -800, isa.R9: 5, isa.R10: 3, isa.R11: 2,
+		isa.R12: 1000, isa.R13: 500, isa.RDX: 7, isa.RBX: 1000, isa.RSI: 0x12345, isa.RDI: 100, isa.RAX: 1, isa.RBP: 0}
+	for r[isa.RCX] > 0 {
+		r[isa.R8] >>= 1
+		r[isa.R15] >>= 3
+		r[isa.R10] *= r[isa.R11] * r[isa.R11] // %r9 is negated twice, so it ends as it began
+		r[isa.RBX] -= 3 + 1
+		r[isa.RSI] >>= 1
+		r[isa.R13] -= 2 * r[isa.RDX]
+		r[isa.R12] -= 2
+		r[isa.RBP]++
+		r[isa.RDI]++
+		r[isa.RAX] += r[isa.RDX]
+		r[isa.RCX]--
+	}
+	regs := map[isa.Reg]uint64{}
+	for k, v := range r {
+		regs[k] = uint64(v)
+	}
+	return regs
+}
 
 // rows returns the table's rows whose name starts with prefix.
 func rows(prefix string) []*program {
@@ -894,6 +981,29 @@ func irLoop(n int32) []byte {
 	a.bind(exit)
 	a.emit(isa.Ret())
 	return a.encode()
+}
+
+// TestExecForms runs fuzz/exec-forms in the block engines. Its forms have
+// no thunk, so the reference stepper and the block runner execute them
+// through the same exec cases, and the sweep against the reference cannot
+// see a fault there; so the registers are also checked against
+// execFormsModel, and %bnd2 against the bndmk that made it. (That the
+// slots ran through exec inside the looping block, FuzzBlockEquivalence
+// checks through the row's reach.)
+func TestExecForms(t *testing.T) {
+	p := row(t, "fuzz/exec-forms")
+	want := execFormsModel()
+	sweep(t, p, func(pt point, o *outcome, _ *CPU) {
+		s := o.passes[0]
+		for r, v := range want {
+			if s.Regs[r] != v {
+				t.Errorf("%s [%v]: %v = %#x, want %#x", p.name, pt, r, s.Regs[r], v)
+			}
+		}
+		if ub := s.Regs[isa.R14] + 0x40; s.Bnd[isa.BND2] != (Bound{UB: ub}) || s.Stop != StopReturn {
+			t.Errorf("%s [%v]: %%bnd2 %+v, stop %v; want {0 %#x} and a return", p.name, pt, s.Bnd[isa.BND2], ub, s.Stop)
+		}
+	}, points(space{engines: blockEngines}))
 }
 
 // FuzzBlockEquivalence is the oracle's fuzz target. An input is code and a

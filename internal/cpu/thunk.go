@@ -35,8 +35,8 @@ import (
 //   - Flag-dead fusion. compileBlock runs a backward liveness pass over the
 //     block: an arithmetic instruction whose CF/OF/SF/ZF/PF results are
 //     provably overwritten before ANY observable point gets the fused
-//     no-flags thunk variant — a bare register update (or, for CMP/TEST, a
-//     pure no-op) with no flagsAdd/flagsSub/setSZP/parity work at all.
+//     no-flags thunk variant — a bare register update with no
+//     flagsAdd/flagsSub/setSZP/parity work at all — where it has one.
 //
 //   - Run merging. Once fusion has settled every slot, mergeRuns turns
 //     each maximal run of two or more trap-free, store-free compiled slots
@@ -86,6 +86,17 @@ import (
 // Loads, stores and stack accesses are compiled in datapath.go: width-
 // specialized thunks with an inlined data-TLB hit, and same-base load
 // groups.
+//
+// Only the forms that blocks formed on a user path contain are compiled:
+// the register ALU and shift forms, with a no-flags variant where flags die
+// in practice, cmp/test reg,reg and cmp reg,imm, fused before a jcc, and
+// the control transfers and bound check the kernel's code runs. Every other
+// form (nop, sub reg,reg, sar, neg, imul reg,reg, dec, test reg,imm, an
+// indirect jmp through a register, cld/std, bndcl, bndmk, string, system
+// and trap instructions) gets a nil thunk and runs through exec in place;
+// BlockStats.ExecSlots counts those slots. EXPERIMENTS.md records how the
+// set was measured (a coverage build driven through every command, the fuzz
+// portfolios included) and the statements still never run.
 //
 // Thunks capture NO *CPU and no page state — only immutable decoded
 // operands — so they are invalidated by exactly the machinery that already
@@ -253,11 +264,11 @@ func mergeThunks(fns []thunk) thunk {
 	}
 }
 
-// compileCmpJcc fuses a trap-free register-form flag producer with the
-// conditional branch right after it that consumes it. jnext is the
-// branch's successor (fallthrough) address. Returns nil for producers that
-// can trap (memory forms) or have no fused constructor — the pair then
-// dispatches as two ordinary entries.
+// compileCmpJcc fuses a register compare (cmp reg,imm, cmp reg,reg or
+// test reg,reg) with the conditional branch right after it that consumes
+// it. jnext is the branch's successor (fallthrough) address. It returns nil
+// for every other producer — the pair then dispatches as two ordinary
+// entries.
 func compileCmpJcc(p, j *isa.Instr, jnext uint64) thunk {
 	d, s := p.Dst, p.Src
 	imm := uint64(p.Imm)
@@ -288,70 +299,6 @@ func compileCmpJcc(p, j *isa.Instr, jnext uint64) thunk {
 	case isa.TESTrr:
 		return func(c *CPU) (StopReason, *Trap) {
 			c.flagsLogic(c.Regs[d] & c.Regs[s])
-			branch(c)
-			return StepContinue, nil
-		}
-	case isa.TESTri:
-		return func(c *CPU) (StopReason, *Trap) {
-			c.flagsLogic(c.Regs[d] & imm)
-			branch(c)
-			return StepContinue, nil
-		}
-	case isa.ADDri:
-		return func(c *CPU) (StopReason, *Trap) {
-			a := c.Regs[d]
-			r := a + imm
-			c.Regs[d] = r
-			c.flagsAdd(a, imm, r)
-			branch(c)
-			return StepContinue, nil
-		}
-	case isa.ADDrr:
-		return func(c *CPU) (StopReason, *Trap) {
-			a, b := c.Regs[d], c.Regs[s]
-			r := a + b
-			c.Regs[d] = r
-			c.flagsAdd(a, b, r)
-			branch(c)
-			return StepContinue, nil
-		}
-	case isa.SUBri:
-		return func(c *CPU) (StopReason, *Trap) {
-			a := c.Regs[d]
-			r := a - imm
-			c.Regs[d] = r
-			c.flagsSub(a, imm, r)
-			branch(c)
-			return StepContinue, nil
-		}
-	case isa.SUBrr:
-		return func(c *CPU) (StopReason, *Trap) {
-			a, b := c.Regs[d], c.Regs[s]
-			r := a - b
-			c.Regs[d] = r
-			c.flagsSub(a, b, r)
-			branch(c)
-			return StepContinue, nil
-		}
-	case isa.INCr:
-		return func(c *CPU) (StopReason, *Trap) {
-			cf := c.RFlags & isa.FlagCF
-			a := c.Regs[d]
-			r := a + 1
-			c.Regs[d] = r
-			c.flagsAdd(a, 1, r)
-			c.RFlags = (c.RFlags &^ isa.FlagCF) | cf
-			branch(c)
-			return StepContinue, nil
-		}
-	case isa.DECr:
-		return func(c *CPU) (StopReason, *Trap) {
-			cf := c.RFlags & isa.FlagCF
-			a := c.Regs[d]
-			r := a - 1
-			c.Regs[d] = r
-			c.flagsSub(a, 1, r)
-			c.RFlags = (c.RFlags &^ isa.FlagCF) | cf
 			branch(c)
 			return StepContinue, nil
 		}
@@ -397,10 +344,9 @@ func compileEA(m isa.MemRef, next uint64) eaCap {
 // constant successor address next. dead reports that the instruction's
 // arithmetic-flag results are never observed (see compileBlock); the
 // returned bool reports whether flag computation was actually elided on
-// that basis. Opcodes with no specialized constructor (string, system, MPX
-// spill/fill, trap instructions — all block-rare) return a nil thunk, which
-// the dispatch loop runs in place through the exec switch — always
-// semantically exact.
+// that basis. Opcodes with no specialized constructor (see the top of this
+// file) return a nil thunk, which the dispatch loop runs in place through
+// the exec switch — always semantically exact.
 func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 	if fn, elided := compileMem(in, next, dead); fn != nil {
 		return fn, elided
@@ -409,12 +355,6 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 	imm := uint64(in.Imm)
 
 	switch in.Op {
-	case isa.NOP, isa.SWAPGS:
-		return func(c *CPU) (StopReason, *Trap) {
-			c.RIP = next
-			return StepContinue, nil
-		}, false
-
 	// --- data movement ---
 	case isa.MOVri:
 		return func(c *CPU) (StopReason, *Trap) {
@@ -491,34 +431,11 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			return StepContinue, nil
 		}, false
 	case isa.SUBri:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] -= imm
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
 		return func(c *CPU) (StopReason, *Trap) {
 			a := c.Regs[d]
 			r := a - imm
 			c.Regs[d] = r
 			c.flagsSub(a, imm, r)
-			c.RIP = next
-			return StepContinue, nil
-		}, false
-	case isa.SUBrr:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] -= c.Regs[s]
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
-		return func(c *CPU) (StopReason, *Trap) {
-			a, b := c.Regs[d], c.Regs[s]
-			r := a - b
-			c.Regs[d] = r
-			c.flagsSub(a, b, r)
 			c.RIP = next
 			return StepContinue, nil
 		}, false
@@ -619,13 +536,6 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 		}, false
 	case isa.SHRri:
 		sh := uint(imm) & 63
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] >>= sh
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
 		return func(c *CPU) (StopReason, *Trap) {
 			v := c.Regs[d]
 			c.RFlags &^= isa.FlagCF | isa.FlagOF
@@ -637,63 +547,9 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.RIP = next
 			return StepContinue, nil
 		}, false
-	case isa.SARri:
-		sh := uint(imm) & 63
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] = uint64(int64(c.Regs[d]) >> sh)
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
-		return func(c *CPU) (StopReason, *Trap) {
-			v := int64(c.Regs[d])
-			c.RFlags &^= isa.FlagCF | isa.FlagOF
-			if sh > 0 && (v>>(sh-1))&1 != 0 {
-				c.RFlags |= isa.FlagCF
-			}
-			c.Regs[d] = uint64(v >> sh)
-			c.setSZP(c.Regs[d])
-			c.RIP = next
-			return StepContinue, nil
-		}, false
 	case isa.NOTr:
 		return func(c *CPU) (StopReason, *Trap) {
 			c.Regs[d] = ^c.Regs[d]
-			c.RIP = next
-			return StepContinue, nil
-		}, false
-	case isa.NEGr:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] = -c.Regs[d]
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
-		return func(c *CPU) (StopReason, *Trap) {
-			v := c.Regs[d]
-			c.Regs[d] = -v
-			c.flagsSub(0, v, c.Regs[d])
-			c.RIP = next
-			return StepContinue, nil
-		}, false
-	case isa.IMULrr:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] *= c.Regs[s]
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
-		return func(c *CPU) (StopReason, *Trap) {
-			hi, lo := bits.Mul64(c.Regs[d], c.Regs[s])
-			c.Regs[d] = lo
-			c.RFlags &^= isa.FlagCF | isa.FlagOF
-			if hi != 0 && hi != ^uint64(0) {
-				c.RFlags |= isa.FlagCF | isa.FlagOF
-			}
-			c.setSZP(lo)
 			c.RIP = next
 			return StepContinue, nil
 		}, false
@@ -734,30 +590,9 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.RIP = next
 			return StepContinue, nil
 		}, false
-	case isa.DECr:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d]--
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
-		return func(c *CPU) (StopReason, *Trap) {
-			cf := c.RFlags & isa.FlagCF
-			a := c.Regs[d]
-			r := a - 1
-			c.Regs[d] = r
-			c.flagsSub(a, 1, r)
-			c.RFlags = (c.RFlags &^ isa.FlagCF) | cf
-			c.RIP = next
-			return StepContinue, nil
-		}, false
 
-	// --- comparison (a dead compare has no architectural effect at all) ---
+	// --- comparison (standalone; before a jcc, compileCmpJcc fuses them) ---
 	case isa.CMPri:
-		if dead {
-			return nopThunk(next), true
-		}
 		return func(c *CPU) (StopReason, *Trap) {
 			a := c.Regs[d]
 			c.flagsSub(a, imm, a-imm)
@@ -765,9 +600,6 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			return StepContinue, nil
 		}, false
 	case isa.CMPrr:
-		if dead {
-			return nopThunk(next), true
-		}
 		return func(c *CPU) (StopReason, *Trap) {
 			a, b := c.Regs[d], c.Regs[s]
 			c.flagsSub(a, b, a-b)
@@ -775,20 +607,8 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			return StepContinue, nil
 		}, false
 	case isa.TESTrr:
-		if dead {
-			return nopThunk(next), true
-		}
 		return func(c *CPU) (StopReason, *Trap) {
 			c.flagsLogic(c.Regs[d] & c.Regs[s])
-			c.RIP = next
-			return StepContinue, nil
-		}, false
-	case isa.TESTri:
-		if dead {
-			return nopThunk(next), true
-		}
-		return func(c *CPU) (StopReason, *Trap) {
-			c.flagsLogic(c.Regs[d] & imm)
 			c.RIP = next
 			return StepContinue, nil
 		}, false
@@ -798,11 +618,6 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 		target := next + imm
 		return func(c *CPU) (StopReason, *Trap) {
 			c.RIP = target
-			return StepContinue, nil
-		}, false
-	case isa.JMPR:
-		return func(c *CPU) (StopReason, *Trap) {
-			c.RIP = c.Regs[d]
 			return StepContinue, nil
 		}, false
 	case isa.JMPM:
@@ -840,21 +655,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			return StepContinue, nil
 		}, false
 
-	// --- flags housekeeping ---
-	case isa.CLD:
-		return func(c *CPU) (StopReason, *Trap) {
-			c.RFlags &^= isa.FlagDF
-			c.RIP = next
-			return StepContinue, nil
-		}, false
-	case isa.STD:
-		return func(c *CPU) (StopReason, *Trap) {
-			c.RFlags |= isa.FlagDF
-			c.RIP = next
-			return StepContinue, nil
-		}, false
-
-	// --- MPX checks (the hot half of kR^X-MPX; spill/fill stay generic) ---
+	// --- MPX check (the upper-bound check kR^X-MPX puts before reads) ---
 	case isa.BNDCU:
 		ea := compileEA(in.M, next)
 		bnd := in.Bnd
@@ -866,42 +667,12 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.RIP = next
 			return StepContinue, nil
 		}, false
-	case isa.BNDCL:
-		ea := compileEA(in.M, next)
-		bnd := in.Bnd
-		return func(c *CPU) (StopReason, *Trap) {
-			a := ea.addr(c)
-			if a < c.Bnd[bnd].LB {
-				return StepContinue, &Trap{Kind: TrapBoundRange, Addr: a, RIP: c.RIP, Mode: c.Mode}
-			}
-			c.RIP = next
-			return StepContinue, nil
-		}, false
-	case isa.BNDMK:
-		ea := compileEA(in.M, next)
-		bnd := in.Bnd
-		return func(c *CPU) (StopReason, *Trap) {
-			c.Bnd[bnd] = Bound{LB: 0, UB: ea.addr(c)}
-			c.RIP = next
-			return StepContinue, nil
-		}, false
 	}
 
-	// Generic fallback: string operations, mode switches, MSR access, trap
-	// instructions, MPX spill/fill — all either block terminators or rare.
-	// A nil thunk tells the block runner (runBlock) to run the entry in
-	// place through the exec switch — the identical instruction-step the
-	// single-step path performs, with no closure allocated and no extra
-	// indirect call layered on top.
+	// Generic fallback: the forms with no case above. A nil thunk tells the
+	// block runner (runBlock) to run the entry in place through the exec
+	// switch — the identical instruction-step the single-step path
+	// performs, with no closure allocated and no extra indirect call
+	// layered on top.
 	return nil, false
-}
-
-// nopThunk is the fused form of a dead CMP/TEST: fall-through only — the
-// instruction's sole architectural effect was flags that nothing can
-// observe.
-func nopThunk(next uint64) thunk {
-	return func(c *CPU) (StopReason, *Trap) {
-		c.RIP = next
-		return StepContinue, nil
-	}
 }

@@ -781,11 +781,6 @@ type iterOut struct {
 	err  error
 }
 
-// Run executes the campaign and returns its report.
-func (f *Fuzzer) Run() (*Report, error) {
-	return f.RunContext(context.Background())
-}
-
 // RunContext executes the campaign under ctx. Cancellation is graceful and
 // batch-aligned: the in-flight batch drains and merges, then the ledger is
 // finalized with Partial set — the canonical report of the completed
@@ -853,13 +848,4 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Report, error) {
 		}
 	}
 	return f.ledger.Finalize(done < f.opts.Iters), nil
-}
-
-// Fuzz is the one-call entry point: boot, run, report.
-func Fuzz(opts Options) (*Report, error) {
-	f, err := New(opts)
-	if err != nil {
-		return nil, err
-	}
-	return f.Run()
 }

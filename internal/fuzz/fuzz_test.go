@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -23,14 +24,25 @@ func campaignOpts(iters int) Options {
 	}
 }
 
+// runCampaign boots the campaign opts describe and runs it to the end.
+func runCampaign(t *testing.T, opts Options) *Report {
+	t.Helper()
+	f, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := f.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestCrashTriage checks the triage pipeline end to end on a campaign large
 // enough to crash: buckets are deduplicated, sorted, and every minimized
 // reproducer is no longer than what it minimizes.
 func TestCrashTriage(t *testing.T) {
-	r, err := Fuzz(campaignOpts(200))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runCampaign(t, campaignOpts(200))
 	if len(r.Crashes) == 0 {
 		t.Fatal("200 hostile iterations produced no crashes")
 	}
@@ -62,7 +74,7 @@ func TestMinimizedReproReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := f.Run()
+	r, err := f.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +96,7 @@ func TestMinimizedReproReplays(t *testing.T) {
 func TestCleanKernelNoInjection(t *testing.T) {
 	opts := campaignOpts(100)
 	opts.Plan = nil
-	r, err := Fuzz(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runCampaign(t, opts)
 	if r.Faults != 0 {
 		t.Fatalf("injected %d faults with no plan", r.Faults)
 	}

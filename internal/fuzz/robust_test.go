@@ -51,7 +51,7 @@ func TestZeroWorkerGuards(t *testing.T) {
 	var f Fuzzer
 	var nw *NoWorkersError
 
-	if _, err := f.Run(); !errors.As(err, &nw) {
+	if _, err := f.RunContext(context.Background()); !errors.As(err, &nw) {
 		t.Errorf("Run on zero-value Fuzzer = %v, want *NoWorkersError", err)
 	}
 	if _, err := f.Kernel(); !errors.As(err, &nw) {
@@ -74,10 +74,7 @@ func TestZeroWorkerGuards(t *testing.T) {
 func TestPartialReportPrefix(t *testing.T) {
 	const cutoff = 2 * BatchSize
 
-	full, err := Fuzz(campaignOpts(cutoff))
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := runCampaign(t, campaignOpts(cutoff))
 	if full.Partial {
 		t.Fatal("uncancelled campaign marked partial")
 	}

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestPickProgAllocatesOnlyItsProg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Run(); err != nil {
+	if _, err := f.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	corpus := f.ledger.Corpus()
@@ -171,7 +172,7 @@ func TestMinimizeReplayMatchesExec(t *testing.T) {
 	f.ledger.replayHook = func(cand *Prog, seed int64, res ExecResult) {
 		cands = append(cands, replayed{cand, seed, res})
 	}
-	r, err := f.Run()
+	r, err := f.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,7 @@ func tempStore(t *testing.T) *store.Disk {
 // and a resume with nothing left to do re-emits those same bytes, unmarked
 // partial.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
-	want, err := Fuzz(campaignOpts(150))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runCampaign(t, campaignOpts(150))
 
 	opts := campaignOpts(150)
 	opts.Checkpoint = tempStore(t)
@@ -54,7 +51,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if got := resumed.ledger.Done(); got != BatchSize {
 		t.Fatalf("resumed ledger at iteration %d, want %d", got, BatchSize)
 	}
-	full, err := resumed.Run()
+	full, err := resumed.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +68,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := done.Run()
+	again, err := done.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +89,7 @@ func TestCheckpointLongerRerunExtends(t *testing.T) {
 
 	short := campaignOpts(BatchSize)
 	short.Checkpoint = ck
-	if _, err := Fuzz(short); err != nil {
-		t.Fatal(err)
-	}
+	runCampaign(t, short)
 
 	long := campaignOpts(150)
 	long.Checkpoint = ck
@@ -105,14 +100,11 @@ func TestCheckpointLongerRerunExtends(t *testing.T) {
 	if got := f.ledger.Done(); got != BatchSize {
 		t.Fatalf("extended rerun resumed at %d, want %d", got, BatchSize)
 	}
-	got, err := f.Run()
+	got, err := f.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Fuzz(campaignOpts(150))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runCampaign(t, campaignOpts(150))
 	if got.String() != want.String() {
 		t.Fatalf("extended campaign diverges from a single long run:\n--- single ---\n%s--- extended ---\n%s",
 			want.String(), got.String())

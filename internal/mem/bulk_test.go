@@ -260,7 +260,6 @@ func TestMapGenSemantics(t *testing.T) {
 		{"ShadowData", func() error {
 			return as.ShadowData(0x1000, 1, nil)
 		}},
-		{"Unshadow", func() error { as.Unshadow(0x1000, 1); return nil }},
 	}
 	for _, b := range bumps {
 		mg := as.MapGen()

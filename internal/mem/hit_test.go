@@ -79,7 +79,7 @@ var dtlbPages = []uint64{0x10, 0x11, 0x12, 0x50, 0x51, 0x52, 0x90, 0x91}
 // "hit" makes every access through the hit accessors (ReadHits, WriteHit)
 // and falls back to Read and Write as the CPU does, "word" uses
 // Read and Write alone, and "byte" the LoadByte/StoreByte loop. The
-// operations are Map, Unmap, Protect, ShadowData, Unshadow, EPT flips,
+// operations are Map, Unmap, Protect, ShadowData, EPT flips,
 // Checkpoint, Rollback, Freeze and Fork (whose next stores break copy-on-
 // write), and reads, writes and same-base group reads of 1 to 8 bytes at
 // offsets that straddle pages. After every operation all three must report
@@ -91,15 +91,15 @@ func FuzzDataTLB(f *testing.F) {
 	for _, seed := range [][]byte{
 		// Read a page (fill), flip EPT, read again: the cached read bit
 		// must follow the flag.
-		{0, 0, 0, 8, 7, 0, 0, 0, 0, 0, 0, 8},
+		{0, 0, 0, 8, 6, 0, 0, 0, 0, 0, 0, 8},
 		// Write, protect read-only, write again.
 		{1, 1, 0x10, 0, 4, 1, 0, 0, 1, 1, 0x10, 0},
 		// Checkpoint, write, rollback, write, read.
-		{9, 0, 0, 0, 1, 2, 0, 0x40, 10, 0, 0, 0, 1, 2, 0, 0x40, 0, 2, 0, 0x40},
+		{8, 0, 0, 0, 1, 2, 0, 0x40, 9, 0, 0, 0, 1, 2, 0, 0x40, 0, 2, 0, 0x40},
 		// Freeze, fork, write (CoW break), read; a group read at a page end.
-		{11, 0, 0, 0, 12, 0, 0, 0, 1, 3, 0, 0, 0, 3, 0, 0, 2, 0, 0x0f, 0xf8},
-		// Shadow a page, read it, write it, unshadow, read.
-		{0, 4, 0, 0, 5, 4, 0, 0, 0, 4, 0, 0, 1, 4, 0, 0, 6, 4, 0, 0, 0, 4, 0, 0},
+		{10, 0, 0, 0, 11, 0, 0, 0, 1, 3, 0, 0, 0, 3, 0, 0, 2, 0, 0x0f, 0xf8},
+		// Read a page, shadow it, read it, write it, read it.
+		{0, 4, 0, 0, 5, 4, 0, 0, 0, 4, 0, 0, 1, 4, 0, 0, 0, 4, 0, 0},
 		// A demand-zero page: read, write (materializes), read.
 		{0, 6, 0, 8, 1, 6, 0, 8, 0, 6, 0, 8},
 	} {
@@ -118,7 +118,7 @@ func FuzzDataTLB(f *testing.F) {
 			tw.as = dtlbLayout(t)
 		}
 		for step := 0; len(ops) >= 4; step, ops = step+1, ops[4:] {
-			op, pg := ops[0]%13, dtlbPages[int(ops[1])%len(dtlbPages)]
+			op, pg := ops[0]%12, dtlbPages[int(ops[1])%len(dtlbPages)]
 			va := pg<<PageShift + uint64(binary.LittleEndian.Uint16(ops[2:]))%PageSize
 			size := uint8(1) << (ops[1] >> 4 & 3)
 			v := uint64(step+1) * 0x9e3779b97f4a7c15
@@ -209,19 +209,16 @@ func dtlbOp(tw *twin, op byte, pg, va uint64, size uint8, v uint64) string {
 	case 5:
 		return fmt.Sprintf("shadow %v", as.ShadowData(base, 1, nil) == nil)
 	case 6:
-		as.Unshadow(base, 1)
-		return "unshadow"
-	case 7:
 		as.EPT = !as.EPT
 		return "ept"
-	case 8:
+	case 7:
 		return fmt.Sprintf("unmap %v", as.Unmap(base, 1) == nil)
-	case 9:
+	case 8:
 		as.Checkpoint()
 		return "checkpoint"
-	case 10:
+	case 9:
 		return fmt.Sprintf("rollback %v", as.Rollback() == nil)
-	case 11:
+	case 10:
 		return fmt.Sprintf("freeze %v", as.Freeze() == nil)
 	default:
 		child, err := as.Fork()

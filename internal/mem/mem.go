@@ -205,7 +205,7 @@ var (
 //
 // Validation is by construction: an entry records the mapGen it was filled
 // at, and every structural mutation that could make it stale — Map/Unmap,
-// Protect, ShadowData/Unshadow, and a structural Rollback — already bumps
+// Protect, ShadowData, and a structural Rollback — already bumps
 // mapGen, which invalidates every entry at once. No explicit invalidation
 // hooks are needed. A content-only Rollback deliberately does NOT bump
 // mapGen: it restores frame bytes in place, so the cached page and data
@@ -281,7 +281,7 @@ type AddressSpace struct {
 	shadow map[uint64]*Frame
 
 	// mapGen counts page-table structure mutations: Map/MapFrames, Unmap,
-	// Protect, ShadowData/Unshadow, and Rollback all bump it. Consumers
+	// Protect, ShadowData, and Rollback all bump it. Consumers
 	// that cache address translations (the CPU's decode cache) re-resolve
 	// a page only when this changes; frame *content* changes are tracked
 	// separately, per frame (Frame.Gen). Pure reads — Peek included, which
@@ -748,16 +748,6 @@ func (as *AddressSpace) ShadowData(va uint64, n int, frames []*Frame) error {
 	}
 	as.mapGen++
 	return nil
-}
-
-// Unshadow removes the data shadows of n pages at va.
-func (as *AddressSpace) Unshadow(va uint64, n int) {
-	base := vpn(va)
-	as.journalSpan(base, n)
-	for i := 0; i < n; i++ {
-		delete(as.shadow, base+uint64(i))
-	}
-	as.mapGen++
 }
 
 // StoreByte performs a data store of one byte. Stores always land on the

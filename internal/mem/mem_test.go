@@ -273,12 +273,6 @@ func TestShadowDataSplitTLB(t *testing.T) {
 	if _, f := as.Fetch(0x1000, buf[:]); f != nil || buf[0] != 0xC3 {
 		t.Fatalf("fetch must see real code: %v % x", f, buf)
 	}
-	// Unshadow restores the unified view.
-	as.Unshadow(0x1000, 2)
-	b, f = as.LoadByte(0x1000)
-	if f != nil || b != 0xC3 {
-		t.Fatalf("unshadowed read: %v %#x", f, b)
-	}
 	// Errors.
 	if err := as.ShadowData(0x1001, 1, nil); err == nil {
 		t.Error("unaligned shadow must fail")

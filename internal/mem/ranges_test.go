@@ -171,7 +171,7 @@ func sortedTable(t pageTable) bool {
 // End that wraps to 0.
 const topVPN = 1 << (64 - PageShift)
 
-// TestRangesOracle runs random Map/Unmap/Protect/ShadowData/Unshadow
+// TestRangesOracle runs random Map/Unmap/Protect/ShadowData
 // sequences — spans across holes and at the top of the address space
 // included — mixed with Poke (CoW breaks once a space has forked, which
 // bump MapGen when the page is executable), Checkpoint/Rollback, and Fork
@@ -282,12 +282,6 @@ func TestRangesOracle(t *testing.T) {
 						m.shadow[base+i] = frames[i]
 					}
 				}
-			case op < 71:
-				m.as.Unshadow(va, n)
-				for i := uint64(0); i < uint64(n); i++ {
-					delete(m.shadow, base+i)
-				}
-				want = true
 			case op < 75 && win:
 				// A load and a store on a window page: untouched pages read
 				// zero, and the store materializes them.

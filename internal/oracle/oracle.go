@@ -24,6 +24,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"path"
 	"slices"
@@ -354,7 +355,7 @@ func runCampaign(t *testing.T, w *workload, p point) (fields, []*kernel.Kernel) 
 		return f, ks
 	}
 	run := func(f *fuzz.Fuzzer) *fuzz.Report {
-		rep, err := f.Run()
+		rep, err := f.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
